@@ -19,13 +19,11 @@ from .functions import (GaugeFunction, LocalizedFunction, NormFunction,
                         slope_values)
 from .geometry import (BallSet, BoundarySample, ConvexSetOracle, CuttingPlaneSet,
                        DilatedSet, FullSpaceSet, IntersectionSet, TwoBallHullSet,
-                       dilate, generic_projection_cutting_plane,
-                       hausdorff_distance, outward_normal, outward_normals,
-                       project_convex, sample_boundary)
+                       generic_projection_cutting_plane, hausdorff_distance,
+                       outward_normal, outward_normals, sample_boundary)
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
                              base_point, complement_projection,
-                             eval_regularized, prox_radius_estimate,
-                             regularize, semigroup_check,
+                             prox_radius_estimate, regularize, semigroup_check,
                              slope_inequality_check)
 from .sweeping import (FlowMap, SweepingConfig, Trajectory, flow_map,
                        forward_catching_up, forward_catching_up_batch,

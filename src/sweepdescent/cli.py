@@ -23,7 +23,7 @@ from . import __version__
 from .errors import (ConfigError, ReverseRefused, SweepDescentError, ThetaGuard)
 from .functions import get_function
 from .geometry import _ray_boundary_points
-from .regularization import RegularizedFunction, base_point, regularize
+from .regularization import RegularizedFunction, regularize
 from .sweeping import (SweepingConfig, flow_map, forward_catching_up,
                        reverse_catching_up, trajectory_to_csv)
 from .verification import estimate_slope_floor, run_verification_suite
@@ -339,6 +339,11 @@ def cmd_regularize(config: ExperimentConfig) -> int:
     pts = np.asarray(config.points, dtype=float)
     vals_base = np.asarray(base.eval(pts), dtype=float)
     vals = np.asarray(freg.eval(pts), dtype=float)
+    # Base points at the tabulated levels, so z and f_eps share one evaluation.
+    finite = np.isfinite(vals)
+    z = np.full(pts.shape, np.nan)
+    z[finite] = freg.base.level_project(vals[finite], pts[finite])
+    reach = np.linalg.norm(pts - z, axis=1)
     _prepare_out(config)
     lines = [f"# {config.stamp()}"]
     dim = pts.shape[1]
@@ -346,15 +351,9 @@ def cmd_regularize(config: ExperimentConfig) -> int:
         [f"z{i}" for i in range(dim)] + ["reach"]
     lines.append(",".join(head))
     for i, p in enumerate(pts):
-        if np.isfinite(vals[i]):
-            z = base_point(freg, p, warn_non_unique=False)
-            reach = float(np.linalg.norm(p - z))
-        else:
-            z = np.full(dim, np.nan)
-            reach = np.nan
         row = [repr(float(c)) for c in p] + [repr(float(vals_base[i])),
                                              repr(float(vals[i]))]
-        row += [repr(float(c)) for c in z] + [repr(reach)]
+        row += [repr(float(c)) for c in z[i]] + [repr(float(reach[i]))]
         lines.append(",".join(row))
     path = os.path.join(config.output_dir, "regularize.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NonConvergence
 from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, IntersectionSet,
-                       TwoBallHullSet, find_interior_point)
+                       TwoBallHullSet, ball_lens_project, find_interior_point)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -72,6 +72,13 @@ class QuasiconvexFunction:
         pts = np.asarray(points, dtype=float)
         return np.linalg.norm(pts - self.level_project(alphas, pts), axis=1)
 
+    def level_signed_distance(self, alphas, points):
+        """Signed distance of points[i] to the alphas[i]-sublevel boundary."""
+        pts = np.asarray(points, dtype=float)
+        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
+        return np.array([float(self.sublevel(a).signed_boundary_distance(p))
+                         for a, p in zip(alphas, pts)])
+
 
 class NormFunction(QuasiconvexFunction):
     """Euclidean norm; sublevel sets are centered balls."""
@@ -105,8 +112,11 @@ class NormFunction(QuasiconvexFunction):
         return pts * scale[:, None]
 
     def level_distance(self, alphas, points):
+        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
+
+    def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        return np.maximum(np.linalg.norm(pts, axis=1) - np.asarray(alphas, dtype=float), 0.0)
+        return np.linalg.norm(pts, axis=1) - np.asarray(alphas, dtype=float)
 
 
 class TubeFunction(QuasiconvexFunction):
@@ -159,11 +169,14 @@ class TubeFunction(QuasiconvexFunction):
         return res
 
     def level_distance(self, alphas, points):
+        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
+
+    def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
         t = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
                        self.level_hi)
         seg = np.stack([np.clip(pts[:, 0], 0.0, t), np.zeros(len(pts))], axis=1)
-        return np.maximum(np.linalg.norm(pts - seg, axis=1) - 1.0, 0.0)
+        return np.linalg.norm(pts - seg, axis=1) - 1.0
 
 
 def _gauge_membership(s, px, py):
@@ -304,8 +317,7 @@ class LocalizedFunction(QuasiconvexFunction):
         self.ball = BallSet(center, delta)
         self.domain = self.ball
         self.inf_value = self._min_over_ball()
-        base_hi = base.level_hi if base.level_hi is not None else None
-        self.level_hi = self._max_over_ball(base_hi)
+        self.level_hi = self._max_over_ball(base.level_hi)
         self.default_window = (
             self.inf_value + 0.25 * (self.level_hi - self.inf_value),
             self.inf_value + 0.75 * (self.level_hi - self.inf_value),
@@ -316,7 +328,7 @@ class LocalizedFunction(QuasiconvexFunction):
         hi = float(self.base.eval(self.center))
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if float(self.base.sublevel(mid).distance(self.center)) <= self.delta:
+            if self.base.level_distance([mid], self.center[None, :])[0] <= self.delta:
                 hi = mid
             else:
                 lo = mid
@@ -363,14 +375,17 @@ class LocalizedFunction(QuasiconvexFunction):
     def level_bbox(self, alpha: float):
         return self.center - self.delta, self.center + self.delta
 
+    def level_signed_distance(self, alphas, points):
+        pts = np.asarray(points, dtype=float)
+        return np.maximum(self.base.level_signed_distance(alphas, pts),
+                          self.ball.signed_boundary_distance(pts))
+
     def level_project(self, alphas, points, tol: float = 1e-10, max_iter: int = 4000):
         """Projection onto per-row base sublevels cut by the indicator ball."""
         pts = np.asarray(points, dtype=float)
-        alphas = np.broadcast_to(np.asarray(alphas, dtype=float),
-                                 (len(pts),)).copy()
-        alphas = np.minimum(alphas, self.level_hi)
+        alphas = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
+                            self.level_hi)
         if self.dim == 2:
-            from .geometry import ball_lens_project
             return ball_lens_project(
                 pts, self.ball,
                 lambda rows, p: self.base.level_distance(alphas[rows], p) <= 1e-12,

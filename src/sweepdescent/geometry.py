@@ -647,16 +647,6 @@ def _interior_depth(oracle, pts):
     return depths
 
 
-def project_convex(oracle: ConvexSetOracle, x):
-    """Metric projection of x onto the oracle's set (identity inside)."""
-    return oracle.project(x)
-
-
-def dilate(oracle: ConvexSetOracle, eps: float) -> DilatedSet:
-    """Oracle for the Minkowski dilation set + eps * unit ball."""
-    return DilatedSet(oracle, eps)
-
-
 @dataclass
 class BoundarySample:
     """Points lying on a set boundary at a target spacing."""

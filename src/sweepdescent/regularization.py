@@ -96,15 +96,14 @@ class RegularizedFunction(QuasiconvexFunction):
             self.base.level_distance(alphas, points) - self.eps, 0.0
         )
 
+    def level_signed_distance(self, alphas, points):
+        hi = np.inf if self.level_hi is None else self.level_hi
+        return self.base.level_signed_distance(np.minimum(alphas, hi), points) - self.eps
+
 
 def regularize(f: QuasiconvexFunction, eps: float) -> RegularizedFunction:
     """Wrap f so that every sublevel oracle is the eps-dilation of f's."""
     return RegularizedFunction(f, eps)
-
-
-def eval_regularized(freg: RegularizedFunction, x):
-    """Value of the regularized function at x (+inf outside its domain)."""
-    return freg.eval(x)
 
 
 def base_point(freg: RegularizedFunction, x, warn_non_unique: bool = True):

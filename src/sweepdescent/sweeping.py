@@ -10,7 +10,7 @@ prox-regular reach and under the step-size guard theta = K * dt / r < 1.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,10 +94,7 @@ class Trajectory:
 
     def boundary_residuals(self, f: QuasiconvexFunction) -> np.ndarray:
         """|distance to the moving sublevel boundary| at every sample."""
-        res = np.empty(len(self.times))
-        for j, (lvl, p) in enumerate(zip(self.levels, self.points)):
-            res[j] = abs(float(f.sublevel(lvl).signed_boundary_distance(p)))
-        return res
+        return np.abs(f.level_signed_distance(self.levels, self.points))
 
 
 def forward_catching_up(f: QuasiconvexFunction, x0, cfg: SweepingConfig) -> Trajectory:
@@ -235,7 +232,6 @@ class FlowMap:
     points: np.ndarray  # (k+1, n, d)
     values: np.ndarray  # (k+1, n)
     config: SweepingConfig
-    errors: list = field(default_factory=list)
 
     def at(self, t_index: int, m_index: int) -> np.ndarray:
         return self.points[t_index, m_index]
@@ -268,7 +264,6 @@ def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig,
     threads = max(1, min(threads, len(grid)))
     chunks = np.array_split(np.arange(len(grid)), threads)
     results: dict[int, Trajectory] = {}
-    errors = []
 
     def run(chunk):
         return forward_catching_up_batch(f, grid[chunk], cfg)
@@ -282,8 +277,7 @@ def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig,
     ref = results[0]
     pts = np.concatenate([results[i].points for i in range(len(chunks))], axis=1)
     vals = np.concatenate([results[i].values for i in range(len(chunks))], axis=1)
-    return FlowMap(grid=grid, times=ref.times, points=pts, values=vals,
-                   config=cfg, errors=errors)
+    return FlowMap(grid=grid, times=ref.times, points=pts, values=vals, config=cfg)
 
 
 def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,

@@ -321,7 +321,7 @@ def grid_min_regularized(freg: RegularizedFunction, points, n: int = 41):
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
     offsets = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1).reshape(-1, 2)
     probes = pts[:, None, :] - offsets[None, :, :]
-    vals = np.asarray(freg.base.eval(probes.reshape(-1, 2))).reshape(len(pts), -1)
+    vals = np.asarray(freg.base.eval(probes.reshape(-1, 2))).reshape(probes.shape[:2])
     return np.min(vals, axis=1)
 
 
@@ -331,6 +331,7 @@ def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:
     # at least eps above the infimum), with the dilation ball inside the
     # base domain (no feasibility-corner pinning), and certified per point
     # against a once-refined grid.
+    anchor = "bisection value matches brute-force min over the dilation ball"
     pts = _annulus_sample(freg, window, 3 * n_points, seed, "eval-consistency")
     vals = np.asarray(freg.eval(pts), dtype=float)
     depth = np.asarray(freg.base.domain.signed_boundary_distance(pts))
@@ -342,11 +343,13 @@ def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:
     pts = pts[certified][:n_points]
     coarse = coarse[certified][:n_points]
     vals = vals[certified][:n_points]
+    if not len(pts):
+        return CheckResult("eval-consistency", anchor, passed=None, details={
+            "reason": "no sample survived the filters", "n_points": 0})
     gap = np.abs(coarse - vals)
     worst = float(np.max(gap))
     return CheckResult(
-        name="eval-consistency",
-        anchor="bisection value matches brute-force min over the dilation ball",
+        name="eval-consistency", anchor=anchor,
         passed=bool(worst <= 1e-3), margin=1e-3 - worst,
         witness=None if worst <= 1e-3 else pts[int(np.argmax(gap))].tolist(),
         details={"worst_gap": worst, "n_points": int(len(pts))})

@@ -6,6 +6,7 @@ import pytest
 
 from sweepdescent.cli import ExperimentConfig, main
 from sweepdescent.errors import ConfigError
+from sweepdescent.functions import get_function
 
 
 def run(tmp_path, *args):
@@ -151,6 +152,24 @@ def test_regularize_table(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(1.5)  # f_eps at (2, 0)
     second = rows[1].split(",")
     assert float(second[3]) == 0.0
+
+
+@pytest.mark.parametrize("name,points", [
+    ("tube", "3,0;1.2,0.5;0.1,-0.9;2.5,0.8;-0.9,0.2;4.5,0"),
+    ("localized:tube:1.5,0:0.4", "1.5,0;1.9,0.1;1.2,-0.3;1.6,0.55;1.0,0.2;2.5,0"),
+])
+def test_regularize_base_points_carry_values(tmp_path, name, points):
+    code = run(tmp_path, "regularize", "--function", name, "--epsilon", "0.2",
+               "--points", points)
+    assert code == 0
+    lines = (tmp_path / "regularize.csv").read_text().splitlines()[2:]
+    table = np.array([[float(c) for c in line.split(",")] for line in lines])
+    finite = np.isfinite(table[:, 3])
+    assert 0 < np.sum(finite) < len(table)
+    rows = table[finite]
+    f = get_function(name)
+    assert np.max(np.abs(np.asarray(f.eval(rows[:, 4:6])) - rows[:, 3])) <= 1e-8
+    assert np.max(rows[:, 6]) <= 0.2 + 1e-9
 
 
 def test_regularize_requires_epsilon(tmp_path):

@@ -8,6 +8,7 @@ from sweepdescent.functions import (aze_corvellec_check, check_H2_region,
                                     get_function, is_critical, limiting_slope,
                                     localize, slope, slope_values)
 from sweepdescent.geometry import sample_boundary
+from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
 
 from conftest import dense_boundary_nearest
@@ -267,3 +268,31 @@ def test_slope_values_batch_matches_single(tube):
     batch, _ = slope_values(tube, pts, seed=3)
     singles = [slope(tube, p, seed=3).value for p in pts]
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [None, 0.25])
+@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2),
+                                      ("gauge", 2),
+                                      ("localized:tube:1.5,0:0.4", 2)])
+def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
+    f = get_function(name, dim=dim)
+    if eps is not None:
+        f = regularize(f, eps)
+    top = f.level_hi if f.level_hi is not None else 2.0
+    # The bottom level, one inside the window and one above the saturation
+    # level, where each class clamps. At its bottom level a localized
+    # sublevel set has no interior, so the reference oracle cannot be built
+    # there and the lowest level sits just above it.
+    bottom = f.inf_value + (1e-3 if name.startswith("localized") else 0.0)
+    levels = (bottom, 0.5 * (f.inf_value + top), top + 0.5)
+    rng = split_rng(0, "level-signed", name, dim)
+    lo, hi = f.level_bbox(top)
+    alphas, pts = [], []
+    for level in levels:
+        alphas += [level] * 30
+        pts.append(rng.uniform(lo - 0.5, hi + 0.5, size=(30, dim)))
+    pts = np.vstack(pts)
+    got = f.level_signed_distance(np.array(alphas), pts)
+    want = [float(f.sublevel(a).signed_boundary_distance(p))
+            for a, p in zip(alphas, pts)]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from sweepdescent.errors import DegenerateNormal, EmptySample
 from sweepdescent.geometry import (BallSet, BoundarySample, CuttingPlaneSet,
                                    DilatedSet, IntersectionSet, TwoBallHullSet,
-                                   dilate, generic_projection_cutting_plane,
+                                   generic_projection_cutting_plane,
                                    hausdorff_distance, outward_normal,
-                                   project_convex, sample_boundary)
+                                   sample_boundary)
 from sweepdescent.rng import split_rng
 
 from conftest import dense_boundary_nearest
@@ -17,11 +17,11 @@ UNIT_DISK = BallSet([0.0, 0.0], 1.0)
 
 
 def test_project_ball_exterior():
-    assert np.allclose(project_convex(UNIT_DISK, [2.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(UNIT_DISK.project([2.0, 0.0]), [1.0, 0.0])
 
 
 def test_project_ball_interior_identity():
-    assert np.allclose(project_convex(UNIT_DISK, [0.3, 0.1]), [0.3, 0.1])
+    assert np.allclose(UNIT_DISK.project([0.3, 0.1]), [0.3, 0.1])
 
 
 def test_project_capsule_versus_dense_sample():
@@ -69,12 +69,12 @@ def test_projection_nonexpansive_gallery_sublevels():
 
 
 def test_dilate_membership_and_projection():
-    dil = dilate(UNIT_DISK, 1.0)
+    dil = DilatedSet(UNIT_DISK, 1.0)
     assert dil.membership([0.0, 1.9])
     assert not dil.membership([0.0, 2.1])
-    half = dilate(UNIT_DISK, 0.5)
+    half = DilatedSet(UNIT_DISK, 0.5)
     assert np.allclose(half.project([3.0, 0.0]), [1.5, 0.0])
-    point_ball = dilate(BallSet([0.0, 0.0], 0.0), 2.0)
+    point_ball = DilatedSet(BallSet([0.0, 0.0], 0.0), 2.0)
     assert np.isclose(point_ball.distance([3.0, 0.0]), 1.0)
 
 
@@ -82,7 +82,7 @@ def test_dilate_membership_and_projection():
 @given(st.floats(-4, 4), st.floats(-4, 4), st.floats(0.05, 1.5))
 def test_dilation_distance_identity(x, y, eps):
     base = TwoBallHullSet([0.0, 0.0], 1.0, [1.0, 0.0], 0.4)
-    dil = dilate(base, eps)
+    dil = DilatedSet(base, eps)
     expected = max(float(base.distance([x, y])) - eps, 0.0)
     assert abs(float(dil.distance([x, y])) - expected) < 1e-8
 

@@ -4,8 +4,8 @@ import pytest
 from sweepdescent.errors import DegenerateDirection, OutOfReach
 from sweepdescent.functions import get_function, localize, slope
 from sweepdescent.regularization import (base_point, complement_projection,
-                                         eval_regularized, prox_radius_estimate,
-                                         regularize, semigroup_check,
+                                         prox_radius_estimate, regularize,
+                                         semigroup_check,
                                          slope_inequality_check)
 from sweepdescent.rng import split_rng
 
@@ -35,12 +35,12 @@ def test_regularize_gauge_top(gauge):
 
 def test_eval_regularized_outside_domain(tube):
     freg = regularize(tube, 0.25)
-    assert eval_regularized(freg, [4.5, 0.0]) == np.inf
+    assert freg.eval([4.5, 0.0]) == np.inf
 
 
 def test_eval_regularized_bottom_level(norm):
     freg = regularize(norm, 0.5)
-    assert eval_regularized(freg, [0.4, 0.1]) == 0.0
+    assert freg.eval([0.4, 0.1]) == 0.0
 
 
 def test_sublevel_is_dilation(tube):

@@ -5,7 +5,8 @@ from sweepdescent.errors import MissingConstants
 from sweepdescent.functions import get_function, localize
 from sweepdescent.regularization import regularize
 from sweepdescent.sweeping import SweepingConfig
-from sweepdescent.verification import (hoffmann_localization_check,
+from sweepdescent.verification import (_check_eval_consistency,
+                                       hoffmann_localization_check,
                                        membership_U_epsilon,
                                        probe_steepest_descent,
                                        run_verification_suite, verify_H1_H3,
@@ -123,3 +124,11 @@ def test_full_suite_tube_regularized(tube):
     assert rep.constants["prox_radius"] >= 0.9 * 0.25
     assert rep.get("semigroup-identity").passed
     assert rep.get("dilation-prox-lower-bound").passed
+
+
+def test_eval_consistency_skipped_without_samples(norm):
+    # Every sampled value lies below inf + eps, so no sample survives.
+    check = _check_eval_consistency(regularize(norm, 0.25), (0.05, 0.2), 10, 0)
+    assert check.passed is None
+    assert check.details["n_points"] == 0
+    assert "reason" in check.details
