@@ -59,6 +59,12 @@ class ExperimentConfig:
     # regularize
     points: list | None = None
 
+    def __post_init__(self):
+        if not self.resolution > 0:
+            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        if self.n_levels < 2:
+            raise ConfigError(f"n_levels must be at least 2, got {self.n_levels}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}

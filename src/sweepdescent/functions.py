@@ -8,6 +8,7 @@ degenerate in curvature near the level 1.
 """
 
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +371,7 @@ class LocalizedFunction(QuasiconvexFunction):
         if float(self.ball.signed_boundary_distance(z)) < -1e-9:
             return z
         return find_interior_point(self.base.sublevel(alpha), self.ball,
-                                   seed=abs(hash(self.name)) % (2**31))
+                                   seed=zlib.crc32(self.name.encode("utf-8")))
 
     def level_bbox(self, alpha: float):
         return self.center - self.delta, self.center + self.delta

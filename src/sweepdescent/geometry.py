@@ -22,6 +22,7 @@ TOL_PROJ = 1e-9
 BOUNDARY_TOL = 1e-7
 MAX_CUTS = 10_000
 PROBE_STEP = 1e-5
+RAY_BLOCK = 8192
 
 
 def _atleast_2d(x):
@@ -653,6 +654,7 @@ class BoundarySample:
 
     points: np.ndarray
     resolution: float
+    capped: bool = False  # max_points cut the ray count: spacing > resolution
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -662,7 +664,18 @@ class BoundarySample:
 
 
 def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
-    """Batched boundary points along rays from the interior point."""
+    """Batched boundary points along rays from the interior point.
+
+    Runs in row blocks of RAY_BLOCK, which keeps the arrays cache-sized; every
+    step is row-wise, so the block size never changes a result.
+    """
+    out = np.empty(np.shape(dirs))
+    for start in range(0, len(dirs), RAY_BLOCK):
+        out[start:start + RAY_BLOCK] = _ray_block(oracle, dirs[start:start + RAY_BLOCK])
+    return out
+
+
+def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
     center = oracle.interior_point
     hi = np.ones(len(dirs))
     for _ in range(64):
@@ -694,18 +707,20 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
         t = np.linspace(0.0, 2 * np.pi, 65)[:-1]
         coarse = _ray_boundary_points(oracle, np.stack([np.cos(t), np.sin(t)], axis=1))
         perimeter = float(np.linalg.norm(np.roll(coarse, -1, axis=0) - coarse, axis=1).sum())
-        count = min(max(int(np.ceil(perimeter / resolution)) * 2, 64), max_points)
+        count = max(int(np.ceil(perimeter / resolution)) * 2, 64)
+        capped, count = count > max_points, min(count, max_points)
         angles = np.linspace(0.0, 2 * np.pi, count + 1)[:-1]
         pts = _ray_boundary_points(oracle, np.stack([np.cos(angles), np.sin(angles)], axis=1))
     else:
         rng = split_rng(seed, "boundary", dim)
         coarse = _ray_boundary_points(oracle, unit_directions(rng, 128, dim))
         r_max = float(np.max(np.linalg.norm(coarse - oracle.interior_point, axis=1)))
-        count = min(int(np.ceil((4.0 * r_max / resolution) ** (dim - 1))) + 64, max_points)
+        count = int(np.ceil((4.0 * r_max / resolution) ** (dim - 1))) + 64
+        capped, count = count > max_points, min(count, max_points)
         pts = _ray_boundary_points(oracle, unit_directions(rng, count, dim))
 
     keep = _dedupe(pts, resolution / 2.0)
-    return BoundarySample(points=pts[keep], resolution=resolution)
+    return BoundarySample(points=pts[keep], resolution=resolution, capped=capped)
 
 
 def _dedupe(pts, min_gap):

@@ -219,7 +219,7 @@ def _secant_ratios(pts, normals, dim, resolution):
         db = np.roll(b, -1, axis=0) - b
         dn = np.roll(n, -1, axis=0) - n
     else:
-        pairs = np.array(sorted(cKDTree(pts).query_pairs(3.0 * resolution)))
+        pairs = cKDTree(pts).query_pairs(3.0 * resolution, output_type="ndarray")
         if len(pairs) == 0:
             return np.zeros(0)
         db = pts[pairs[:, 1]] - pts[pairs[:, 0]]

@@ -139,6 +139,9 @@ def verify_moving_map_lipschitz(f: QuasiconvexFunction, alpha1: float,
     samples = {lvl: sample_boundary(f.sublevel(lvl), resolution, seed=seed)
                for lvl in levels}
     rate_bound = 1.0 / slope_floor
+    # Sample counts per level; a capped level is spaced coarser than resolution.
+    counts = {"n_samples": [len(samples[lvl]) for lvl in levels],
+              "capped": [samples[lvl].capped for lvl in levels]}
     margin_s, margin_u, direct = np.inf, np.inf, 0.0
     witness_s = witness_u = None
     for i, a in enumerate(levels):
@@ -160,13 +163,13 @@ def verify_moving_map_lipschitz(f: QuasiconvexFunction, alpha1: float,
         passed=bool(margin_s >= 0), margin=float(margin_s),
         witness=None if margin_s >= 0 else witness_s,
         details={"direct_rate": direct, "rate_bound": rate_bound,
-                 "levels": levels.tolist(), "resolution": resolution})
+                 "levels": levels.tolist(), "resolution": resolution, **counts})
     check_u = CheckResult(
         name="moving-map-lipschitz-complement",
         anchor="complement moving map is (1/slope-floor)-Lipschitz in Hausdorff distance",
         passed=bool(margin_u >= 0), margin=float(margin_u),
         witness=None if margin_u >= 0 else witness_u,
-        details={"rate_bound": rate_bound, "resolution": resolution})
+        details={"rate_bound": rate_bound, "resolution": resolution, **counts})
     return check_s, check_u, direct
 
 

@@ -183,6 +183,27 @@ def test_experiment_config_rejects_unknown():
         ExperimentConfig.from_dict({"bogus": True})
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--resolution", "0", "resolution must be positive"),
+    ("--resolution", "-0.01", "resolution must be positive"),
+    ("--resolution", "nan", "resolution must be positive"),
+    ("--levels", "0.5:1.5:1", "n_levels must be at least 2"),
+    ("--levels", "0.5:1.5:0", "n_levels must be at least 2"),
+])
+def test_verify_rejects_bad_sampling_config(tmp_path, capsys, flag, value, message):
+    code = run(tmp_path, "verify", "--function", "norm", flag, value)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("data", [{"resolution": 0.0}, {"n_levels": 1}])
+def test_experiment_config_rejects_bad_sampling(data):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data)
+
+
 def test_bad_point_and_window_parsing(tmp_path):
     assert main(["descend", "--function", "norm", "--x0", "nope",
                  "--out", str(tmp_path)]) == 2

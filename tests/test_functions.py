@@ -1,8 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepdescent import functions
 from sweepdescent.errors import DomainError
 from sweepdescent.functions import (aze_corvellec_check, check_H2_region,
                                     get_function, is_critical, limiting_slope,
@@ -152,6 +155,21 @@ def test_localized_name_roundtrip(norm):
         get_function("localized:norm:oops")
     with pytest.raises(ValueError):
         get_function("nosuch")
+
+
+def test_localized_slater_seed_is_process_independent(monkeypatch, tube):
+    # At the bottom level the Slater search runs; its seed must not come
+    # from Python's per-process string hash.
+    h = localize(tube, [1.5, 0.0], 0.4)
+    seeds = []
+
+    def record(first, second, seed=0):
+        seeds.append(seed)
+        return h.center.copy()
+
+    monkeypatch.setattr(functions, "find_interior_point", record)
+    h.sublevel(h.inf_value)
+    assert seeds == [zlib.crc32(h.name.encode("utf-8"))]
 
 
 def test_aze_corvellec_examples(norm, tube):

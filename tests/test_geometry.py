@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepdescent.errors import DegenerateNormal, EmptySample
-from sweepdescent.geometry import (BallSet, BoundarySample, CuttingPlaneSet,
-                                   DilatedSet, IntersectionSet, TwoBallHullSet,
+from sweepdescent.geometry import (RAY_BLOCK, BallSet, BoundarySample,
+                                   CuttingPlaneSet, DilatedSet, IntersectionSet,
+                                   TwoBallHullSet, _ray_boundary_points,
                                    generic_projection_cutting_plane,
                                    hausdorff_distance, outward_normal,
                                    sample_boundary)
-from sweepdescent.rng import split_rng
+from sweepdescent.rng import split_rng, unit_directions
 
 from conftest import dense_boundary_nearest
 
@@ -186,6 +187,8 @@ def test_boundary_sample_spacing_and_accuracy():
     from scipy.spatial import cKDTree
     gaps = cKDTree(sample.points).query(sample.points, k=2)[0][:, 1]
     assert np.min(gaps) > 0.05 / 2
+    assert not sample.capped
+    assert sample_boundary(UNIT_DISK, 0.05, seed=3, max_points=100).capped
 
 
 def test_boundary_sample_dimension_3():
@@ -193,7 +196,40 @@ def test_boundary_sample_dimension_3():
     sample = sample_boundary(ball, 0.2, seed=5)
     radii = np.linalg.norm(sample.points, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
-    assert len(sample) > 50
+    assert len(sample) > 50 and not sample.capped
+    capped = sample_boundary(ball, 0.2, seed=5, max_points=300)
+    assert capped.capped and len(capped) <= 300
+
+
+def _unblocked_ray_boundary_points(oracle, dirs):
+    """Reference: the ray doubling and bisection over all rows at once."""
+    center = oracle.interior_point
+    hi = np.ones(len(dirs))
+    for _ in range(64):
+        inside = np.asarray(oracle.membership(center + hi[:, None] * dirs))
+        if not np.any(inside):
+            break
+        hi[inside] *= 2.0
+    lo = np.zeros(len(dirs))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = np.asarray(oracle.membership(center + mid[:, None] * dirs))
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return center + (0.5 * (lo + hi))[:, None] * dirs
+
+
+@pytest.mark.parametrize("oracle", [
+    BallSet([0.0, 0.0, 0.0], 1.0),
+    TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.5, 0.5, 0.0], 0.4),
+    DilatedSet(TwoBallHullSet([0.0, 0.0, 0.0], 0.7, [0.0, 1.0, 1.0], 0.7), 0.25),
+])
+def test_ray_boundary_points_blocked_matches_unblocked(oracle):
+    dirs = unit_directions(split_rng(0, "ray-blocks"), 20_000, 3)
+    assert len(dirs) > 2 * RAY_BLOCK
+    got = _ray_boundary_points(oracle, dirs)
+    want = _unblocked_ray_boundary_points(oracle, dirs)
+    assert np.array_equal(got, want)
 
 
 def test_intersection_projection_matches_brute_force():

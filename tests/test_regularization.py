@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
 from sweepdescent.functions import get_function, localize, slope
-from sweepdescent.regularization import (base_point, complement_projection,
+from sweepdescent.geometry import TwoBallHullSet, outward_normals, sample_boundary
+from sweepdescent.regularization import (_secant_ratios, base_point,
+                                         complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_check,
                                          slope_inequality_check)
@@ -144,6 +147,31 @@ def test_prox_radius_gauge_levels(gauge):
 def test_prox_radius_norm_circle(norm):
     est = prox_radius_estimate(norm, 2.0, seed=0)
     assert est.r_hat == pytest.approx(2.0, rel=0.05)
+
+
+def test_prox_radius_norm_sphere_3d():
+    est = prox_radius_estimate(get_function("norm", 3), 1.0)
+    assert abs(est.r_hat - 1.0) <= 1e-6
+
+
+def test_secant_ratios_3d_match_sorted_pair_reference():
+    hull = TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.2, 0.3, 0.0], 0.6)
+    resolution = 0.1
+    pts = sample_boundary(hull, resolution, seed=4).points
+    normals, ok = outward_normals(hull, pts, strict=False)
+    pts, normals = pts[ok], normals[ok]
+    got = _secant_ratios(pts, normals, 3, resolution)
+    # The earlier pair list: a sorted Python list of index tuples.
+    pairs = np.array(sorted(cKDTree(pts).query_pairs(3.0 * resolution)))
+    db = pts[pairs[:, 1]] - pts[pairs[:, 0]]
+    dn = normals[pairs[:, 1]] - normals[pairs[:, 0]]
+    num = np.einsum("ij,ij->i", db, db)
+    den = np.einsum("ij,ij->i", db, dn)
+    good = den > 1e-9 * np.sqrt(num)
+    want = num[good] / den[good]
+    assert len(got) == len(want) > 1000
+    assert np.min(got) == np.min(want)
+    assert np.array_equal(np.sort(got), np.sort(want))
 
 
 def test_prox_radius_dilated_lower_bound(tube):

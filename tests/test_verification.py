@@ -27,6 +27,17 @@ def test_moving_map_tube_levels(tube):
     assert direct == pytest.approx(1.0, abs=0.03)
 
 
+def test_moving_map_reports_sample_counts_and_cap():
+    # At resolution 0.025 the 3-d ray count at level 3 exceeds max_points.
+    norm3 = get_function("norm", 3)
+    check_s, check_u, _ = verify_moving_map_lipschitz(
+        norm3, 0.5, 3.0, n_levels=2, slope_floor=1.0, resolution=0.025)
+    for check in (check_s, check_u):
+        assert check.details["capped"] == [False, True]
+        assert 0 < check.details["n_samples"][0] < check.details["n_samples"][1]
+        assert check.details["n_samples"][1] <= 200_000
+
+
 def test_moving_map_refused_without_floor(norm):
     with pytest.raises(MissingConstants):
         verify_moving_map_lipschitz(norm, 1.0, 1.5, slope_floor=0.0)
