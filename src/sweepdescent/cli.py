@@ -39,7 +39,7 @@ class ExperimentConfig:
     epsilon: float | None = None
     seed: int = 0
     output_dir: str = "out"
-    threads: int | None = None
+    threads: int | None = None  # ignored; old echoed configs carry it
     # descend / foliate
     alpha2: float | None = None
     T: float = 1.0
@@ -62,8 +62,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.resolution > 0:
             raise ConfigError(f"resolution must be positive, got {self.resolution}")
-        if self.n_levels < 2:
-            raise ConfigError(f"n_levels must be at least 2, got {self.n_levels}")
+        for key, least in (("dim", 1), ("n_levels", 2), ("n_points", 1), ("grid_size", 2)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -131,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, help="regularization radius")
         p.add_argument("--seed", type=int, help="experiment seed")
         p.add_argument("--out", dest="output_dir", help="output directory")
-        p.add_argument("--threads", type=int, help="parallelism cap")
+        p.add_argument("--threads", type=int, help="ignored; kept for old command lines")
 
     p = sub.add_parser("descend", help="forward (and optional reverse) run")
     common(p)
@@ -209,10 +210,16 @@ def _resolve_function(config: ExperimentConfig):
     return f
 
 
+def _check_dim(f, points, what: str) -> None:
+    if any(len(p) != f.dim for p in points):
+        raise ConfigError(f"{what} must have {f.dim} coordinates for {f.name}")
+
+
 def cmd_descend(config: ExperimentConfig) -> int:
     if config.x0 is None:
         raise ConfigError("descend needs --x0")
     f = _resolve_function(config)
+    _check_dim(f, [config.x0], "x0")
     x0 = np.asarray(config.x0, dtype=float)
     alpha2 = config.alpha2 if config.alpha2 is not None else float(f.eval(x0))
     if not np.isfinite(alpha2):
@@ -263,6 +270,9 @@ def cmd_descend(config: ExperimentConfig) -> int:
 
 def cmd_verify(config: ExperimentConfig) -> int:
     f = get_function(config.function, dim=config.dim)
+    if config.window is not None and not f.inf_value < config.window[0] < config.window[1]:
+        raise ConfigError(f"level window {config.window} must satisfy "
+                          f"inf f = {f.inf_value:g} < lo < hi")
     report = run_verification_suite(
         f, eps=config.epsilon, window=config.window, seed=config.seed,
         n_points=config.n_points, n_levels=config.n_levels,
@@ -285,13 +295,15 @@ def cmd_foliate(config: ExperimentConfig) -> int:
     if config.alpha2 is None:
         raise ConfigError("foliate needs --alpha2")
     f = _resolve_function(config)
+    if f.dim != 2:
+        raise ConfigError(f"foliate's boundary grid is two-dimensional, got dim {f.dim}")
     start_set = f.sublevel(config.alpha2)
     angles = np.linspace(0.0, 2.0 * np.pi, config.grid_size, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid = _ray_boundary_points(start_set, dirs)
     cfg = SweepingConfig(alpha2=config.alpha2, horizon=config.T, steps=config.k,
                          seed=config.seed)
-    fm = flow_map(f, grid, cfg, threads=config.threads)
+    fm = flow_map(f, grid, cfg)
     _prepare_out(config)
     names = []
     for i in range(len(grid)):
@@ -342,6 +354,7 @@ def cmd_regularize(config: ExperimentConfig) -> int:
         raise ConfigError("regularize needs --points, e.g. '2,0;3,1'")
     base = get_function(config.function, dim=config.dim)
     freg = regularize(base, config.epsilon)
+    _check_dim(base, config.points, "points")
     pts = np.asarray(config.points, dtype=float)
     vals_base = np.asarray(base.eval(pts), dtype=float)
     vals = np.asarray(freg.eval(pts), dtype=float)
@@ -382,8 +395,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _merge_config(args)
-        if config.threads is None:
-            config.threads = int(os.environ.get("SWEEPDESCENT_THREADS", "1"))
         return COMMANDS[args.command](config)
     except SystemExit as exc:
         return int(exc.code or 0)

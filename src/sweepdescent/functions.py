@@ -523,18 +523,27 @@ def slope(f: QuasiconvexFunction, x, radii=SLOPE_RADII, n_directions=None,
 
 def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS,
                    delta_f: float = LIMITING_VALUE_GAP,
-                   n_samples: int = LIMITING_SAMPLES, seed: int = 0) -> float:
-    """Lower envelope of the slope over value-close nearby points."""
-    x = np.asarray(x, dtype=float)
-    fx = float(f.eval(x))
-    if not np.isfinite(fx):
-        return np.inf
+                   n_samples: int = LIMITING_SAMPLES, seed: int = 0):
+    """Lower envelope of the slope over value-close nearby points.
+
+    One point gives a float, an (n, d) batch an array from one slope_values
+    call. In d >= 3 the slope refinement draws noise sized by its batch, so
+    there a batched value can differ slightly from the one-point call.
+    """
+    x2, single = _rows(x)
+    fx = np.asarray(f.eval(x2), dtype=float)
+    out = np.full(len(x2), np.inf)
+    rows = np.flatnonzero(np.isfinite(fx))
     rng = split_rng(seed, "limiting", n_samples)
-    pts = np.vstack([x[None, :], x + ball_points(rng, n_samples, x.shape[0], rho_outer)])
-    fy = np.asarray(f.eval(pts), dtype=float)
-    valid = np.isfinite(fy) & (np.abs(fy - fx) <= delta_f)
-    vals, _ = slope_values(f, pts[valid], seed=seed)
-    return float(np.min(vals))
+    offsets = np.vstack([np.zeros(x2.shape[1]),
+                         ball_points(rng, n_samples, x2.shape[1], rho_outer)])
+    pts = (x2[rows, None, :] + offsets).reshape(-1, x2.shape[1])
+    fy = np.asarray(f.eval(pts), dtype=float).reshape(len(rows), len(offsets))
+    valid = np.isfinite(fy) & (np.abs(fy - fx[rows, None]) <= delta_f)
+    envelope = np.full(valid.shape, np.inf)
+    envelope[valid], _ = slope_values(f, pts[valid.ravel()], seed=seed)
+    out[rows] = envelope.min(axis=1)
+    return float(out[0]) if single else out
 
 
 def is_critical(f: QuasiconvexFunction, x, tol: float) -> bool:

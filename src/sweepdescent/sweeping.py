@@ -8,8 +8,6 @@ the dilated sublevel interiors, which is only well posed within the
 prox-regular reach and under the step-size guard theta = K * dt / r < 1.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,38 +244,20 @@ class FlowMap:
         return self.points[-1]
 
 
-def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig,
-             threads: int | None = None) -> FlowMap:
+def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> FlowMap:
     """Forward trajectories for every grid point on the starting boundary.
 
-    Grid points must lie on the alpha2-level boundary. Work is split across
-    a thread pool sized by SWEEPDESCENT_THREADS (default 1); results are
-    assembled in grid order, so scheduling never changes the output.
+    Grid points must lie on the alpha2-level boundary. All grid points run
+    as one batch, so the output is in grid order.
     """
     grid = np.asarray(boundary_grid, dtype=float)
     start_set = f.sublevel(cfg.alpha2)
     residual = np.abs(np.asarray(start_set.signed_boundary_distance(grid)))
     if np.any(residual > 1e-5):
         raise DomainError("flow map grid points must lie on the level boundary")
-    if threads is None:
-        threads = int(os.environ.get("SWEEPDESCENT_THREADS", "1"))
-    threads = max(1, min(threads, len(grid)))
-    chunks = np.array_split(np.arange(len(grid)), threads)
-    results: dict[int, Trajectory] = {}
-
-    def run(chunk):
-        return forward_catching_up_batch(f, grid[chunk], cfg)
-
-    if threads == 1:
-        results[0] = run(chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, batch in enumerate(pool.map(run, chunks)):
-                results[i] = batch
-    ref = results[0]
-    pts = np.concatenate([results[i].points for i in range(len(chunks))], axis=1)
-    vals = np.concatenate([results[i].values for i in range(len(chunks))], axis=1)
-    return FlowMap(grid=grid, times=ref.times, points=pts, values=vals, config=cfg)
+    batch = forward_catching_up_batch(f, grid, cfg)
+    return FlowMap(grid=grid, times=batch.times, points=batch.points,
+                   values=batch.values, config=cfg)
 
 
 def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,

@@ -14,11 +14,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingConstants
-from .functions import (LocalizedFunction, QuasiconvexFunction, limiting_slope,
-                        localize, slope_values)
+from .functions import (LocalizedFunction, QuasiconvexFunction, _rows,
+                        limiting_slope, localize, slope_values)
 from .geometry import sample_boundary
-from .regularization import (RegularizedFunction, base_point,
-                             prox_radius_estimate, regularize)
+from .regularization import (RegularizedFunction, prox_radius_estimate,
+                             regularize)
 from .rng import split_rng
 from .sweeping import SweepingConfig
 
@@ -223,14 +223,18 @@ def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
 
 
 def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x,
-                         crit_tol: float = CRITICALITY_TOL, seed: int = 0) -> bool:
-    """Non-lower-criticality through the base point of the regularization."""
-    freg = regularize(f, eps)
-    val = float(freg.eval(x))
-    if not np.isfinite(val):
-        return False
-    z = base_point(freg, x, warn_non_unique=False)
-    return limiting_slope(f, z, seed=seed) > crit_tol
+                         crit_tol: float = CRITICALITY_TOL, seed: int = 0):
+    """Non-lower-criticality through the base point of the regularization.
+
+    Takes one point (returns a bool) or an (n, d) batch (returns a boolean
+    array) and makes one limiting_slope call.
+    """
+    x2, single = _rows(x)
+    vals = np.asarray(regularize(f, eps).eval(x2), dtype=float)
+    out = np.isfinite(vals)
+    z = f.level_project(vals[out], x2[out])
+    out[out] = limiting_slope(f, z, seed=seed) > crit_tol
+    return bool(out[0]) if single else out
 
 
 def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
@@ -249,11 +253,10 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
     if window is None:
         window = freg.default_window
     starts = _annulus_sample(freg, window, 3 * n_starts, seed, "probe-starts")
-    keep = [x for x in starts
-            if membership_U_epsilon(freg.base, freg.eps, x, seed=seed)]
+    keep = starts[membership_U_epsilon(freg.base, freg.eps, starts, seed=seed)]
     if len(keep) < n_starts:
         raise DomainError("not enough non-critical starts in the window")
-    starts = np.stack(keep[:n_starts])
+    starts = keep[:n_starts]
 
     alpha2s = np.asarray(freg.eval(starts), dtype=float)
     horizon = min(cfg.horizon, 0.8 * float(np.min(alpha2s) - freg.inf_value))

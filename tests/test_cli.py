@@ -209,3 +209,48 @@ def test_bad_point_and_window_parsing(tmp_path):
                  "--out", str(tmp_path)]) == 2
     assert main(["verify", "--function", "norm", "--levels", "1:2",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--window", "0:0.5"], "level window"),
+    (["--window=-1:0.5"], "level window"),
+    (["--window", "1.5:0.5"], "level window"),
+    (["--levels", "1:1:4"], "level window"),
+    (["--levels", "1.5:0.5:4"], "level window"),
+    (["--epsilon", "0.25", "--n-points", "0"], "n_points must be at least 1"),
+    (["--dim", "0"], "dim must be at least 1"),
+])
+def test_verify_rejects_bad_window_and_sizes(tmp_path, capsys, args, message):
+    code = run(tmp_path, "verify", "--function", "norm", *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["descend", "--function", "tube", "--x0", "1,2,3"], "x0 must have 2 coordinates"),
+    (["regularize", "--function", "tube", "--epsilon", "0.25", "--points", "2,0;1,2,3"],
+     "points must have 2 coordinates"),
+    (["foliate", "--function", "tube", "--epsilon", "0.25", "--alpha2", "1.5",
+      "--grid-size", "0"], "grid_size must be at least 2"),
+    (["foliate", "--function", "tube", "--epsilon", "0.25", "--alpha2", "1.5",
+      "--grid-size", "1"], "grid_size must be at least 2"),
+    (["foliate", "--function", "norm", "--dim", "3", "--epsilon", "0.25",
+      "--alpha2", "1.5"], "two-dimensional"),
+])
+def test_commands_reject_bad_shapes(tmp_path, capsys, args, message):
+    code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+
+
+def test_threads_key_and_flag_are_accepted_and_ignored(tmp_path):
+    args = ["foliate", "--function", "tube", "--epsilon", "0.25", "--alpha2", "1.5",
+            "--T", "0.2", "--k", "20", "--grid-size", "4"]
+    assert run(tmp_path / "a", *args) == 0
+    assert run(tmp_path / "b", *args, "--threads", "3") == 0
+    assert ExperimentConfig.from_dict({"threads": 4}).threads == 4
+    for name in ("index.csv", "trajectory_000.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

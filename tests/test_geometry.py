@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepdescent.errors import DegenerateNormal, EmptySample
+from sweepdescent.functions import get_function
 from sweepdescent.geometry import (RAY_BLOCK, BallSet, BoundarySample,
                                    CuttingPlaneSet, DilatedSet, IntersectionSet,
-                                   TwoBallHullSet, _ray_boundary_points,
+                                   TwoBallHullSet, _itp, _ray_block,
+                                   _ray_boundary_points,
                                    generic_projection_cutting_plane,
                                    hausdorff_distance, outward_normal,
                                    sample_boundary)
@@ -201,8 +203,8 @@ def test_boundary_sample_dimension_3():
     assert capped.capped and len(capped) <= 300
 
 
-def _unblocked_ray_boundary_points(oracle, dirs):
-    """Reference: the ray doubling and bisection over all rows at once."""
+def _bisection_ray_exits(oracle, dirs):
+    """Reference: ray doubling, then 60 membership bisections per ray."""
     center = oracle.interior_point
     hi = np.ones(len(dirs))
     for _ in range(64):
@@ -219,17 +221,81 @@ def _unblocked_ray_boundary_points(oracle, dirs):
     return center + (0.5 * (lo + hi))[:, None] * dirs
 
 
-@pytest.mark.parametrize("oracle", [
+RAY_ORACLES_3D = [
     BallSet([0.0, 0.0, 0.0], 1.0),
     TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.5, 0.5, 0.0], 0.4),
     DilatedSet(TwoBallHullSet([0.0, 0.0, 0.0], 0.7, [0.0, 1.0, 1.0], 0.7), 0.25),
-])
+]
+
+
+@pytest.mark.parametrize("oracle", RAY_ORACLES_3D)
 def test_ray_boundary_points_blocked_matches_unblocked(oracle):
     dirs = unit_directions(split_rng(0, "ray-blocks"), 20_000, 3)
     assert len(dirs) > 2 * RAY_BLOCK
     got = _ray_boundary_points(oracle, dirs)
-    want = _unblocked_ray_boundary_points(oracle, dirs)
+    want = _ray_block(oracle, dirs)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("oracle", RAY_ORACLES_3D + [
+    get_function("gauge").sublevel(0.95),
+    get_function("gauge").sublevel(1.05),
+    get_function("localized:tube:1.5,0:0.4").sublevel(0.3),
+], ids=["ball3", "hull3", "dilated-hull3", "gauge-0.95", "gauge-1.05",
+        "localized-0.3"])
+def test_ray_exits_match_bisection_reference(oracle):
+    dirs = unit_directions(split_rng(1, "ray-exits"), 3000, oracle.dim)
+    got = _ray_boundary_points(oracle, dirs)
+    want = _bisection_ray_exits(oracle, dirs)
+    t = np.linalg.norm(want - oracle.interior_point, axis=1)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * (1.0 + t))
+    assert np.max(np.abs(oracle.signed_boundary_distance(got))) <= 1e-14
+
+
+def test_ray_exits_need_an_interior():
+    with pytest.raises(EmptySample):
+        sample_boundary(BallSet([0.0, 0.0], 0.0), 0.1)
+    with pytest.raises(EmptySample):
+        _ray_boundary_points(BallSet([0.0, 0.0, 0.0], 0.0), np.eye(3))
+
+
+_itp_row = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 1e3),  # bracket start and width
+    st.floats(1e-3, 1.0),  # root position within the bracket
+    st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),  # slopes left and right of the root
+    st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),  # flat tails below and above
+    st.sampled_from([0.0, 1e-9, 0.1]),  # width of a flat zero plateau
+    st.sampled_from([1, 2, 3]),  # power of the rising side
+    st.floats(1e-15, 1e-3))  # tolerance relative to the bracket's magnitude
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_itp_row, min_size=1, max_size=12))
+def test_itp_brackets_kinked_maps(rows_in):
+    lo, w, u, s1, s2, floor, cap, flat, power, rtol = map(np.array, zip(*rows_in))
+    hi = lo + w
+    root = lo + u * w
+    rise = np.minimum(root + flat * w, hi)
+
+    def g(rows, t):
+        left = np.maximum(s1[rows] * (t - root[rows]), -floor[rows])
+        right = np.minimum(s2[rows] * np.maximum(t - rise[rows], 0.0) ** power[rows],
+                           cap[rows])
+        return np.where(t < root[rows], left, right)
+
+    evals = np.zeros(len(lo), dtype=int)
+
+    def counted(rows, t):
+        np.add.at(evals, rows, 1)
+        return g(rows, t)
+
+    rows = np.arange(len(lo))
+    tol = rtol * np.maximum(np.abs(lo), np.abs(hi))
+    a, b = _itp(counted, lo, hi, g(rows, lo), g(rows, hi), tol)
+    assert np.all(g(rows, a) < 0) and np.all(g(rows, b) >= 0)
+    assert np.all(b - a <= 2.0 * tol)
+    bisection_steps = np.ceil(np.log2(np.maximum(w / (2.0 * tol), 1.0)))
+    assert np.all(evals <= bisection_steps + 1)
 
 
 def test_intersection_projection_matches_brute_force():

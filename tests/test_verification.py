@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sweepdescent.errors import MissingConstants
-from sweepdescent.functions import get_function, localize
+from sweepdescent.functions import get_function, limiting_slope, localize
 from sweepdescent.regularization import regularize
+from sweepdescent.rng import split_rng
 from sweepdescent.sweeping import SweepingConfig
 from sweepdescent.verification import (_check_eval_consistency,
                                        hoffmann_localization_check,
@@ -71,6 +72,20 @@ def test_membership_U_epsilon_examples(norm, tube):
     assert not membership_U_epsilon(norm, 0.5, [0.1, 0.0])
     assert membership_U_epsilon(tube, 0.25, [2.5, 0.0])
     assert not membership_U_epsilon(tube, 0.25, [5.0, 5.0])
+
+
+@pytest.mark.parametrize("name", ["tube", "norm"])
+def test_membership_U_epsilon_batch_matches_points(gallery, name):
+    f = gallery[name]
+    pts = split_rng(4, "criticality-batch").uniform(-1.0, 4.0, size=(40, 2))
+    pts[:3] = [[0.0, 0.0], [0.05, 0.0], [9.0, 9.0]]  # critical, critical, outside
+    batch = membership_U_epsilon(f, 0.25, pts)
+    single = [membership_U_epsilon(f, 0.25, p) for p in pts]
+    assert batch.dtype == bool and all(isinstance(b, bool) for b in single)
+    assert batch.tolist() == single
+    assert 0 < batch.sum() < len(pts)
+    slopes = limiting_slope(f, pts)
+    assert np.array_equal(slopes, [limiting_slope(f, p) for p in pts])
 
 
 def test_probe_steepest_descent_norm(norm):
