@@ -17,14 +17,14 @@ from .functions import (GaugeFunction, LocalizedFunction, NormFunction,
                         aze_corvellec_check, check_H2_region, get_function,
                         is_critical, limiting_slope, localize, slope,
                         slope_values)
-from .geometry import (BallSet, BoundarySample, ConvexSetOracle, CuttingPlaneSet,
-                       DilatedSet, FullSpaceSet, IntersectionSet, TwoBallHullSet,
-                       generic_projection_cutting_plane, hausdorff_distance,
-                       outward_normal, outward_normals, sample_boundary)
+from .geometry import (BallSet, BoundarySample, ConvexSetOracle, DilatedSet,
+                       FullSpaceSet, IntersectionSet, TwoBallHullSet,
+                       hull_section, outward_normal, outward_normals,
+                       sample_boundary)
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
                              base_point, complement_projection,
-                             prox_radius_estimate, regularize, semigroup_check,
-                             slope_inequality_check)
+                             prox_radius_estimate, regularize, semigroup_gaps,
+                             slope_deficits)
 from .sweeping import (FlowMap, SweepingConfig, Trajectory, flow_map,
                        forward_catching_up, forward_catching_up_batch,
                        invert_flow_check, reverse_catching_up,

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarse, NonConvergence
+from .errors import DomainError, GridTooCoarse
 from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, IntersectionSet,
-                       TwoBallHullSet, ball_lens_project, find_interior_point)
+                       TwoBallHullSet, _itp, ball_lens_project, dykstra,
+                       find_interior_point, hull_section,
+                       intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -139,7 +141,7 @@ class TubeFunction(QuasiconvexFunction):
 
     def eval(self, x):
         x2, single = _rows(x)
-        inside = np.asarray(self.domain.membership(x2))
+        inside = self.level_signed_distance(self.level_hi, x2) <= 0.0
         vals = np.full(len(x2), np.inf)
         if np.any(inside):
             px, py = x2[inside, 0], x2[inside, 1]
@@ -180,35 +182,17 @@ class TubeFunction(QuasiconvexFunction):
         return np.linalg.norm(pts - seg, axis=1) - 1.0
 
 
-def _gauge_membership(s, px, py):
-    """Membership of (px, py) in the moving set S(s), vectorized in s."""
-    s = np.asarray(s, dtype=float)
-    rho = np.abs(px)
-    in_ball = px**2 + py**2 <= s**2
-    sb = np.maximum(s, 1.0)
-    gap = 2.0 * sb - 1.0
-    r2 = sb - 1.0
-    in_small = rho**2 + (py - gap) ** 2 <= r2**2
-    na = 1.0 / gap
-    nr = np.sqrt(np.maximum(1.0 - na**2, 0.0))
-    p1a, p1r = sb * na, sb * nr
-    p2a, p2r = gap + r2 * na, r2 * nr
-    seg_a, seg_r = p2a - p1a, p2r - p1r
-    seg_len = np.hypot(seg_a, seg_r)
-    safe = np.where(seg_len > 0, seg_len, 1.0)
-    proj = ((py - p1a) * seg_a + (rho - p1r) * seg_r) / safe
-    below = (py - p1a) * na + (rho - p1r) * nr <= 0.0
-    in_cone = (proj >= 0.0) & (proj <= seg_len) & below & (seg_len > 0)
-    return np.where(s < 1.0, in_ball, in_ball | in_small | in_cone)
-
-
 class GaugeFunction(QuasiconvexFunction):
     """Gauge of the moving two-disk family S(s).
 
-    S(s) is the ball of radius s for s < 1 and the hull of that ball with the
-    disk of radius s - 1 centered at (0, 2s - 1) for s in [1, 2]. f(x) is the
-    smallest s whose set contains x, found by bisection; the minimal internal
-    curvature radius of the level boundary is s for s <= 1 and s - 1 above.
+    S(s) is the hull of the disk of radius s about the origin and the disk of
+    radius max(s - 1, 0) centered at (0, max(2s - 1, 0)): the ball of radius s
+    for s <= 1, where the second disk lies inside the first, and a proper
+    two-disk hull for s in (1, 2]. Every oracle maps the level to these hull
+    parameters per row and calls geometry.hull_section. f(x) is the smallest s
+    whose set contains x, the root in s of the signed distance; the minimal
+    internal curvature radius of the level boundary is s for s <= 1 and s - 1
+    above.
     """
 
     def __init__(self):
@@ -219,28 +203,38 @@ class GaugeFunction(QuasiconvexFunction):
         self.domain = TwoBallHullSet([0.0, 0.0], 2.0, [0.0, 3.0], 1.0)
         self.default_window = (1.2, 1.8)
 
+    @staticmethod
+    def _hull(s):
+        """Hull parameters (r1, axis_len, r2) of S(s) along the vertical axis."""
+        return s, np.maximum(2.0 * s - 1.0, 0.0), np.maximum(s - 1.0, 0.0)
+
+    def _section(self, alphas, pts):
+        s = np.minimum(alphas, self.level_hi)
+        return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self._hull(s))
+
     def eval(self, x):
         x2, single = _rows(x)
-        px, py = x2[:, 0], x2[:, 1]
         vals = np.full(len(x2), np.inf)
-        inside = np.asarray(self.domain.membership(x2))
-        lo = np.zeros(len(x2))
-        hi = np.full(len(x2), 2.0)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            member = _gauge_membership(mid, px, py)
-            hi = np.where(member, mid, hi)
-            lo = np.where(member, lo, mid)
-        vals[inside] = hi[inside]
+        # -signed distance to S(s) is nondecreasing and continuous in s; f(x)
+        # is its root. S(0) is the origin, where f is 0.
+        g_lo = -np.linalg.norm(x2, axis=1)
+        g_hi = -self.level_signed_distance(self.level_hi, x2)
+        vals[g_hi >= 0] = 0.0
+        rows = np.flatnonzero((g_hi >= 0) & (g_lo < 0))
+
+        def g(sub, s):
+            return -self.level_signed_distance(s, x2[rows[sub]])
+
+        n = len(rows)
+        _, vals[rows] = _itp(g, np.zeros(n), np.full(n, self.level_hi),
+                             g_lo[rows], g_hi[rows], np.full(n, 2e-15))
         return float(vals[0]) if single else vals
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         if alpha < 0:
             raise ValueError("sublevel below the infimum is empty")
-        s = self.clamp_level(alpha)
-        if s < 1.0:
-            return BallSet([0.0, 0.0], s)
-        return TwoBallHullSet([0.0, 0.0], s, [0.0, 2.0 * s - 1.0], s - 1.0)
+        r1, axis_len, r2 = self._hull(self.clamp_level(alpha))
+        return TwoBallHullSet([0.0, 0.0], r1, [0.0, axis_len], r2)
 
     def level_bbox(self, alpha: float):
         s = self.clamp_level(alpha)
@@ -249,58 +243,14 @@ class GaugeFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        s = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
-                       self.level_hi)
-        a, rho = pts[:, 1], np.abs(pts[:, 0])
-        px_sign = np.where(pts[:, 0] >= 0, 1.0, -1.0)
+        pa, prho, _ = self._section(alphas, pts)
+        return np.stack([np.copysign(prho, pts[:, 0]), pa], axis=1)
 
-        # Ball branch (s <= 1, where the second disk is swallowed).
-        d0 = np.hypot(a, rho)
-        scale = np.where(d0 > s, s / np.where(d0 > 0, d0, 1.0), 1.0)
-        ball_a, ball_rho = a * scale, rho * scale
+    def level_distance(self, alphas, points):
+        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
 
-        # Hull branch (guard s below by 1 so the formulas stay defined).
-        sb = np.maximum(s, 1.0)
-        gap, r2 = 2.0 * sb - 1.0, sb - 1.0
-        na = 1.0 / gap
-        nr = np.sqrt(np.maximum(1.0 - na**2, 0.0))
-        inside = np.asarray(_gauge_membership(sb, pts[:, 0], pts[:, 1]))
-        best_a, best_rho = a.copy(), rho.copy()
-        best_d = np.where(inside, 0.0, np.inf)
-
-        d1 = np.hypot(a, rho)
-        ok1 = (d1 > 1e-150) & (a / np.where(d1 > 1e-150, d1, 1.0) <= na + 1e-12)
-        cand_d = np.abs(d1 - sb)
-        upd = ~inside & ok1 & (cand_d < best_d)
-        f1 = sb / np.where(d1 > 1e-150, d1, 1.0)
-        best_a = np.where(upd, a * f1, best_a)
-        best_rho = np.where(upd, rho * f1, best_rho)
-        best_d = np.where(upd, cand_d, best_d)
-
-        a2 = a - gap
-        d2 = np.hypot(a2, rho)
-        ok2 = (d2 > 1e-150) & (a2 / np.where(d2 > 1e-150, d2, 1.0) >= na - 1e-12)
-        cand_d = np.abs(d2 - r2)
-        upd = ~inside & ok2 & (cand_d < best_d)
-        f2 = r2 / np.where(d2 > 1e-150, d2, 1.0)
-        best_a = np.where(upd, gap + a2 * f2, best_a)
-        best_rho = np.where(upd, rho * f2, best_rho)
-        best_d = np.where(upd, cand_d, best_d)
-
-        p1a, p1r = sb * na, sb * nr
-        seg_a, seg_r = (gap + r2 * na) - p1a, r2 * nr - p1r
-        seg_len = np.hypot(seg_a, seg_r)
-        safe = np.where(seg_len > 0, seg_len, 1.0)
-        t = np.clip(((a - p1a) * seg_a + (rho - p1r) * seg_r) / safe, 0.0, seg_len)
-        ca, cr = p1a + t * seg_a / safe, p1r + t * seg_r / safe
-        cand_d = np.hypot(a - ca, rho - cr)
-        upd = ~inside & (cand_d < best_d)
-        best_a = np.where(upd, ca, best_a)
-        best_rho = np.where(upd, cr, best_rho)
-
-        out_a = np.where(s <= 1.0, ball_a, best_a)
-        out_rho = np.where(s <= 1.0, ball_rho, best_rho)
-        return np.stack([px_sign * out_rho, out_a], axis=1)
+    def level_signed_distance(self, alphas, points):
+        return self._section(alphas, np.asarray(points, dtype=float))[2]
 
 
 class LocalizedFunction(QuasiconvexFunction):
@@ -308,12 +258,16 @@ class LocalizedFunction(QuasiconvexFunction):
 
     def __init__(self, base: QuasiconvexFunction, center, delta: float):
         center = np.asarray(center, dtype=float)
+        if center.shape != (base.dim,):
+            raise ValueError(f"localization center {center.tolist()} needs {base.dim} "
+                             f"coordinates for {base.name}")
         if float(base.domain.signed_boundary_distance(center)) > -delta:
             raise DomainError("localization ball must sit inside the base domain")
         self.base = base
         self.center = center
         self.delta = float(delta)
-        self.name = f"localized:{base.name}:{center[0]:g},{center[1]:g}:{delta:g}"
+        coords = ",".join(f"{c:g}" for c in center)
+        self.name = f"localized:{base.name}:{coords}:{delta:g}"
         self.dim = base.dim
         self.ball = BallSet(center, delta)
         self.domain = self.ball
@@ -378,10 +332,13 @@ class LocalizedFunction(QuasiconvexFunction):
 
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        return np.maximum(self.base.level_signed_distance(alphas, pts),
-                          self.ball.signed_boundary_distance(pts))
+        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
+        return intersection_signed_distance(
+            pts, self.base.level_signed_distance(alphas, pts),
+            self.ball.signed_boundary_distance(pts),
+            lambda rows, p: self.level_project(alphas[rows], p))
 
-    def level_project(self, alphas, points, tol: float = 1e-10, max_iter: int = 4000):
+    def level_project(self, alphas, points):
         """Projection onto per-row base sublevels cut by the indicator ball."""
         pts = np.asarray(points, dtype=float)
         alphas = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
@@ -392,19 +349,8 @@ class LocalizedFunction(QuasiconvexFunction):
                 lambda rows, p: self.base.level_distance(alphas[rows], p) <= 1e-12,
                 lambda rows, p: self.base.level_project(alphas[rows], p),
                 lambda rows, p: self.base.level_distance(alphas[rows], p))
-        y = pts.copy()
-        p = np.zeros_like(pts)
-        q = np.zeros_like(pts)
-        prev = None
-        for _ in range(max_iter):
-            u = self.base.level_project(alphas, y + p)
-            p = y + p - u
-            y = self.ball.project(u + q)
-            q = u + q - y
-            if prev is not None and float(np.max(np.linalg.norm(y - prev, axis=1))) < tol:
-                return y
-            prev = y.copy()
-        raise NonConvergence("localized level projection did not converge")
+        return dykstra(lambda p: self.base.level_project(alphas, p),
+                       self.ball.project, pts)
 
 
 @dataclass

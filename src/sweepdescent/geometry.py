@@ -1,10 +1,12 @@
 """Oracle-based convex set primitives.
 
 Every set is exposed through the same oracle surface: membership test, metric
-projection, distance, a Slater (interior) point, and a signed boundary
-distance where one is cheap. Projections are exact for the analytic shapes
-(balls, hulls of two balls, dilations) and tolerance-bounded for the generic
-cutting-plane fallback and for intersections (Dykstra).
+projection, distance, signed boundary distance and a Slater (interior) point.
+Balls, dilations and hulls of two balls are exact in closed form; the hull
+math is one per-row kernel, hull_section, which the gallery functions also
+call with per-row parameters. Intersections with a ball in the plane are exact
+through ball_lens_project; other intersections use Dykstra's scheme. The
+signed distance of an intersection is exact on both sides of its boundary.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
 shape (n, d) and return the matching shape.
@@ -18,9 +20,9 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateNormal, EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-TOL_PROJ = 1e-9
+TOL_PROJ = 1e-10
 BOUNDARY_TOL = 1e-7
-MAX_CUTS = 10_000
+DYKSTRA_MAX_ITER = 10_000
 PROBE_STEP = 1e-5
 RAY_BLOCK = 8192
 
@@ -39,7 +41,6 @@ def _restore(x, single):
 class ConvexSetOracle:
     """Closed convex set queried through membership / projection / distance."""
 
-    kind = "analytic"
     dim: int
     interior_point: np.ndarray
 
@@ -57,7 +58,7 @@ class ConvexSetOracle:
         return _restore(d, single)
 
     def signed_boundary_distance(self, x):
-        """Distance to the boundary, negative inside. Exact for analytic sets."""
+        """Distance to the boundary, negative inside."""
         raise NotImplementedError
 
 
@@ -119,12 +120,43 @@ class BallSet(ConvexSetOracle):
         return _restore(np.linalg.norm(x2 - self.center, axis=1) - self.radius, single)
 
 
+def hull_section(a, rho, r1, axis_len, r2):
+    """Exact oracle of the hull of two disks in section coordinates, per row.
+
+    Disk 1 has center (0, 0) and radius r1, disk 2 center (axis_len, 0) and
+    radius r2 <= r1; a query point is (a, rho) with rho >= 0. Every parameter
+    may be an array with one hull per row; scalars broadcast. When disk 2 lies
+    in disk 1 the hull is disk 1. Otherwise the upper tangent segment has
+    outward normal (sin, cos), sin = (r1 - r2) / axis_len, and the coordinate
+    k along it splits the plane into the points whose nearest boundary piece
+    is the arc of disk 1 (k <= 0), the arc of disk 2 (k >= cos * axis_len) or
+    the segment. Returns the projection (pa, prho) and the signed boundary
+    distance, negative inside.
+    """
+    nested = axis_len + r2 <= r1 + 1e-15
+    sin = np.where(nested, 1.0, (r1 - r2) / np.where(nested, 1.0, axis_len))
+    cos = np.sqrt(np.maximum(1.0 - sin**2, 0.0))
+    k = cos * a - sin * rho
+    d1 = np.hypot(a, rho)
+    d2 = np.hypot(a - axis_len, rho)
+    on1 = k <= 0.0
+    on2 = ~on1 & (k >= cos * axis_len)
+    signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
+    s1 = r1 / np.maximum(d1, 1e-150)
+    s2 = r2 / np.maximum(d2, 1e-150)
+    out = signed > 0
+    pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - signed * sin))
+    prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - signed * cos))
+    return np.where(out, pa, a), np.where(out, prho, rho), signed
+
+
 class TwoBallHullSet(ConvexSetOracle):
     """Convex hull of two closed balls.
 
-    Covers balls (coincident centers), capsules (equal radii) and the general
-    two-disk hull. Works in any dimension by reduction to the plane spanned by
-    the center axis and the radial offset of the query point.
+    Covers balls (one ball inside the other), capsules (equal radii) and the
+    general two-disk hull. Works in any dimension by reduction to the plane
+    spanned by the center axis and the radial offset of the query point,
+    where hull_section answers every query.
     """
 
     def __init__(self, center1, radius1: float, center2, radius2: float):
@@ -133,24 +165,12 @@ class TwoBallHullSet(ConvexSetOracle):
         if radius1 < radius2:
             c1, c2 = c2, c1
             radius1, radius2 = radius2, radius1
-        self.c1, self.c2 = c1, c2
+        self.c1 = c1
         self.r1, self.r2 = float(radius1), float(radius2)
         self.dim = c1.shape[0]
         self.axis_len = float(np.linalg.norm(c2 - c1))
-        # One ball swallows the other: plain ball geometry.
-        self.nested = self.axis_len + self.r2 <= self.r1 + 1e-15
-        if not self.nested:
-            self.axis = (c2 - c1) / self.axis_len
-            self.normal_axial = (self.r1 - self.r2) / self.axis_len  # sin of tangent tilt
-            self.normal_radial = np.sqrt(max(1.0 - self.normal_axial**2, 0.0))
-            # Tangent endpoints in (axial, radial) section coordinates.
-            self.p1 = np.array([self.r1 * self.normal_axial, self.r1 * self.normal_radial])
-            self.p2 = np.array(
-                [self.axis_len + self.r2 * self.normal_axial, self.r2 * self.normal_radial]
-            )
-            seg = self.p2 - self.p1
-            self.seg_len = float(np.linalg.norm(seg))
-            self.seg_dir = seg / self.seg_len if self.seg_len > 0 else np.array([1.0, 0.0])
+        # Coincident centers make the hull ball 1, where any axis serves.
+        self.axis = (c2 - c1) / self.axis_len if self.axis_len > 0 else np.eye(self.dim)[0]
         self.interior_point = self.c1.copy()
 
     def _section(self, x2):
@@ -159,125 +179,31 @@ class TwoBallHullSet(ConvexSetOracle):
         a = rel @ self.axis
         radial_vec = rel - a[:, None] * self.axis
         rho = np.linalg.norm(radial_vec, axis=1)
-        safe = np.where(rho > 0, rho, 1.0)
-        w = radial_vec / safe[:, None]
-        # Arbitrary perpendicular for exactly-axial points (radial part is 0
-        # in every formula below, so the choice never leaks into results).
+        # Exactly axial points get a zero radial unit; their radial part is 0.
+        w = radial_vec / np.where(rho > 0, rho, 1.0)[:, None]
         return a, rho, w
-
-    def _section_project(self, a, rho):
-        """Exact projection in the 2d section; returns (a', rho')."""
-        n = len(a)
-        best = np.stack([a, rho], axis=1).copy()
-        best_d = np.full(n, np.inf)
-        inside = self._section_membership(a, rho)
-
-        # Candidate: cap arc of ball 1 (outward directions tilted below the tangent).
-        d1 = np.hypot(a, rho)
-        ok1 = d1 > 1e-150
-        dir_a = np.where(ok1, a / np.where(ok1, d1, 1.0), 0.0)
-        valid1 = ok1 & (dir_a <= self.normal_axial + 1e-12)
-        cand = np.stack([a, rho], axis=1) * (self.r1 / np.where(ok1, d1, 1.0))[:, None]
-        dist = np.abs(d1 - self.r1)
-        upd = valid1 & (dist < best_d)
-        best[upd] = cand[upd]
-        best_d[upd] = dist[upd]
-
-        # Candidate: cap arc of ball 2.
-        a2 = a - self.axis_len
-        d2 = np.hypot(a2, rho)
-        ok2 = d2 > 1e-150
-        dir_a2 = np.where(ok2, a2 / np.where(ok2, d2, 1.0), 0.0)
-        valid2 = ok2 & (dir_a2 >= self.normal_axial - 1e-12)
-        cand2 = np.stack([a2, rho], axis=1) * (self.r2 / np.where(ok2, d2, 1.0))[:, None]
-        cand2[:, 0] += self.axis_len
-        dist2 = np.abs(d2 - self.r2)
-        upd = valid2 & (dist2 < best_d)
-        best[upd] = cand2[upd]
-        best_d[upd] = dist2[upd]
-
-        # Candidate: tangent segment (always valid once clamped).
-        q = np.stack([a, rho], axis=1)
-        s = np.clip((q - self.p1) @ self.seg_dir, 0.0, self.seg_len)
-        cand3 = self.p1 + s[:, None] * self.seg_dir
-        dist3 = np.linalg.norm(q - cand3, axis=1)
-        upd = dist3 < best_d
-        best[upd] = cand3[upd]
-        best_d[upd] = dist3[upd]
-
-        best[inside] = np.stack([a, rho], axis=1)[inside]
-        best_d[inside] = 0.0
-        return best[:, 0], best[:, 1], best_d
-
-    def _section_membership(self, a, rho):
-        in1 = np.hypot(a, rho) <= self.r1
-        in2 = np.hypot(a - self.axis_len, rho) <= self.r2
-        q = np.stack([a, rho], axis=1)
-        s = (q - self.p1) @ self.seg_dir
-        below = (q - self.p1) @ np.array([self.normal_axial, self.normal_radial]) <= 0.0
-        in_cone = (s >= 0.0) & (s <= self.seg_len) & below
-        return in1 | in2 | in_cone
 
     def project(self, x):
         x2, single = _atleast_2d(x)
-        if self.nested:
-            return _restore(BallSet(self.c1, self.r1).project(x2), single)
         a, rho, w = self._section(x2)
-        pa, prho, _ = self._section_project(a, rho)
+        pa, prho, signed = hull_section(a, rho, self.r1, self.axis_len, self.r2)
         out = self.c1 + pa[:, None] * self.axis + prho[:, None] * w
-        return _restore(out, single)
+        return _restore(np.where((signed > 0)[:, None], out, x2), single)
 
     def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        if self.nested:
-            return _restore(BallSet(self.c1, self.r1).membership(x2, tol=tol), single)
-        if tol == 0.0:
-            a, rho, _ = self._section(x2)
-            return _restore(self._section_membership(a, rho), single)
-        return _restore(self.distance(x2) <= tol, single)
+        return self.signed_boundary_distance(x) <= tol
 
     def distance(self, x):
-        x2, single = _atleast_2d(x)
-        if self.nested:
-            return _restore(BallSet(self.c1, self.r1).distance(x2), single)
-        a, rho, _ = self._section(x2)
-        _, _, d = self._section_project(a, rho)
-        return _restore(d, single)
+        return np.maximum(self.signed_boundary_distance(x), 0.0)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
-        if self.nested:
-            return _restore(BallSet(self.c1, self.r1).signed_boundary_distance(x2), single)
         a, rho, _ = self._section(x2)
-        # Distance to each boundary piece as a set: two cap arcs and the
-        # tangent segment (the section is mirror-symmetric, rho >= 0).
-        d1 = np.hypot(a, rho)
-        dir_a = np.where(d1 > 0, a / np.where(d1 > 0, d1, 1.0), -1.0)
-        arc1 = np.where(
-            dir_a <= self.normal_axial,
-            np.abs(d1 - self.r1),
-            np.linalg.norm(np.stack([a, rho], axis=1) - self.p1, axis=1),
-        )
-        a2 = a - self.axis_len
-        d2 = np.hypot(a2, rho)
-        dir_a2 = np.where(d2 > 0, a2 / np.where(d2 > 0, d2, 1.0), 1.0)
-        arc2 = np.where(
-            dir_a2 >= self.normal_axial,
-            np.abs(d2 - self.r2),
-            np.linalg.norm(np.stack([a, rho], axis=1) - self.p2, axis=1),
-        )
-        q = np.stack([a, rho], axis=1)
-        s = np.clip((q - self.p1) @ self.seg_dir, 0.0, self.seg_len)
-        seg = np.linalg.norm(q - (self.p1 + s[:, None] * self.seg_dir), axis=1)
-        dist = np.minimum(np.minimum(arc1, arc2), seg)
-        sign = np.where(self._section_membership(a, rho), -1.0, 1.0)
-        return _restore(sign * dist, single)
+        return _restore(hull_section(a, rho, self.r1, self.axis_len, self.r2)[2], single)
 
 
 class DilatedSet(ConvexSetOracle):
     """Minkowski sum base + eps * unit ball, through the base oracle."""
-
-    kind = "dilated"
 
     def __init__(self, base: ConvexSetOracle, eps: float):
         if eps <= 0:
@@ -400,25 +326,56 @@ def ball_lens_project(x2: np.ndarray, ball: "BallSet", row_feasible, row_project
     return best
 
 
+def dykstra(project_a, project_b, x2):
+    """Projection onto A intersect B by Dykstra's alternating projections.
+
+    Plain alternating projections only reach a feasible point, which breaks
+    the nonexpansiveness and distance contracts, so the correction terms are
+    required. Stops once no row moves by TOL_PROJ in one sweep.
+    """
+    y = x2.copy()
+    p = np.zeros_like(x2)
+    q = np.zeros_like(x2)
+    prev = None
+    for _ in range(DYKSTRA_MAX_ITER):
+        u = project_a(y + p)
+        p = y + p - u
+        y = project_b(u + q)
+        q = u + q - y
+        if prev is not None and float(np.max(np.linalg.norm(y - prev, axis=1))) < TOL_PROJ:
+            return y
+        prev = y.copy()
+    raise NonConvergence("Dykstra projection did not reach tolerance")
+
+
+def intersection_signed_distance(x2, sa, sb, project):
+    """Signed boundary distance of A intersect B from those of A and B, batched.
+
+    max(sa, sb) is exact inside, where the depth is the smaller of the two
+    depths, but outside it only bounds the distance from below near the corner
+    wedges. Outside rows therefore take the distance to project(rows, points),
+    the projection onto the intersection.
+    """
+    signed = np.maximum(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
+    out = np.flatnonzero(signed > 0)
+    if len(out):
+        signed[out] = np.linalg.norm(x2[out] - project(out, x2[out]), axis=1)
+    return signed
+
+
 class IntersectionSet(ConvexSetOracle):
     """Intersection of two convex oracles.
 
     In the plane, when the second set is a ball, the projection is computed
-    exactly from boundary candidates; otherwise Dykstra's scheme is used.
-    Plain alternating projections only reach a feasible point, which breaks
-    the nonexpansiveness and distance contracts, so the correction terms of
-    Dykstra's algorithm are required on that path.
+    exactly from boundary candidates (ball_lens_project); otherwise by
+    Dykstra's scheme.
     """
 
-    kind = "intersection"
-
     def __init__(self, first: ConvexSetOracle, second: ConvexSetOracle,
-                 interior_point=None, tol: float = TOL_PROJ, max_iter: int = MAX_CUTS):
+                 interior_point=None):
         self.first = first
         self.second = second
         self.dim = first.dim
-        self.tol = tol
-        self.max_iter = max_iter
         if interior_point is None:
             interior_point = find_interior_point(first, second)
         self.interior_point = np.asarray(interior_point, dtype=float)
@@ -431,23 +388,9 @@ class IntersectionSet(ConvexSetOracle):
                 lambda rows, pts: self.first.membership(pts),
                 lambda rows, pts: self.first.project(pts),
                 lambda rows, pts: self.first.distance(pts))
-            return _restore(out, single)
-        return _restore(self._dykstra(x2), single)
-
-    def _dykstra(self, x2):
-        y = x2.copy()
-        p = np.zeros_like(x2)
-        q = np.zeros_like(x2)
-        prev = None
-        for _ in range(self.max_iter):
-            u = self.first.project(y + p)
-            p = y + p - u
-            y = self.second.project(u + q)
-            q = u + q - y
-            if prev is not None and float(np.max(np.linalg.norm(y - prev, axis=1))) < self.tol:
-                return y
-            prev = y.copy()
-        raise NonConvergence("Dykstra projection did not reach tolerance")
+        else:
+            out = dykstra(self.first.project, self.second.project, x2)
+        return _restore(out, single)
 
     def membership(self, x, tol: float = 0.0):
         x2, single = _atleast_2d(x)
@@ -457,12 +400,12 @@ class IntersectionSet(ConvexSetOracle):
         return _restore(both, single)
 
     def signed_boundary_distance(self, x):
-        # Exact for interior points (depth = min of the two depths); outside
-        # it lower-bounds the true distance near corner wedges.
         x2, single = _atleast_2d(x)
-        sa = np.asarray(self.first.signed_boundary_distance(x2))
-        sb = np.asarray(self.second.signed_boundary_distance(x2))
-        return _restore(np.maximum(sa, sb), single)
+        signed = intersection_signed_distance(
+            x2, self.first.signed_boundary_distance(x2),
+            self.second.signed_boundary_distance(x2),
+            lambda rows, pts: self.project(pts))
+        return _restore(signed, single)
 
 
 def find_interior_point(first: ConvexSetOracle, second: ConvexSetOracle,
@@ -494,160 +437,6 @@ def find_interior_point(first: ConvexSetOracle, second: ConvexSetOracle,
     return candidates[i]
 
 
-def _bisect_boundary(membership, inner, outer, iters: int = 80):
-    """Boundary point on the segment [inner, outer]; inner feasible, outer not."""
-    lo, hi = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if membership(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _project_halfspaces(x, normals, offsets, max_pivots: int = 400):
-    """Projection of x onto {y : normals @ y <= offsets} by dual active set."""
-    y = x.copy()
-    active: list[int] = []
-    for _ in range(max_pivots):
-        slack = normals @ y - offsets
-        worst = int(np.argmax(slack))
-        if slack[worst] <= 1e-12:
-            return y
-        if worst not in active:
-            active.append(worst)
-        while True:
-            a_w = normals[active]
-            b_w = offsets[active]
-            gram = a_w @ a_w.T
-            lam, *_ = np.linalg.lstsq(gram, a_w @ x - b_w, rcond=None)
-            if np.all(lam >= -1e-12):
-                break
-            active.pop(int(np.argmin(lam)))
-            if not active:
-                lam = np.zeros(0)
-                a_w = normals[:0]
-                break
-        y = x - a_w.T @ lam if len(active) else x.copy()
-    raise NonConvergence("halfspace projection active-set loop stalled")
-
-
-def generic_projection_cutting_plane(membership, slater, x, tol: float = TOL_PROJ,
-                                     max_iter: int = MAX_CUTS, probe: float = PROBE_STEP):
-    """Metric projection onto a convex set given only a membership oracle.
-
-    Alternates (a) bisection along [slater, y] to a boundary point, (b) a
-    supporting halfspace there from finite-difference boundary probes, and
-    (c) exact projection of x onto the accumulated halfspaces.
-    """
-    x = np.asarray(x, dtype=float)
-    slater = np.asarray(slater, dtype=float)
-    if membership(x):
-        return x.copy()
-    dim = x.shape[0]
-    normals = np.zeros((0, dim))
-    offsets = np.zeros(0)
-    y = x.copy()
-    for _ in range(max_iter):
-        if membership(y):
-            return y
-        b_pt = _bisect_boundary(membership, slater, y)
-        ray = y - slater
-        ray /= np.linalg.norm(ray)
-        # Tangent-plane fit from boundary points of nearby parallel rays.
-        basis = [v for v in np.eye(dim) if abs(v @ ray) < 0.999]
-        frame = np.linalg.qr(np.column_stack([ray] + basis))[0].T[1:dim]
-        span = []
-        reach = 2.0 * np.linalg.norm(y - slater) + 1.0
-        for tangent in frame:
-            shifted = slater + probe * tangent
-            nb = _bisect_boundary(membership, shifted, shifted + reach * ray)
-            span.append(nb - b_pt)
-        normal = _orthogonal_unit(np.asarray(span), ray, dim)
-        slack = max(float(np.abs(np.asarray(span) @ normal).max()), 0.0) if span else 0.0
-        normals = np.vstack([normals, normal])
-        offsets = np.append(offsets, normal @ b_pt + slack + 1e-12)
-        if len(normals) > 120:
-            normals, offsets = normals[-120:], offsets[-120:]
-        y_new = _project_halfspaces(x, normals, offsets)
-        if np.linalg.norm(y_new - y) < tol and membership(
-            y_new + tol * (slater - y_new)
-        ):
-            return y_new
-        y = y_new
-    raise NonConvergence("cutting-plane projection exceeded max_iter")
-
-
-def _orthogonal_unit(span, outward_hint, dim):
-    """Unit vector orthogonal to the rows of span, oriented along the hint."""
-    if len(span) == 0:
-        normal = outward_hint
-    else:
-        _, _, vt = np.linalg.svd(np.atleast_2d(span), full_matrices=True)
-        normal = vt[-1]
-    if normal @ outward_hint < 0:
-        normal = -normal
-    return normal / np.linalg.norm(normal)
-
-
-class CuttingPlaneSet(ConvexSetOracle):
-    """Generic oracle built from a bare membership predicate and Slater point."""
-
-    kind = "generic-cutting-plane"
-
-    def __init__(self, membership_fn, slater, dim: int, tol: float = TOL_PROJ):
-        self._membership = membership_fn
-        self.dim = dim
-        self.tol = tol
-        self.interior_point = np.asarray(slater, dtype=float)
-
-    def project(self, x):
-        x2, single = _atleast_2d(x)
-        out = np.stack(
-            [
-                generic_projection_cutting_plane(
-                    self._membership, self.interior_point, row, tol=self.tol
-                )
-                for row in x2
-            ]
-        )
-        return _restore(out, single)
-
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        res = np.array([bool(self._membership(row)) for row in x2])
-        if tol > 0.0:
-            res = res | (self.distance(x2) <= tol)
-        return _restore(res, single)
-
-    def signed_boundary_distance(self, x):
-        x2, single = _atleast_2d(x)
-        d = self.distance(x2)
-        inside = np.array([bool(self._membership(row)) for row in x2])
-        signed = np.where(inside, -_interior_depth(self, x2), d)
-        return _restore(signed, single)
-
-
-def _interior_depth(oracle, pts):
-    """Crude interior depth for oracles without a closed form: ray probe."""
-    depths = np.zeros(len(pts))
-    for i, p in enumerate(pts):
-        dirs = unit_directions(split_rng(0, "depth", i), 16, oracle.dim)
-        lo = 0.0
-        hi = 1.0
-        while oracle.membership(p + hi * dirs[0]) and hi < 1e6:
-            hi *= 2
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if all(oracle.membership(p + mid * d) for d in dirs):
-                lo = mid
-            else:
-                hi = mid
-        depths[i] = lo
-    return depths
-
-
 @dataclass
 class BoundarySample:
     """Points lying on a set boundary at a target spacing."""
@@ -675,10 +464,11 @@ def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarra
     return out
 
 
-def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
-    """Ray exits: doubling, then ITP on the signed distance, which is convex
-    and 1-Lipschitz along a ray from an interior point."""
-    center = oracle.interior_point
+def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray, origin=None) -> np.ndarray:
+    """Ray exits from origin (default: the interior point): doubling, then
+    ITP on the signed distance, which is convex and 1-Lipschitz along a ray
+    from an interior point."""
+    center = oracle.interior_point if origin is None else origin
     g0 = float(oracle.signed_boundary_distance(center))
     if g0 >= 0:
         raise EmptySample("set has an empty interior: no boundary rays")
@@ -775,17 +565,6 @@ def _dedupe(pts, min_gap):
         if keep[i] and keep[j]:
             keep[max(i, j)] = False
     return keep
-
-
-def hausdorff_distance(a: BoundarySample, b: BoundarySample) -> float:
-    """Max of the two directed sup-inf distances between the samples."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySample("hausdorff_distance needs nonempty samples")
-    tree_a = cKDTree(a.points)
-    tree_b = cKDTree(b.points)
-    d_ab = float(np.max(tree_b.query(a.points)[0]))
-    d_ba = float(np.max(tree_a.query(b.points)[0]))
-    return max(d_ab, d_ba)
 
 
 def outward_normal(oracle: ConvexSetOracle, point, probe: float = PROBE_STEP,

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (DomainError, LevelUnderflow, MissingConstants,
                      ReverseRefused, SweepDescentError, ThetaGuard)
 from .functions import QuasiconvexFunction
+from .geometry import _ray_block
 from .regularization import RegularizedFunction, complement_projection
 
 BOUNDARY_RIDE_TOL = 1e-6
@@ -132,13 +133,13 @@ def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
                                 probe: float = 1e-5):
     """Nearest boundary point of [f <= alpha] from inside.
 
-    Fixed-point iteration between a ray bisection to the boundary and the
+    Fixed-point iteration between the ray exit to the boundary and the
     outward normal there; converges on the smooth prox-regular boundaries
     that reverse runs require.
     """
     oracle = f.sublevel(alpha)
     x = np.asarray(x, dtype=float)
-    if not bool(oracle.membership(x, tol=0.0)):
+    if not float(oracle.signed_boundary_distance(x)) < 0.0:
         return x.copy()
     grad = np.zeros_like(x)
     for axis in range(len(x)):
@@ -150,10 +151,7 @@ def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
     direction = grad / norm if norm > 0 else np.eye(len(x))[0]
     best = None
     for _ in range(20):
-        hi = 1.0
-        while bool(oracle.membership(x + hi * direction, tol=0.0)) and hi < 1e9:
-            hi *= 2.0
-        b = _bisect_to_boundary(oracle, x, x + hi * direction)
+        b = _ray_block(oracle, direction[None, :], origin=x)[0]
         exterior = b + probe * direction
         foot = oracle.project(exterior)
         delta = exterior - foot
@@ -164,17 +162,6 @@ def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
         best = b
         direction = new_dir
     return best
-
-
-def _bisect_to_boundary(oracle, inner, outer, iters: int = 60):
-    lo, hi = np.asarray(inner, float), np.asarray(outer, float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if bool(oracle.membership(mid, tol=0.0)):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Trajectory:

@@ -18,7 +18,7 @@ from .functions import (LocalizedFunction, QuasiconvexFunction, _rows,
                         limiting_slope, localize, slope_values)
 from .geometry import sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
-                             regularize)
+                             regularize, semigroup_gaps, slope_deficits)
 from .rng import split_rng
 from .sweeping import SweepingConfig
 
@@ -75,17 +75,27 @@ class DiagnosticsReport:
             "config": self.config,
             "seed": self.seed,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+        return json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _json_default(obj):
+def _strict_json(obj):
+    """Plain JSON values; non-finite numbers become the strings "Infinity",
+    "-Infinity" and "NaN", which strict JSON has no numbers for."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
+        return _strict_json(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if np.isfinite(obj):
+            return float(obj)
+        return "NaN" if np.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    return obj
 
 
 def _annulus_sample(f: QuasiconvexFunction, window, n: int, seed, tag: str):
@@ -382,8 +392,7 @@ def _check_semigroup(freg, window, n_points, seed) -> CheckResult:
     pts = _annulus_sample(freg, window, n_points, seed, "semigroup")
     e1 = 0.4 * freg.eps
     e2 = freg.eps - e1
-    nested = regularize(regularize(freg.base, e1), e2)
-    gap = np.abs(np.asarray(freg.eval(pts)) - np.asarray(nested.eval(pts)))
+    gap = semigroup_gaps(freg, e1, pts)
     worst = float(np.max(gap))
     return CheckResult(
         name="semigroup-identity",
@@ -396,12 +405,8 @@ def _check_semigroup(freg, window, n_points, seed) -> CheckResult:
 def _check_slope_transfer(freg, window, n_points, seed) -> CheckResult:
     pts = _annulus_sample(freg, window, n_points, seed, "slope-transfer")
     vals = np.asarray(freg.eval(pts), dtype=float)
-    above = vals > freg.inf_value + 1e-9
-    pts = pts[above]
-    z = freg.base.level_project(np.asarray(freg.eval(pts)), pts)
-    s_reg, _ = slope_values(freg, pts, seed=seed)
-    s_base, _ = slope_values(freg.base, z, seed=seed)
-    deficit = s_base - s_reg
+    pts = pts[vals > freg.inf_value + 1e-9]
+    deficit = slope_deficits(freg, pts, seed=seed)
     worst = float(np.max(deficit))
     return CheckResult(
         name="slope-transfer",

@@ -13,7 +13,7 @@ import pytest
 from sweepdescent.errors import ThetaGuard
 from sweepdescent.functions import get_function, localize, slope_values
 from sweepdescent.regularization import (prox_radius_estimate, regularize,
-                                         semigroup_check)
+                                         semigroup_gaps)
 from sweepdescent.rng import split_rng
 from sweepdescent.sweeping import (SweepingConfig, forward_catching_up,
                                    forward_catching_up_batch,
@@ -179,7 +179,7 @@ def test_criterion_7_regularization_consistency():
         base_check = _check_base_point(freg, window, 100, seed=0)
         lo, hi = f.level_bbox(window[1])
         pts = lo + (hi - lo) * rng.uniform(size=(100, 2))
-        semi = all(semigroup_check(f, 0.1, 0.15, x) for x in pts)
+        semi = bool(np.all(semigroup_gaps(regularize(f, 0.25), 0.1, pts) <= 1e-6))
         ok &= bool(grid_check.passed and base_check.passed and semi)
         details.append(f"{name}: grid gap {grid_check.details['worst_gap']:.1e}, "
                        f"base gap {base_check.details['max_value_gap']:.1e}, "

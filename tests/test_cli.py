@@ -254,3 +254,44 @@ def test_threads_key_and_flag_are_accepted_and_ignored(tmp_path):
     assert ExperimentConfig.from_dict({"threads": 4}).threads == 4
     for name in ("index.csv", "trajectory_000.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["descend", "--function", "localized:norm:1,0:0.4", "--dim", "3", "--x0", "1,0,0"],
+     "localization center [1.0, 0.0] needs 3 coordinates for norm3"),
+    (["descend", "--function", "localized:norm:1,0,0:0.4", "--x0", "1,0"],
+     "localization center [1.0, 0.0, 0.0] needs 2 coordinates for norm"),
+    (["verify", "--function", "localized:tube:1.5:0.4"],
+     "localization center [1.5] needs 2 coordinates for tube"),
+])
+def test_localized_center_must_match_dimension(tmp_path, capsys, args, message):
+    code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("name,dim,expected", [
+    ("localized:tube:1.5,0:0.4", 2, "localized:tube:1.5,0:0.4"),
+    ("localized:norm:1,0,0:0.4", 3, "localized:norm3:1,0,0:0.4"),
+])
+def test_localized_name_keeps_every_coordinate(name, dim, expected):
+    assert get_function(name, dim=dim).name == expected
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+@pytest.mark.parametrize("args,encoded", [
+    (["--function", "norm", "--dim", "1"], {"prox_radius": "Infinity"}),
+    (["--function", "norm", "--levels", "1:1.5:2"], {}),
+])
+def test_verify_report_is_strict_json(tmp_path, args, encoded):
+    assert run(tmp_path, "verify", *args) in (0, 1)
+    text = (tmp_path / "report.json").read_text().split("\n", 1)[1]
+    payload = json.loads(text, parse_constant=_reject_constant)
+    for key, value in encoded.items():
+        assert payload["constants"][key] == value
+    assert all(isinstance(v, float) for k, v in payload["constants"].items()
+               if k not in encoded)

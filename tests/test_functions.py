@@ -293,24 +293,56 @@ def test_slope_values_batch_matches_single(tube):
                                       ("gauge", 2),
                                       ("localized:tube:1.5,0:0.4", 2)])
 def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
+    # Every batched oracle (signed distance, projection, distance) against
+    # the per-row sublevel oracle.
     f = get_function(name, dim=dim)
     if eps is not None:
         f = regularize(f, eps)
     top = f.level_hi if f.level_hi is not None else 2.0
-    # The bottom level, one inside the window and one above the saturation
-    # level, where each class clamps. At its bottom level a localized
-    # sublevel set has no interior, so the reference oracle cannot be built
-    # there and the lowest level sits just above it.
-    bottom = f.inf_value + (1e-3 if name.startswith("localized") else 0.0)
-    levels = (bottom, 0.5 * (f.inf_value + top), top + 0.5)
+    span = top - f.inf_value
+    localized = name.startswith("localized")
+    # The bottom level, three inside the window (for the gauge s = 0.6, 1 and
+    # 1.5: a ball, the transition and a proper hull) and one above the
+    # saturation level, where each class clamps. At its bottom level a
+    # localized sublevel set has no interior, so the reference oracle cannot
+    # be built there and the lowest level sits just above it.
+    bottom = f.inf_value + (1e-3 if localized else 0.0)
+    levels = (bottom,) + tuple(f.inf_value + c * span for c in (0.3, 0.5, 0.75)) \
+        + (top + 0.5,)
     rng = split_rng(0, "level-signed", name, dim)
     lo, hi = f.level_bbox(top)
-    alphas, pts = [], []
-    for level in levels:
-        alphas += [level] * 30
-        pts.append(rng.uniform(lo - 0.5, hi + 0.5, size=(30, dim)))
-    pts = np.vstack(pts)
-    got = f.level_signed_distance(np.array(alphas), pts)
-    want = [float(f.sublevel(a).signed_boundary_distance(p))
-            for a, p in zip(alphas, pts)]
-    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    alphas = np.repeat(levels, 30)
+    pts = rng.uniform(lo - 0.5, hi + 0.5, size=(len(alphas), dim))
+    # The batched lens route finds the corners with a 1e-12 feasibility
+    # tolerance, so lens projections agree to about 1e-11.
+    gate = 1e-10 if localized else 1e-12
+    for batched, oracle in ((f.level_signed_distance, "signed_boundary_distance"),
+                            (f.level_project, "project"),
+                            (f.level_distance, "distance")):
+        want = np.array([getattr(f.sublevel(a), oracle)(p) for a, p in zip(alphas, pts)])
+        assert np.max(np.abs(batched(alphas, pts) - want)) <= gate, oracle
+
+
+@pytest.mark.parametrize("eps", [None, 0.2])
+def test_localized_signed_distance_outside_is_the_distance(eps):
+    # Seeded points outside the ball, concentrated around the two lens
+    # corners, where the larger of the two signed distances falls short of
+    # the distance to the intersection.
+    h = get_function("localized:tube:1.5,0:0.4")
+    f = h if eps is None else regularize(h, eps)
+    level = 0.3
+    theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    ring = h.center + h.delta * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    sd = h.base.level_signed_distance(level, ring)
+    corners = theta[np.flatnonzero(np.sign(sd) != np.sign(np.roll(sd, -1)))]
+    assert len(corners) == 2
+    rng = split_rng(0, "lens-corners", eps)
+    t = np.repeat(corners, 500) + rng.normal(0.0, 0.3, size=1000)
+    r = h.delta + rng.uniform(0.0, 0.5, size=1000)
+    pts = h.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+    got = f.level_signed_distance(np.full(len(pts), level), pts)
+    want = np.array([float(f.sublevel(level).distance(p)) for p in pts])
+    outside = want > 0
+    assert np.sum(outside) > 500
+    assert np.max(np.abs(got[outside] - want[outside])) <= 1e-10
+    assert np.all(got[~outside] <= 0.0)

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from sweepdescent.errors import DegenerateNormal, EmptySample
 from sweepdescent.functions import get_function
-from sweepdescent.geometry import (RAY_BLOCK, BallSet, BoundarySample,
-                                   CuttingPlaneSet, DilatedSet, IntersectionSet,
-                                   TwoBallHullSet, _itp, _ray_block,
-                                   _ray_boundary_points,
-                                   generic_projection_cutting_plane,
-                                   hausdorff_distance, outward_normal,
-                                   sample_boundary)
+from sweepdescent.geometry import (RAY_BLOCK, BallSet, DilatedSet,
+                                   IntersectionSet, TwoBallHullSet, _itp,
+                                   _ray_block, _ray_boundary_points,
+                                   outward_normal, sample_boundary)
 from sweepdescent.rng import split_rng, unit_directions
 
 from conftest import dense_boundary_nearest
@@ -28,12 +25,15 @@ def test_project_ball_interior_identity():
 
 
 def test_project_capsule_versus_dense_sample():
-    # hull of the unit disk and its translate by (0.5, 0), probed from (2, 0)
-    capsule = TwoBallHullSet([0.0, 0.0], 1.0, [0.5, 0.0], 1.0)
-    sample = sample_boundary(capsule, 0.002)
-    brute = dense_boundary_nearest(sample.points, [2.0, 0.0])
-    assert np.linalg.norm(brute - [1.5, 0.0]) < 5e-3
-    assert np.allclose(capsule.project([2.0, 0.0]), [1.5, 0.0], atol=1e-12)
+    # hull of the unit disk and its translate by (0.5, 0), probed from (2, 0),
+    # and the gauge's level-1.5 hull, probed from (0, 3)
+    for hull, x, want in [
+            (TwoBallHullSet([0.0, 0.0], 1.0, [0.5, 0.0], 1.0), [2.0, 0.0], [1.5, 0.0]),
+            (TwoBallHullSet([0.0, 0.0], 1.5, [0.0, 2.0], 0.5), [0.0, 3.0], [0.0, 2.5])]:
+        sample = sample_boundary(hull, 0.002)
+        brute = dense_boundary_nearest(sample.points, x)
+        assert np.linalg.norm(brute - want) < 5e-3
+        assert np.allclose(hull.project(x), want, atol=1e-12)
 
 
 def test_projection_idempotent_and_membership():
@@ -91,34 +91,21 @@ def test_dilation_distance_identity(x, y, eps):
 
 
 def test_hausdorff_concentric_circles():
-    a = sample_boundary(BallSet([0, 0], 1.0), 0.01)
-    b = sample_boundary(BallSet([0, 0], 2.0), 0.01)
-    assert abs(hausdorff_distance(a, b) - 1.0) < 0.02
-    assert hausdorff_distance(a, a) == 0.0
+    # Directed distances as the moving-map checks measure them: boundary
+    # samples of one set against the exact distance oracle of the other.
+    inner, outer = BallSet([0, 0], 1.0), BallSet([0, 0], 2.0)
+    a = sample_boundary(inner, 0.01)
+    b = sample_boundary(outer, 0.01)
+    assert abs(float(np.max(inner.distance(b.points))) - 1.0) < 1e-12
+    assert abs(float(np.max(-outer.signed_boundary_distance(a.points))) - 1.0) < 1e-12
 
 
 def test_hausdorff_tube_levels():
     # capsule hulls at levels 0 and 1 are one unit apart in Hausdorff distance
-    lvl0 = sample_boundary(BallSet([0, 0], 1.0), 0.01)
-    lvl1 = sample_boundary(TwoBallHullSet([0, 0], 1.0, [1.0, 0.0], 1.0), 0.01)
-    assert abs(hausdorff_distance(lvl0, lvl1) - 1.0) < 0.02
-
-
-def test_hausdorff_symmetry_and_triangle():
-    res = 0.02
-    a = sample_boundary(BallSet([0, 0], 1.0), res)
-    b = sample_boundary(BallSet([0.3, 0], 1.2), res)
-    c = sample_boundary(TwoBallHullSet([0, 0], 1.0, [0.5, 0], 0.8), res)
-    dab, dba = hausdorff_distance(a, b), hausdorff_distance(b, a)
-    assert abs(dab - dba) < 1e-12
-    assert hausdorff_distance(a, c) <= dab + hausdorff_distance(b, c) + 2 * res
-
-
-def test_hausdorff_empty_sample_rejected():
-    a = BoundarySample(points=np.zeros((0, 2)), resolution=0.1)
-    b = sample_boundary(UNIT_DISK, 0.05)
-    with pytest.raises(EmptySample):
-        hausdorff_distance(a, b)
+    lvl0 = BallSet([0, 0], 1.0)
+    lvl1 = TwoBallHullSet([0, 0], 1.0, [1.0, 0.0], 1.0)
+    far = float(np.max(lvl0.distance(sample_boundary(lvl1, 0.01).points)))
+    assert abs(far - 1.0) < 1e-12
 
 
 def test_outward_normal_examples():
@@ -149,37 +136,6 @@ def test_outward_normal_rejects_corner():
     corner_y = np.sqrt(1.0 - 0.6**2)
     with pytest.raises(DegenerateNormal):
         outward_normal(lens, [0.6, corner_y])
-
-
-def test_generic_projection_disk():
-    proj = generic_projection_cutting_plane(
-        lambda p: np.linalg.norm(p) <= 1.0, np.zeros(2), np.array([2.0, 0.0]))
-    assert np.linalg.norm(proj - [1.0, 0.0]) < 1e-6
-
-
-def test_generic_projection_interior_point():
-    inside = np.array([0.2, -0.3])
-    proj = generic_projection_cutting_plane(
-        lambda p: np.linalg.norm(p) <= 1.0, np.zeros(2), inside)
-    assert np.allclose(proj, inside)
-
-
-def test_generic_projection_gauge_sublevel_vs_dense():
-    # membership oracle of the two-disk hull at level 1.5, probed from (0, 3)
-    hull = TwoBallHullSet([0.0, 0.0], 1.5, [0.0, 2.0], 0.5)
-    proj = generic_projection_cutting_plane(
-        lambda p: bool(hull.membership(p)), np.zeros(2), np.array([0.0, 3.0]))
-    sample = sample_boundary(hull, 0.002)
-    brute = dense_boundary_nearest(sample.points, [0.0, 3.0])
-    assert np.linalg.norm(proj - brute) < 1e-4
-    assert np.linalg.norm(proj - [0.0, 2.5]) < 1e-6
-
-
-def test_cutting_plane_oracle_surface():
-    oracle = CuttingPlaneSet(lambda p: np.linalg.norm(p) <= 1.0, np.zeros(2), 2)
-    assert oracle.kind == "generic-cutting-plane"
-    assert np.linalg.norm(oracle.project([0.0, 2.0]) - [0.0, 1.0]) < 1e-6
-    assert oracle.membership([0.5, 0.0])
 
 
 def test_boundary_sample_spacing_and_accuracy():
@@ -306,3 +262,17 @@ def test_intersection_projection_matches_brute_force():
     p = half.project([0.5, 2.0])
     brute_x = 0.5 * 100.0 / np.hypot(0.5, 102.0)
     assert np.linalg.norm(p - [brute_x, -(brute_x**2) / 200]) < 1e-3
+
+
+@pytest.mark.parametrize("level", [0.3, 0.43])
+def test_dilated_lens_boundary_samples_lie_on_the_set(level):
+    # Checked with the projection distance, an oracle independent of the
+    # signed distance the ray search runs on.
+    from sweepdescent.regularization import regularize
+    oracle = regularize(get_function("localized:tube:1.5,0:0.4"), 0.2).sublevel(level)
+    pts = sample_boundary(oracle, 0.01).points
+    assert len(pts) > 300
+    assert np.max(oracle.distance(pts)) <= 1e-12
+    out = pts - oracle.interior_point
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    assert not np.any(oracle.membership(pts + 1e-9 * out))

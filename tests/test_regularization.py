@@ -8,8 +8,7 @@ from sweepdescent.geometry import TwoBallHullSet, outward_normals, sample_bounda
 from sweepdescent.regularization import (_secant_ratios, base_point,
                                          complement_projection,
                                          prox_radius_estimate, regularize,
-                                         semigroup_check,
-                                         slope_inequality_check)
+                                         semigroup_gaps, slope_deficits)
 from sweepdescent.rng import split_rng
 
 
@@ -39,6 +38,16 @@ def test_regularize_gauge_top(gauge):
 def test_eval_regularized_outside_domain(tube):
     freg = regularize(tube, 0.25)
     assert freg.eval([4.5, 0.0]) == np.inf
+
+
+def test_eval_regularized_at_the_dilated_domain_edge(tube):
+    # The dilated domain's top edge is y = 1.25 over [0, 3]; a point outside
+    # it by less than the old 1e-12 slack used to get level_hi = 3. Just
+    # inside, the value falls short of 1.5 by about 1e-6 (a square root).
+    freg = regularize(tube, 0.25)
+    assert 1.5 - 2e-6 < freg.eval([1.5, 1.25 - 5e-13]) < 1.5
+    assert freg.eval([1.5, 1.25 + 5e-13]) == np.inf
+    assert freg.eval([1.5, 1.25 + 2e-12]) == np.inf
 
 
 def test_eval_regularized_bottom_level(norm):
@@ -94,23 +103,22 @@ def test_base_point_bottom_flagged(norm):
 
 
 def test_semigroup_examples(norm, tube):
-    assert semigroup_check(norm, 0.25, 0.25, [2.0, 0.0])
-    assert semigroup_check(norm, 0.25, 0.25, [0.3, 0.0])
-    assert semigroup_check(tube, 0.1, 0.4, [3.0, 0.0])
+    assert np.all(semigroup_gaps(regularize(norm, 0.5), 0.25,
+                                 [[2.0, 0.0], [0.3, 0.0]]) <= 1e-6)
+    assert np.all(semigroup_gaps(regularize(tube, 0.5), 0.1, [3.0, 0.0]) <= 1e-6)
 
 
 def test_semigroup_batch(gallery):
     rng = split_rng(6, "semigroup")
     pts = rng.uniform([-1.0, -1.0], [3.0, 2.0], size=(60, 2))
     for f in gallery.values():
-        for x in pts:
-            assert semigroup_check(f, 0.1, 0.15, x)
+        assert np.all(semigroup_gaps(regularize(f, 0.25), 0.1, pts) <= 1e-6)
 
 
 def test_slope_inequality_examples(norm, tube, gauge):
-    assert slope_inequality_check(norm, 0.5, [2.0, 0.0])
-    assert slope_inequality_check(tube, 0.25, [2.5, 0.0])
-    assert slope_inequality_check(gauge, 0.25, [0.0, 2.25])
+    for f, eps, x in [(norm, 0.5, [2.0, 0.0]), (tube, 0.25, [2.5, 0.0]),
+                      (gauge, 0.25, [0.0, 2.25])]:
+        assert slope_deficits(regularize(f, eps), x)[0] <= 1e-3
 
 
 def test_complement_projection_radial(norm):
