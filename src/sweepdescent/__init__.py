@@ -8,10 +8,10 @@ regularization properties the construction relies on.
 
 __version__ = "0.1.0"
 
-from .errors import (BisectionFailure, ConfigError, DegenerateDirection,
-                     DegenerateNormal, DomainError, EmptySample, GridTooCoarse,
-                     LevelUnderflow, MissingConstants, NonConvergence,
-                     OutOfReach, ReverseRefused, SweepDescentError, ThetaGuard)
+from .errors import (ConfigError, DegenerateDirection, DegenerateNormal,
+                     DomainError, EmptySample, GridTooCoarse, LevelUnderflow,
+                     MissingConstants, NonConvergence, OutOfReach,
+                     ReverseRefused, SweepDescentError, ThetaGuard)
 from .functions import (GaugeFunction, LocalizedFunction, NormFunction,
                         QuasiconvexFunction, SlopeEstimate, TubeFunction,
                         aze_corvellec_check, check_H2_region, get_function,

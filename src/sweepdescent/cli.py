@@ -26,7 +26,8 @@ from .geometry import _ray_boundary_points
 from .regularization import RegularizedFunction, regularize
 from .sweeping import (SweepingConfig, flow_map, forward_catching_up,
                        reverse_catching_up, trajectory_to_csv)
-from .verification import estimate_slope_floor, run_verification_suite
+from .verification import (_strict_json, estimate_slope_floor,
+                           run_verification_suite)
 
 
 @dataclass
@@ -284,7 +285,8 @@ def cmd_verify(config: ExperimentConfig) -> int:
     for check in sorted(report.checks, key=lambda c: c.name):
         state = {True: "pass", False: "FAIL", None: "skip"}[check.passed]
         print(f"{state}  {check.name}")
-    print(f"constants: {json.dumps(report.constants, sort_keys=True)}")
+    constants = json.dumps(_strict_json(report.constants), sort_keys=True, allow_nan=False)
+    print(f"constants: {constants}")
     print(f"report: {path}")
     return 0 if report.passed_all() else 1
 

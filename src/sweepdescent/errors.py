@@ -21,10 +21,6 @@ class DomainError(SweepDescentError):
     """A point lies outside the effective domain of a function."""
 
 
-class BisectionFailure(SweepDescentError):
-    """A bisection bracket was invalid or the scanned map was non-monotone."""
-
-
 class OutOfReach(SweepDescentError):
     """A complement projection was requested beyond the prox-regular reach."""
 

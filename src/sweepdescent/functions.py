@@ -1,7 +1,10 @@
 """Quasiconvex function abstraction, slope estimators and benchmark gallery.
 
-A function exposes pointwise evaluation (+inf outside its domain), an oracle
-for every sublevel set, a domain oracle and its infimum. The gallery carries
+A function exposes an oracle for every sublevel set, batched per-row level
+oracles, a domain oracle and its infimum, and one level search:
+level_at_distance(x, r), the minimum of f over the closed r-ball around x.
+Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
+eps-regularization its case r = eps. The gallery carries
 three entries: the Euclidean norm in any dimension, a tube-shaped function
 whose sublevel sets are capsules, and a two-disk gauge whose level sets
 degenerate in curvature near the level 1.
@@ -24,7 +27,6 @@ SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
 LIMITING_RADIUS = 1e-2
 LIMITING_VALUE_GAP = 1e-2
 LIMITING_SAMPLES = 128
-LEVEL_BISECT_TOL = 1e-10
 
 
 def _rows(x):
@@ -44,7 +46,7 @@ class QuasiconvexFunction:
     domain: ConvexSetOracle
 
     def eval(self, x):
-        raise NotImplementedError
+        return self.level_at_distance(x, 0.0)
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         raise NotImplementedError
@@ -82,6 +84,34 @@ class QuasiconvexFunction:
         return np.array([float(self.sublevel(a).signed_boundary_distance(p))
                          for a, p in zip(alphas, pts)])
 
+    def level_at_distance(self, x, r):
+        """Smallest level a with level_signed_distance(a, x) <= r, batched.
+
+        This is the minimum of f over the closed r-ball around x, +inf where
+        that ball misses the domain. The signed distance is continuous and
+        nonincreasing in the level, so one row-wise ITP root-find on it
+        brackets a between inf_value and the top level: level_hi, or f(x)
+        where level_hi is None.
+        """
+        x2, single = _rows(x)
+        n = len(x2)
+        top = (np.asarray(self.eval(x2), dtype=float) if self.level_hi is None
+               else np.full(n, self.level_hi))
+        g_lo = r - self.level_signed_distance(np.full(n, self.inf_value), x2)
+        g_hi = r - self.level_signed_distance(top, x2)
+        vals = np.where(g_lo >= 0, self.inf_value, np.inf)
+        rows = np.flatnonzero((g_lo < 0) & (g_hi >= 0))
+
+        def g(sub, a):
+            return r - self.level_signed_distance(a, x2[rows[sub]])
+
+        # 2e-15, but never below four ulps of the top level: a bracket one ulp
+        # wide could not shrink further.
+        tol = np.maximum(2e-15, 4.0 * np.spacing(np.abs(top[rows])))
+        _, vals[rows] = _itp(g, np.full(len(rows), self.inf_value), top[rows],
+                             g_lo[rows], g_hi[rows], tol)
+        return float(vals[0]) if single else vals
+
 
 class NormFunction(QuasiconvexFunction):
     """Euclidean norm; sublevel sets are centered balls."""
@@ -93,11 +123,6 @@ class NormFunction(QuasiconvexFunction):
         self.level_hi = None
         self.domain = FullSpaceSet(dim)
         self.default_window = (0.5, 1.5)
-
-    def eval(self, x):
-        x2, single = _rows(x)
-        v = np.linalg.norm(x2, axis=1)
-        return float(v[0]) if single else v
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         if alpha < self.inf_value:
@@ -121,6 +146,11 @@ class NormFunction(QuasiconvexFunction):
         pts = np.asarray(points, dtype=float)
         return np.linalg.norm(pts, axis=1) - np.asarray(alphas, dtype=float)
 
+    def level_at_distance(self, x, r):
+        x2, single = _rows(x)
+        v = np.maximum(np.linalg.norm(x2, axis=1) - r, 0.0)
+        return float(v[0]) if single else v
+
 
 class TubeFunction(QuasiconvexFunction):
     """Distance-to-advancing-disk function on a capsule-shaped domain.
@@ -138,15 +168,6 @@ class TubeFunction(QuasiconvexFunction):
         self.level_hi = 3.0
         self.domain = TwoBallHullSet([0.0, 0.0], 1.0, [3.0, 0.0], 1.0)
         self.default_window = (0.3, 1.7)
-
-    def eval(self, x):
-        x2, single = _rows(x)
-        inside = self.level_signed_distance(self.level_hi, x2) <= 0.0
-        vals = np.full(len(x2), np.inf)
-        if np.any(inside):
-            px, py = x2[inside, 0], x2[inside, 1]
-            vals[inside] = np.maximum(px - np.sqrt(np.maximum(1.0 - py**2, 0.0)), 0.0)
-        return float(vals[0]) if single else vals
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         if alpha < 0:
@@ -181,6 +202,16 @@ class TubeFunction(QuasiconvexFunction):
         seg = np.stack([np.clip(pts[:, 0], 0.0, t), np.zeros(len(pts))], axis=1)
         return np.linalg.norm(pts - seg, axis=1) - 1.0
 
+    def level_at_distance(self, x, r):
+        # The r-ball meets the capsule of level a where the distance to the
+        # segment [0, a] x {0} is at most 1 + r.
+        x2, single = _rows(x)
+        reach = self.level_signed_distance(self.level_hi, x2) <= r
+        vals = np.full(len(x2), np.inf)
+        px, py = x2[reach, 0], x2[reach, 1]
+        vals[reach] = np.maximum(px - np.sqrt(np.maximum((1.0 + r)**2 - py**2, 0.0)), 0.0)
+        return float(vals[0]) if single else vals
+
 
 class GaugeFunction(QuasiconvexFunction):
     """Gauge of the moving two-disk family S(s).
@@ -189,10 +220,10 @@ class GaugeFunction(QuasiconvexFunction):
     radius max(s - 1, 0) centered at (0, max(2s - 1, 0)): the ball of radius s
     for s <= 1, where the second disk lies inside the first, and a proper
     two-disk hull for s in (1, 2]. Every oracle maps the level to these hull
-    parameters per row and calls geometry.hull_section. f(x) is the smallest s
-    whose set contains x, the root in s of the signed distance; the minimal
-    internal curvature radius of the level boundary is s for s <= 1 and s - 1
-    above.
+    parameters per row and calls geometry.hull_section; eval and
+    level_at_distance are the generic root-find in s of the signed distance.
+    The minimal internal curvature radius of the level boundary is s for
+    s <= 1 and s - 1 above.
     """
 
     def __init__(self):
@@ -211,24 +242,6 @@ class GaugeFunction(QuasiconvexFunction):
     def _section(self, alphas, pts):
         s = np.minimum(alphas, self.level_hi)
         return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self._hull(s))
-
-    def eval(self, x):
-        x2, single = _rows(x)
-        vals = np.full(len(x2), np.inf)
-        # -signed distance to S(s) is nondecreasing and continuous in s; f(x)
-        # is its root. S(0) is the origin, where f is 0.
-        g_lo = -np.linalg.norm(x2, axis=1)
-        g_hi = -self.level_signed_distance(self.level_hi, x2)
-        vals[g_hi >= 0] = 0.0
-        rows = np.flatnonzero((g_hi >= 0) & (g_lo < 0))
-
-        def g(sub, s):
-            return -self.level_signed_distance(s, x2[rows[sub]])
-
-        n = len(rows)
-        _, vals[rows] = _itp(g, np.zeros(n), np.full(n, self.level_hi),
-                             g_lo[rows], g_hi[rows], np.full(n, 2e-15))
-        return float(vals[0]) if single else vals
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         if alpha < 0:
@@ -271,25 +284,12 @@ class LocalizedFunction(QuasiconvexFunction):
         self.dim = base.dim
         self.ball = BallSet(center, delta)
         self.domain = self.ball
-        self.inf_value = self._min_over_ball()
+        self.inf_value = float(base.level_at_distance(center, self.delta))
         self.level_hi = self._max_over_ball(base.level_hi)
         self.default_window = (
             self.inf_value + 0.25 * (self.level_hi - self.inf_value),
             self.inf_value + 0.75 * (self.level_hi - self.inf_value),
         )
-
-    def _min_over_ball(self) -> float:
-        lo = self.base.inf_value
-        hi = float(self.base.eval(self.center))
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.base.level_distance([mid], self.center[None, :])[0] <= self.delta:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < LEVEL_BISECT_TOL:
-                break
-        return hi
 
     def _max_over_ball(self, base_hi) -> float:
         rng = split_rng(0, "localize-max", self.name)
@@ -311,7 +311,7 @@ class LocalizedFunction(QuasiconvexFunction):
         return float(vals[0]) if single else vals
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
-        if alpha < self.inf_value - LEVEL_BISECT_TOL:
+        if alpha < self.inf_value - 1e-10:
             raise ValueError("sublevel below the infimum is empty")
         base_set = self.base.sublevel(self.base.clamp_level(alpha))
         return IntersectionSet(base_set, self.ball,
@@ -575,6 +575,11 @@ def get_function(name: str, dim: int = 2) -> QuasiconvexFunction:
         except ValueError as exc:
             raise ValueError(f"bad localized name {name!r}") from exc
         return localize(get_function(base_name, dim=dim), center, delta)
+    if name.startswith("norm") and name[4:].isdigit():
+        # The name NormFunction(d) gives itself in d >= 3; d must match dim.
+        if int(name[4:]) != dim:
+            raise ValueError(f"function {name!r} is {int(name[4:])}-dimensional, not {dim}")
+        name = "norm"
     if name not in GALLERY:
         raise ValueError(f"unknown gallery function {name!r}")
     return GALLERY[name](dim=dim)

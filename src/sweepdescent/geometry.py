@@ -467,7 +467,8 @@ def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarra
 def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray, origin=None) -> np.ndarray:
     """Ray exits from origin (default: the interior point): doubling, then
     ITP on the signed distance, which is convex and 1-Lipschitz along a ray
-    from an interior point."""
+    from an interior point. Each exit is the inner end of its bracket, a
+    point of the set within 2e-15 relative of the boundary."""
     center = oracle.interior_point if origin is None else origin
     g0 = float(oracle.signed_boundary_distance(center))
     if g0 >= 0:
@@ -489,7 +490,7 @@ def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray, origin=None) -> np.nda
     else:
         raise NonConvergence("set appears unbounded along a ray")
     lo, hi = _itp(g, lo, hi, g_lo, g_hi, 1e-15 * hi)
-    return center + (0.5 * (lo + hi))[:, None] * dirs
+    return center + lo[:, None] * dirs
 
 
 def _itp(g, lo, hi, g_lo, g_hi, tol):
@@ -550,7 +551,9 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
         rng = split_rng(seed, "boundary", dim)
         coarse = _ray_boundary_points(oracle, unit_directions(rng, 128, dim))
         r_max = float(np.max(np.linalg.norm(coarse - oracle.interior_point, axis=1)))
-        count = int(np.ceil((4.0 * r_max / resolution) ** (dim - 1))) + 64
+        # Shave 1e-12 relative before the ceiling, so a count that sits on an
+        # integer does not move with the last bit of r_max.
+        count = int(np.ceil((4.0 * r_max / resolution) ** (dim - 1) * (1.0 - 1e-12))) + 64
         capped, count = count > max_points, min(count, max_points)
         pts = _ray_boundary_points(oracle, unit_directions(rng, count, dim))
 

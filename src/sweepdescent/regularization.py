@@ -2,9 +2,9 @@
 
 The eps-regularization of f is the unique function whose alpha-sublevel set
 is the alpha-sublevel set of f dilated by the closed eps-ball; pointwise it
-equals the infimum of f over the eps-ball around the query point. Evaluation
-runs a bisection on the level alpha solving d(x, [f <= alpha]) = eps, which
-also yields the base point z = proj(x; [f <= f_eps(x)]) with f(z) = f_eps(x).
+equals the infimum of f over the eps-ball around the query point, which is
+the base function's level search level_at_distance(x, eps). The base point
+z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x).
 """
 
 import warnings
@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (BisectionFailure, DegenerateDirection, DomainError,
-                     OutOfReach)
+from .errors import DegenerateDirection, DomainError, OutOfReach
 from .functions import QuasiconvexFunction, _rows, slope_values
 from .geometry import (ConvexSetOracle, DilatedSet, outward_normals,
                        sample_boundary)
-
-EVAL_BISECT_TOL = 1e-10
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -37,42 +34,11 @@ class RegularizedFunction(QuasiconvexFunction):
         self.domain = DilatedSet(base.domain, eps)
         self.default_window = getattr(base, "default_window", (0.5, 1.5))
 
+    # level_at_distance stays the generic search on the dilated sublevels.
+    # Composing radii (base.level_at_distance(x, eps + r)) would make the
+    # nested and whole routes of semigroup-identity one computation.
     def eval(self, x):
-        x2, single = _rows(x)
-        vals = self._eval_batch(x2)
-        return float(vals[0]) if single else vals
-
-    def _eval_batch(self, pts):
-        m = len(pts)
-        fx = np.asarray(self.base.eval(pts), dtype=float)
-        hi = np.where(np.isfinite(fx), fx, np.inf)
-        if self.level_hi is not None:
-            hi = np.minimum(np.where(np.isfinite(hi), hi, self.level_hi),
-                            self.level_hi)
-        if np.any(~np.isfinite(hi)):
-            raise DomainError("no finite bracket level for evaluation")
-        lo = np.full(m, self.inf_value)
-        out = np.full(m, np.inf)
-        # The same test as the loop and as DilatedSet.membership: a point
-        # outside every dilated sublevel keeps the value inf.
-        feasible_hi = self.base.level_distance(hi, pts) <= self.eps
-        at_bottom = self.base.level_distance(lo, pts) <= self.eps
-        out[at_bottom] = self.inf_value
-        todo = feasible_hi & ~at_bottom
-        lo_t, hi_t, pts_t = lo[todo], hi[todo], pts[todo]
-        for _ in range(60):
-            if not len(lo_t) or float(np.max(hi_t - lo_t)) < EVAL_BISECT_TOL:
-                break
-            mid = 0.5 * (lo_t + hi_t)
-            reach = self.base.level_distance(mid, pts_t) <= self.eps
-            hi_t = np.where(reach, mid, hi_t)
-            lo_t = np.where(reach, lo_t, mid)
-        if len(lo_t):
-            residual = self.base.level_distance(hi_t, pts_t) - self.eps
-            if float(np.max(residual)) > 1e-8:
-                raise BisectionFailure("level-distance map is not monotone")
-            out[todo] = hi_t
-        return out
+        return self.base.level_at_distance(x, self.eps)
 
     def sublevel(self, alpha: float) -> ConvexSetOracle:
         return DilatedSet(self.base.sublevel(self.base.clamp_level(alpha)), self.eps)
@@ -118,7 +84,7 @@ def base_point(freg: RegularizedFunction, x, warn_non_unique: bool = True):
     vals = np.asarray(freg.eval(x2), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("base point requested outside the regularized domain")
-    if warn_non_unique and np.any(vals <= freg.inf_value + EVAL_BISECT_TOL):
+    if warn_non_unique and np.any(vals <= freg.inf_value + 1e-10):
         warnings.warn("base point at the bottom level is not level-unique")
     z = freg.base.level_project(vals, x2)
     return z[0] if single else z

@@ -326,7 +326,7 @@ def hoffmann_localization_check(f: QuasiconvexFunction, center, delta: float,
 def grid_min_regularized(freg: RegularizedFunction, points, n: int = 41):
     """Brute-force min of the base over a polar grid of the dilation ball.
 
-    Independent of the bisection path: evaluates the base function on an
+    Independent of the level search: evaluates the base function on an
     n x n (radius x angle) grid of the eps-ball and takes the minimum.
     """
     if freg.dim != 2:
@@ -347,7 +347,10 @@ def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:
     # at least eps above the infimum), with the dilation ball inside the
     # base domain (no feasibility-corner pinning), and certified per point
     # against a once-refined grid.
-    anchor = "bisection value matches brute-force min over the dilation ball"
+    anchor = "level-search value matches brute-force min over the dilation ball"
+    if freg.dim != 2:
+        return CheckResult("eval-consistency", anchor, passed=None, details={
+            "reason": "polar grid oracle is two-dimensional", "n_points": 0})
     pts = _annulus_sample(freg, window, 3 * n_points, seed, "eval-consistency")
     vals = np.asarray(freg.eval(pts), dtype=float)
     depth = np.asarray(freg.base.domain.signed_boundary_distance(pts))
@@ -403,14 +406,17 @@ def _check_semigroup(freg, window, n_points, seed) -> CheckResult:
 
 
 def _check_slope_transfer(freg, window, n_points, seed) -> CheckResult:
+    anchor = "regularized slope dominates the slope at the base point"
     pts = _annulus_sample(freg, window, n_points, seed, "slope-transfer")
     vals = np.asarray(freg.eval(pts), dtype=float)
     pts = pts[vals > freg.inf_value + 1e-9]
+    if not len(pts):
+        return CheckResult("slope-transfer", anchor, passed=None, details={
+            "reason": "no sample lies 1e-9 above the bottom level", "n_points": 0})
     deficit = slope_deficits(freg, pts, seed=seed)
     worst = float(np.max(deficit))
     return CheckResult(
-        name="slope-transfer",
-        anchor="regularized slope dominates the slope at the base point",
+        name="slope-transfer", anchor=anchor,
         passed=bool(worst <= 1e-3), margin=1e-3 - worst,
         witness=None if worst <= 1e-3 else pts[int(np.argmax(deficit))].tolist(),
         details={"worst_deficit": worst, "n_points": int(len(pts))})
@@ -435,10 +441,15 @@ def _check_lipschitz_transfer(freg, window, n_points, seed) -> CheckResult:
     # ball reaches; near a hard domain boundary (localized functions) the
     # regularization genuinely loses Lipschitz continuity, so pairs are kept
     # at dilation depth inside the base domain.
+    anchor = "regularization preserves the local Lipschitz bound"
     rng = split_rng(seed, "lip-transfer")
     pts = _annulus_sample(freg, window, 3 * n_points, seed, "lip-transfer")
     depth = np.asarray(freg.base.domain.signed_boundary_distance(pts))
     pts = pts[depth <= -(freg.eps + 0.02)][:n_points]
+    if not len(pts):
+        return CheckResult("lipschitz-transfer", anchor, passed=None, details={
+            "reason": "no sample lies at dilation depth in the base domain",
+            "n_points": 0})
     mates = pts + 1e-3 * rng.normal(size=pts.shape)
     fe_p = np.asarray(freg.eval(pts))
     fe_m = np.asarray(freg.eval(mates))
@@ -450,19 +461,18 @@ def _check_lipschitz_transfer(freg, window, n_points, seed) -> CheckResult:
     # w such that f(y - w) = f_eps(y) at the smaller endpoint y, the larger
     # one satisfies f_eps(x) <= f(x - w), so the translated base pair (which
     # lives in the eps-enlarged region) realizes at least the same quotient.
-    lo_first = fe_p <= fe_m
-    anchor = np.where(lo_first[:, None], pts, mates)
-    w = anchor - freg.base.level_project(np.minimum(fe_p, fe_m), anchor)
+    lower = np.where((fe_p <= fe_m)[:, None], pts, mates)
+    w = lower - freg.base.level_project(np.minimum(fe_p, fe_m), lower)
     fb_p = np.asarray(freg.base.eval(pts - w))
     fb_m = np.asarray(freg.base.eval(mates - w))
     ok = np.isfinite(fb_p) & np.isfinite(fb_m)
     emp_base = float(np.max(np.abs(fb_p[ok] - fb_m[ok]) / gaps[ok]))
     passed = emp_reg <= emp_base + 1e-6
     return CheckResult(
-        name="lipschitz-transfer",
-        anchor="regularization preserves the local Lipschitz bound",
+        name="lipschitz-transfer", anchor=anchor,
         passed=bool(passed), margin=emp_base + 1e-6 - emp_reg,
-        details={"empirical_regularized": emp_reg, "empirical_base": emp_base})
+        details={"empirical_regularized": emp_reg, "empirical_base": emp_base,
+                 "n_points": int(len(pts))})
 
 
 def _check_prox_lower_bound(freg, window, seed) -> CheckResult:

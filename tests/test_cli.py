@@ -271,6 +271,20 @@ def test_localized_center_must_match_dimension(tmp_path, capsys, args, message):
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["descend", "--function", "norm3", "--x0", "1,0"],
+     "function 'norm3' is 3-dimensional, not 2"),
+    (["descend", "--function", "localized:norm3:1,0,0:0.4", "--x0", "1,0"],
+     "function 'norm3' is 3-dimensional, not 2"),
+    (["descend", "--function", "norm2", "--dim", "3", "--x0", "1,0,0"],
+     "function 'norm2' is 2-dimensional, not 3"),
+])
+def test_dimensioned_norm_name_must_match_dim(tmp_path, capsys, args, message):
+    # norm<d> is the name NormFunction(d) gives itself; it never overrides --dim.
+    assert run(tmp_path, *args) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("name,dim,expected", [
     ("localized:tube:1.5,0:0.4", 2, "localized:tube:1.5,0:0.4"),
     ("localized:norm:1,0,0:0.4", 3, "localized:norm3:1,0,0:0.4"),
@@ -287,11 +301,35 @@ def _reject_constant(token):
     (["--function", "norm", "--dim", "1"], {"prox_radius": "Infinity"}),
     (["--function", "norm", "--levels", "1:1.5:2"], {}),
 ])
-def test_verify_report_is_strict_json(tmp_path, args, encoded):
+def test_verify_report_is_strict_json(tmp_path, capsys, args, encoded):
     assert run(tmp_path, "verify", *args) in (0, 1)
     text = (tmp_path / "report.json").read_text().split("\n", 1)[1]
     payload = json.loads(text, parse_constant=_reject_constant)
+    # The constants line on stdout is strict JSON too, with the same values.
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("constants: "))
+    assert json.loads(line.partition(": ")[2],
+                      parse_constant=_reject_constant) == payload["constants"]
     for key, value in encoded.items():
         assert payload["constants"][key] == value
     assert all(isinstance(v, float) for k, v in payload["constants"].items()
                if k not in encoded)
+
+
+@pytest.mark.parametrize("args,code,skipped", [
+    # The polar grid oracle of eval-consistency is two-dimensional.
+    (["--function", "norm", "--dim", "3", "--epsilon", "0.25"], 0,
+     {"eval-consistency", "steepest-descent-probe"}),
+    # A window within 1e-9 of inf f leaves slope-transfer no sample.
+    (["--function", "norm", "--epsilon", "1e-9", "--window", "2e-10:9e-10"], 1,
+     {"eval-consistency", "moving-map-lipschitz-sublevel", "slope-transfer",
+      "steepest-descent-probe"}),
+])
+def test_verify_skips_checks_without_samples(tmp_path, capsys, args, code, skipped):
+    assert run(tmp_path, "verify", *args, "--n-points", "10", "--probe-starts", "0") == code
+    text = (tmp_path / "report.json").read_text().split("\n", 1)[1]
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert {name for name, c in checks.items() if c["passed"] is None} == skipped
+    for name in skipped - {"steepest-descent-probe", "moving-map-lipschitz-sublevel"}:
+        assert checks[name]["details"]["n_points"] == 0
+        assert checks[name]["details"]["reason"]

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from sweepdescent import functions
 from sweepdescent.errors import DomainError
-from sweepdescent.functions import (aze_corvellec_check, check_H2_region,
-                                    get_function, is_critical, limiting_slope,
-                                    localize, slope, slope_values)
+from sweepdescent.functions import (QuasiconvexFunction, aze_corvellec_check,
+                                    check_H2_region, get_function, is_critical,
+                                    limiting_slope, localize, slope,
+                                    slope_values)
 from sweepdescent.geometry import sample_boundary
-from sweepdescent.regularization import regularize
+from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng
 
 from conftest import dense_boundary_nearest
@@ -151,6 +152,11 @@ def test_localize_requires_ball_inside_domain(tube):
 def test_localized_name_roundtrip(norm):
     h = get_function("localized:norm:2,0:0.5")
     assert h.eval([2.2, 0.0]) == pytest.approx(2.2)
+    # In d >= 3 the base names itself with its dimension (norm3).
+    h3 = get_function("localized:norm:1,0,0:0.4", dim=3)
+    again = get_function(h3.name, dim=3)
+    assert again.name == h3.name == "localized:norm3:1,0,0:0.4"
+    assert again.eval([1.2, 0.1, 0.0]) == h3.eval([1.2, 0.1, 0.0])
     with pytest.raises(ValueError):
         get_function("localized:norm:oops")
     with pytest.raises(ValueError):
@@ -346,3 +352,40 @@ def test_localized_signed_distance_outside_is_the_distance(eps):
     assert np.sum(outside) > 500
     assert np.max(np.abs(got[outside] - want[outside])) <= 1e-10
     assert np.all(got[~outside] <= 0.0)
+
+
+def test_level_at_distance_terminates_at_large_levels():
+    # Near level 40 neighbouring floats are 7.1e-15 apart, wider than an
+    # absolute 2e-15 ITP tolerance; the search must still stop, on the
+    # localized base and on the nested route of semigroup-identity.
+    h = regularize(get_function("localized:norm:40,0:0.5"), 0.1)
+    vals = h.eval(np.array([[40.2, 0.0], [40.55, 0.0], [40.7, 0.0]]))
+    assert vals[:2] == pytest.approx([40.1, 40.45], abs=1e-12)
+    assert vals[2] == np.inf
+    g = regularize(get_function("norm"), 0.25)
+    x = np.array([[40.7, 0.1], [40.0, 0.0], [1e3, 3.0]])
+    nested = QuasiconvexFunction.level_at_distance(g, x, 0.25)
+    assert nested == pytest.approx(np.linalg.norm(x, axis=1) - 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.5])
+@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2)])
+def test_level_at_distance_closed_forms_match_the_generic_search(name, dim, r):
+    # The closed forms against the base class's ITP search on the signed
+    # distance: seeded points inside and outside the domain, plus points at
+    # the bottom level (the origin, the tube's unit disk).
+    f = get_function(name, dim=dim)
+    lo, hi = f.level_bbox(f.level_hi if f.level_hi is not None else 2.0)
+    rng = split_rng(0, "level-at-distance", name, dim)
+    pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, size=(2000, dim)),
+                     np.zeros((1, dim)), 0.5 * np.eye(dim), [1.0] + [0.0] * (dim - 1)])
+    closed = f.level_at_distance(pts, r)
+    generic = QuasiconvexFunction.level_at_distance(f, pts, r)
+    finite = np.isfinite(closed)
+    assert np.array_equal(finite, np.isfinite(generic))
+    assert 0 < np.sum(finite) and (name == "norm" or np.sum(finite) < len(pts))
+    assert np.any(closed[finite] == f.inf_value)
+    assert np.max(np.abs(closed[finite] - generic[finite])) <= 1e-12
+    # A regularization inherits the generic search, so semigroup-identity's
+    # nested route never reuses the closed form of its base.
+    assert "level_at_distance" not in RegularizedFunction.__dict__

@@ -7,6 +7,7 @@ from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
 from sweepdescent.sweeping import SweepingConfig
 from sweepdescent.verification import (_check_eval_consistency,
+                                       _check_lipschitz_transfer,
                                        hoffmann_localization_check,
                                        membership_U_epsilon,
                                        probe_steepest_descent,
@@ -155,6 +156,15 @@ def test_full_suite_tube_regularized(tube):
 def test_eval_consistency_skipped_without_samples(norm):
     # Every sampled value lies below inf + eps, so no sample survives.
     check = _check_eval_consistency(regularize(norm, 0.25), (0.05, 0.2), 10, 0)
+    assert check.passed is None
+    assert check.details["n_points"] == 0
+    assert "reason" in check.details
+
+
+def test_lipschitz_transfer_skipped_without_samples():
+    # No point of a 0.2-ball lies eps + 0.02 = 0.22 deep inside it.
+    freg = regularize(get_function("localized:tube:1.5,0:0.2"), 0.2)
+    check = _check_lipschitz_transfer(freg, freg.default_window, 20, 0)
     assert check.passed is None
     assert check.details["n_points"] == 0
     assert "reason" in check.details
