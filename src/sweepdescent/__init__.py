@@ -12,11 +12,11 @@ from .errors import (ConfigError, DegenerateDirection, DegenerateNormal,
                      DomainError, EmptySample, GridTooCoarse, LevelUnderflow,
                      MissingConstants, NonConvergence, OutOfReach,
                      ReverseRefused, SweepDescentError, ThetaGuard)
-from .functions import (GaugeFunction, LocalizedFunction, NormFunction,
-                        QuasiconvexFunction, SlopeEstimate, TubeFunction,
-                        aze_corvellec_check, check_H2_region, get_function,
-                        is_critical, limiting_slope, localize, slope,
-                        slope_values)
+from .functions import (GaugeFunction, LevelSet, LocalizedFunction,
+                        NormFunction, QuasiconvexFunction, SlopeEstimate,
+                        TubeFunction, aze_corvellec_check, check_H2_region,
+                        get_function, is_critical, limiting_slope, localize,
+                        slope, slope_values)
 from .geometry import (BallSet, BoundarySample, ConvexSetOracle, DilatedSet,
                        FullSpaceSet, IntersectionSet, TwoBallHullSet,
                        hull_section, outward_normal, outward_normals,

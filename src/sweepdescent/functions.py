@@ -1,26 +1,28 @@
 """Quasiconvex function abstraction, slope estimators and benchmark gallery.
 
-A function exposes an oracle for every sublevel set, batched per-row level
-oracles, a domain oracle and its infimum, and one level search:
+A function answers every geometric question through batched per-row level
+oracles, (alphas, points) -> projection / signed distance, plus an interior
+point per level, a domain oracle, its infimum and one level search:
 level_at_distance(x, r), the minimum of f over the closed r-ball around x.
 Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
-eps-regularization its case r = eps. The gallery carries
-three entries: the Euclidean norm in any dimension, a tube-shaped function
-whose sublevel sets are capsules, and a two-disk gauge whose level sets
-degenerate in curvature near the level 1.
+eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
+that forwards to those oracles at the fixed level alpha; no function builds
+its sublevel sets a second time. The gallery carries three entries: the
+Euclidean norm in any dimension, a tube-shaped function whose sublevel sets
+are capsules, and a two-disk gauge whose level sets degenerate in curvature
+near the level 1.
 """
 
 import warnings
-import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarse
-from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, IntersectionSet,
-                       TwoBallHullSet, _itp, ball_lens_project, dykstra,
-                       find_interior_point, hull_section,
-                       intersection_signed_distance)
+from .errors import DomainError, EmptySample, GridTooCoarse
+from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, _atleast_2d,
+                       _itp, _restore, ball_lens_project, dykstra,
+                       hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -29,15 +31,29 @@ LIMITING_VALUE_GAP = 1e-2
 LIMITING_SAMPLES = 128
 
 
-def _rows(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+class LevelSet(ConvexSetOracle):
+    """The sublevel set [f <= alpha] as a view on f's batched level oracles."""
+
+    def __init__(self, f: "QuasiconvexFunction", alpha: float):
+        self.f = f
+        self.alpha = float(alpha)
+        self.dim = f.dim
+
+    @cached_property
+    def interior_point(self):
+        return self.f.level_interior_point(self.alpha)
+
+    def project(self, x):
+        x2, single = _atleast_2d(x)
+        return _restore(self.f.level_project(self.alpha, x2), single)
+
+    def signed_boundary_distance(self, x):
+        x2, single = _atleast_2d(x)
+        return _restore(self.f.level_signed_distance(self.alpha, x2), single)
 
 
 class QuasiconvexFunction:
-    """Base interface: eval, sublevel oracles, domain, infimum, name."""
+    """Base interface: eval, level oracles, domain, infimum, name."""
 
     name: str
     dim: int
@@ -48,8 +64,16 @@ class QuasiconvexFunction:
     def eval(self, x):
         return self.level_at_distance(x, 0.0)
 
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        raise NotImplementedError
+    def sublevel(self, alpha: float) -> LevelSet:
+        if alpha < self.inf_value:
+            raise ValueError(f"the level-{alpha!r} sublevel set of {self.name} is empty: "
+                             f"inf f = {self.inf_value!r}")
+        return LevelSet(self, alpha)
+
+    def level_interior_point(self, alpha: float) -> np.ndarray:
+        """Interior point of the alpha-sublevel set: the origin, which lies
+        inside every sublevel set of the norm, the tube and the gauge."""
+        return np.zeros(self.dim)
 
     def level_bbox(self, alpha: float):
         """Axis-aligned box (lo, hi) containing the alpha-sublevel set."""
@@ -63,26 +87,17 @@ class QuasiconvexFunction:
     def level_project(self, alphas, points):
         """Projection of points[i] onto the alphas[i]-sublevel set, batched.
 
-        Subclasses override with closed forms; the fallback builds one oracle
-        per row and is correspondingly slow.
+        A scalar level broadcasts over the rows.
         """
-        pts = np.asarray(points, dtype=float)
-        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
-        return np.stack(
-            [self.sublevel(a).project(p) for a, p in zip(alphas, pts)]
-        )
-
-    def level_distance(self, alphas, points):
-        """Distance of points[i] to the alphas[i]-sublevel set, batched."""
-        pts = np.asarray(points, dtype=float)
-        return np.linalg.norm(pts - self.level_project(alphas, pts), axis=1)
+        raise NotImplementedError
 
     def level_signed_distance(self, alphas, points):
         """Signed distance of points[i] to the alphas[i]-sublevel boundary."""
-        pts = np.asarray(points, dtype=float)
-        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
-        return np.array([float(self.sublevel(a).signed_boundary_distance(p))
-                         for a, p in zip(alphas, pts)])
+        raise NotImplementedError
+
+    def level_distance(self, alphas, points):
+        """Distance of points[i] to the alphas[i]-sublevel set, batched."""
+        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
 
     def level_at_distance(self, x, r):
         """Smallest level a with level_signed_distance(a, x) <= r, batched.
@@ -93,7 +108,7 @@ class QuasiconvexFunction:
         brackets a between inf_value and the top level: level_hi, or f(x)
         where level_hi is None.
         """
-        x2, single = _rows(x)
+        x2, single = _atleast_2d(x)
         n = len(x2)
         top = (np.asarray(self.eval(x2), dtype=float) if self.level_hi is None
                else np.full(n, self.level_hi))
@@ -124,11 +139,6 @@ class NormFunction(QuasiconvexFunction):
         self.domain = FullSpaceSet(dim)
         self.default_window = (0.5, 1.5)
 
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        if alpha < self.inf_value:
-            raise ValueError("sublevel below the infimum is empty")
-        return BallSet(np.zeros(self.dim), alpha)
-
     def level_bbox(self, alpha: float):
         return -alpha * np.ones(self.dim), alpha * np.ones(self.dim)
 
@@ -139,15 +149,12 @@ class NormFunction(QuasiconvexFunction):
         scale = np.where(norms > alphas, alphas / np.where(norms > 0, norms, 1.0), 1.0)
         return pts * scale[:, None]
 
-    def level_distance(self, alphas, points):
-        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
-
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
         return np.linalg.norm(pts, axis=1) - np.asarray(alphas, dtype=float)
 
     def level_at_distance(self, x, r):
-        x2, single = _rows(x)
+        x2, single = _atleast_2d(x)
         v = np.maximum(np.linalg.norm(x2, axis=1) - r, 0.0)
         return float(v[0]) if single else v
 
@@ -166,14 +173,8 @@ class TubeFunction(QuasiconvexFunction):
         self.dim = 2
         self.inf_value = 0.0
         self.level_hi = 3.0
-        self.domain = TwoBallHullSet([0.0, 0.0], 1.0, [3.0, 0.0], 1.0)
+        self.domain = self.sublevel(self.level_hi)
         self.default_window = (0.3, 1.7)
-
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        if alpha < 0:
-            raise ValueError("sublevel below the infimum is empty")
-        t = self.clamp_level(alpha)
-        return TwoBallHullSet([0.0, 0.0], 1.0, [t, 0.0], 1.0)
 
     def level_bbox(self, alpha: float):
         t = self.clamp_level(alpha)
@@ -192,9 +193,6 @@ class TubeFunction(QuasiconvexFunction):
             res[out] = anchor[out] + delta[out] / dist[out, None]
         return res
 
-    def level_distance(self, alphas, points):
-        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
-
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
         t = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
@@ -205,7 +203,7 @@ class TubeFunction(QuasiconvexFunction):
     def level_at_distance(self, x, r):
         # The r-ball meets the capsule of level a where the distance to the
         # segment [0, a] x {0} is at most 1 + r.
-        x2, single = _rows(x)
+        x2, single = _atleast_2d(x)
         reach = self.level_signed_distance(self.level_hi, x2) <= r
         vals = np.full(len(x2), np.inf)
         px, py = x2[reach, 0], x2[reach, 1]
@@ -231,7 +229,7 @@ class GaugeFunction(QuasiconvexFunction):
         self.dim = 2
         self.inf_value = 0.0
         self.level_hi = 2.0
-        self.domain = TwoBallHullSet([0.0, 0.0], 2.0, [0.0, 3.0], 1.0)
+        self.domain = self.sublevel(self.level_hi)
         self.default_window = (1.2, 1.8)
 
     @staticmethod
@@ -243,12 +241,6 @@ class GaugeFunction(QuasiconvexFunction):
         s = np.minimum(alphas, self.level_hi)
         return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self._hull(s))
 
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        if alpha < 0:
-            raise ValueError("sublevel below the infimum is empty")
-        r1, axis_len, r2 = self._hull(self.clamp_level(alpha))
-        return TwoBallHullSet([0.0, 0.0], r1, [0.0, axis_len], r2)
-
     def level_bbox(self, alpha: float):
         s = self.clamp_level(alpha)
         top = max(s, 3.0 * s - 2.0)
@@ -258,9 +250,6 @@ class GaugeFunction(QuasiconvexFunction):
         pts = np.asarray(points, dtype=float)
         pa, prho, _ = self._section(alphas, pts)
         return np.stack([np.copysign(prho, pts[:, 0]), pa], axis=1)
-
-    def level_distance(self, alphas, points):
-        return np.maximum(self.level_signed_distance(alphas, points), 0.0)
 
     def level_signed_distance(self, alphas, points):
         return self._section(alphas, np.asarray(points, dtype=float))[2]
@@ -302,7 +291,7 @@ class LocalizedFunction(QuasiconvexFunction):
         return hi
 
     def eval(self, x):
-        x2, single = _rows(x)
+        x2, single = _atleast_2d(x)
         vals = np.full(len(x2), np.inf)
         # Tolerance keeps points computed to lie on the ball circle feasible.
         inside = np.asarray(self.ball.membership(x2, tol=1e-12))
@@ -310,22 +299,17 @@ class LocalizedFunction(QuasiconvexFunction):
             vals[inside] = np.asarray(self.base.eval(x2[inside]), dtype=float)
         return float(vals[0]) if single else vals
 
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        if alpha < self.inf_value - 1e-10:
-            raise ValueError("sublevel below the infimum is empty")
-        base_set = self.base.sublevel(self.base.clamp_level(alpha))
-        return IntersectionSet(base_set, self.ball,
-                               interior_point=self._slater(alpha))
-
-    def _slater(self, alpha: float):
+    def level_interior_point(self, alpha: float) -> np.ndarray:
+        """The center's projection onto the base sublevel halfway down to
+        inf_value. Near inf_value that point leaves the ball's interior and
+        EmptySample is raised; at inf_value the set is a single point."""
         if alpha >= self.level_hi:
             return self.center.copy()
         mid = 0.5 * (alpha + self.inf_value)
-        z = self.base.sublevel(mid).project(self.center)
+        z = self.base.level_project(mid, self.center[None, :])[0]
         if float(self.ball.signed_boundary_distance(z)) < -1e-9:
             return z
-        return find_interior_point(self.base.sublevel(alpha), self.ball,
-                                   seed=zlib.crc32(self.name.encode("utf-8")))
+        raise EmptySample(f"no interior point of the level-{alpha:.6g} set of {self.name}")
 
     def level_bbox(self, alpha: float):
         return self.center - self.delta, self.center + self.delta
@@ -346,9 +330,8 @@ class LocalizedFunction(QuasiconvexFunction):
         if self.dim == 2:
             return ball_lens_project(
                 pts, self.ball,
-                lambda rows, p: self.base.level_distance(alphas[rows], p) <= 1e-12,
                 lambda rows, p: self.base.level_project(alphas[rows], p),
-                lambda rows, p: self.base.level_distance(alphas[rows], p))
+                lambda rows, p: self.base.level_signed_distance(alphas[rows], p))
         return dykstra(lambda p: self.base.level_project(alphas, p),
                        self.ball.project, pts)
 
@@ -378,7 +361,7 @@ def slope_values(f: QuasiconvexFunction, points, radii=SLOPE_RADII,
     direction sweep is taken and locally refined; the estimate is the largest
     value over the two smallest radii.
     """
-    pts, single = _rows(points)
+    pts, single = _atleast_2d(points)
     m, dim = pts.shape
     n = _directions_for(dim, n_directions)
     fx = np.asarray(f.eval(pts), dtype=float)
@@ -476,7 +459,7 @@ def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS
     call. In d >= 3 the slope refinement draws noise sized by its batch, so
     there a batched value can differ slightly from the one-point call.
     """
-    x2, single = _rows(x)
+    x2, single = _atleast_2d(x)
     fx = np.asarray(f.eval(x2), dtype=float)
     out = np.full(len(x2), np.inf)
     rows = np.flatnonzero(np.isfinite(fx))

@@ -1,12 +1,16 @@
 """Oracle-based convex set primitives.
 
-Every set is exposed through the same oracle surface: membership test, metric
-projection, distance, signed boundary distance and a Slater (interior) point.
-Balls, dilations and hulls of two balls are exact in closed form; the hull
-math is one per-row kernel, hull_section, which the gallery functions also
-call with per-row parameters. Intersections with a ball in the plane are exact
-through ball_lens_project; other intersections use Dykstra's scheme. The
-signed distance of an intersection is exact on both sides of its boundary.
+Every set is exposed through the same oracle surface: metric projection,
+signed boundary distance and a Slater (interior) point. Membership and
+distance derive from the signed distance, once, in ConvexSetOracle: a point
+is a member when its signed distance is at most the tolerance, and its
+distance is the positive part. Balls, dilations and hulls of two balls are
+exact in closed form; the hull math is one per-row kernel, hull_section,
+which the gallery functions also call with per-row parameters. Intersections
+with a ball in the plane are exact through ball_lens_project, whose one
+feasibility rule is a signed distance <= 0; other intersections use
+Dykstra's scheme. The signed distance of an intersection is exact on both
+sides of its boundary.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
 shape (n, d) and return the matching shape.
@@ -39,7 +43,7 @@ def _restore(x, single):
 
 
 class ConvexSetOracle:
-    """Closed convex set queried through membership / projection / distance."""
+    """Closed convex set queried through projection and signed distance."""
 
     dim: int
     interior_point: np.ndarray
@@ -47,19 +51,15 @@ class ConvexSetOracle:
     def project(self, x):
         raise NotImplementedError
 
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        inside = self.distance(x2) <= tol
-        return _restore(inside, single)
-
-    def distance(self, x):
-        x2, single = _atleast_2d(x)
-        d = np.linalg.norm(x2 - self.project(x2), axis=1)
-        return _restore(d, single)
-
     def signed_boundary_distance(self, x):
         """Distance to the boundary, negative inside."""
         raise NotImplementedError
+
+    def membership(self, x, tol: float = 0.0):
+        return self.signed_boundary_distance(x) <= tol
+
+    def distance(self, x):
+        return np.maximum(self.signed_boundary_distance(x), 0.0)
 
 
 class FullSpaceSet(ConvexSetOracle):
@@ -71,14 +71,6 @@ class FullSpaceSet(ConvexSetOracle):
 
     def project(self, x):
         return np.asarray(x, dtype=float)
-
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        return _restore(np.ones(len(x2), dtype=bool), single)
-
-    def distance(self, x):
-        x2, single = _atleast_2d(x)
-        return _restore(np.zeros(len(x2)), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
@@ -104,16 +96,6 @@ class BallSet(ConvexSetOracle):
         scale = np.ones_like(norms)
         scale[out] = self.radius / norms[out]
         return _restore(self.center + delta * scale[:, None], single)
-
-    def distance(self, x):
-        x2, single = _atleast_2d(x)
-        d = np.maximum(np.linalg.norm(x2 - self.center, axis=1) - self.radius, 0.0)
-        return _restore(d, single)
-
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        inside = np.linalg.norm(x2 - self.center, axis=1) <= self.radius + tol
-        return _restore(inside, single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
@@ -190,12 +172,6 @@ class TwoBallHullSet(ConvexSetOracle):
         out = self.c1 + pa[:, None] * self.axis + prho[:, None] * w
         return _restore(np.where((signed > 0)[:, None], out, x2), single)
 
-    def membership(self, x, tol: float = 0.0):
-        return self.signed_boundary_distance(x) <= tol
-
-    def distance(self, x):
-        return np.maximum(self.signed_boundary_distance(x), 0.0)
-
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         a, rho, _ = self._section(x2)
@@ -224,105 +200,92 @@ class DilatedSet(ConvexSetOracle):
             res[out] = z[out] + delta[out] * (self.eps / dist[out])[:, None]
         return _restore(res, single)
 
-    def distance(self, x):
-        x2, single = _atleast_2d(x)
-        return _restore(np.maximum(self.base.distance(x2) - self.eps, 0.0), single)
-
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        return _restore(self.base.distance(x2) <= self.eps + tol, single)
-
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         return _restore(self.base.signed_boundary_distance(x2) - self.eps, single)
 
 
-def ball_lens_project(x2: np.ndarray, ball: "BallSet", row_feasible, row_project,
-                      row_distance, n_theta: int = 96, tol: float = 1e-10):
+def ball_lens_project(x2: np.ndarray, ball: "BallSet", row_project, row_signed,
+                      n_theta: int = 96):
     """Exact 2d projection onto (convex set A) intersect (ball), batched.
 
-    The per-row set A is reached through callables taking (row_indices, pts).
-    The projection is either A's projection of x (if inside the ball), the
-    ball's projection (if inside A), or a crossing point of the two
-    boundaries, found by bisecting sign changes of A-membership along the
-    ball circle. A grazing tangency (single-point intersection) falls back
-    to the circle point closest to A.
+    The per-row set A is reached through its projection and signed distance,
+    callables taking (row_indices, pts); a point is feasible for A where that
+    signed distance is <= 0. The projection is x itself, A's projection of x
+    (if inside the ball), the ball's projection (if inside A), or the nearer
+    crossing point of the two boundaries, found by bisecting sign changes of
+    A-feasibility along the ball circle. A row whose ring scan sees no
+    feasible point takes the deepest circle point: a feasible arc shorter
+    than the ring spacing has its crossings within one spacing of it, and
+    otherwise the circle only touches A there (tangency).
     """
     m = len(x2)
     rows = np.arange(m)
     best = np.full((m, 2), np.nan)
-    best_d = np.full(m, np.inf)
 
-    inside = np.asarray(row_feasible(rows, x2)) & np.asarray(ball.membership(x2))
+    inside = (np.asarray(row_signed(rows, x2)) <= 0.0) & np.asarray(ball.membership(x2))
     best[inside] = x2[inside]
-    best_d[inside] = 0.0
 
     # When one set's own projection is feasible for the other it is already
     # the metric projection of the intersection; only the remaining rows
     # (facing a corner wedge) need boundary-crossing candidates.
     pa = np.asarray(row_project(rows, x2))
-    va = ~inside & (np.asarray(ball.distance(pa)) <= tol)
+    va = ~inside & np.asarray(ball.membership(pa))
     best[va] = pa[va]
-    best_d[va] = np.linalg.norm(x2[va] - pa[va], axis=1)
     pb = np.asarray(ball.project(x2))
-    vb = ~inside & ~va & (np.asarray(row_distance(rows, pb)) <= tol)
+    vb = ~inside & ~va & (np.asarray(row_signed(rows, pb)) <= 0.0)
     best[vb] = pb[vb]
-    best_d[vb] = np.linalg.norm(x2[vb] - pb[vb], axis=1)
 
     open_rows = np.flatnonzero(~(inside | va | vb))
     if not len(open_rows):
         return best
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    gap = 2.0 * np.pi / n_theta
 
     def ring(th):
         return ball.center + ball.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     k = len(open_rows)
     ring_pts = np.broadcast_to(ring(theta), (k, n_theta, 2)).reshape(-1, 2)
-    ring_rows = np.repeat(open_rows, n_theta)
-    feas = np.asarray(row_feasible(ring_rows, ring_pts)).reshape(k, n_theta)
-    nxt = np.roll(feas, -1, axis=1)
-    sub_i, flip_j = np.nonzero(feas != nxt)
-    if len(sub_i):
-        flip_r = open_rows[sub_i]
-        gap = 2.0 * np.pi / n_theta
-        th_in = theta[flip_j] + np.where(feas[sub_i, flip_j], 0.0, gap)
-        th_out = theta[flip_j] + np.where(feas[sub_i, flip_j], gap, 0.0)
-        for _ in range(46):
-            mid = 0.5 * (th_in + th_out)
-            ok = np.asarray(row_feasible(flip_r, ring(mid)))
-            th_in = np.where(ok, mid, th_in)
-            th_out = np.where(ok, th_out, mid)
-        corners = ring(th_in)
-        d = np.linalg.norm(x2[flip_r] - corners, axis=1)
-        for i in np.argsort(d)[::-1]:
-            r = flip_r[i]
-            if d[i] < best_d[r] or not np.isfinite(best_d[r]):
-                best[r], best_d[r] = corners[i], d[i]
+    signed_ring = np.asarray(
+        row_signed(np.repeat(open_rows, n_theta), ring_pts)).reshape(k, n_theta)
+    feas = signed_ring <= 0.0
+    sub_i, flip_j = np.nonzero(feas != np.roll(feas, -1, axis=1))
+    flip_r = open_rows[sub_i]
+    th_in = theta[flip_j] + np.where(feas[sub_i, flip_j], 0.0, gap)
+    th_out = theta[flip_j] + np.where(feas[sub_i, flip_j], gap, 0.0)
 
-    missing = ~np.isfinite(best_d)
-    if np.any(missing):
-        # Tangency: the intersection degenerates to (nearly) one circle point.
-        sub = np.flatnonzero(missing)
-        sel = np.searchsorted(open_rows, sub)
-        dist_ring = np.asarray(
-            row_distance(ring_rows, ring_pts)).reshape(k, n_theta)[sel]
-        j = np.argmin(dist_ring, axis=1)
-        lo = theta[j] - 2.0 * np.pi / n_theta
-        hi = theta[j] + 2.0 * np.pi / n_theta
+    missing = np.setdiff1d(np.arange(k), sub_i)
+    if len(missing):
+        # Ternary search for the deepest circle point near the best sample.
+        sub = open_rows[missing]
+        j = np.argmin(signed_ring[missing], axis=1)
+        lo, hi = theta[j] - gap, theta[j] + gap
         for _ in range(60):
             t1 = lo + (hi - lo) / 3.0
             t2 = hi - (hi - lo) / 3.0
-            d1 = np.asarray(row_distance(sub, ring(t1)))
-            d2 = np.asarray(row_distance(sub, ring(t2)))
-            take = d1 < d2
+            take = np.asarray(row_signed(sub, ring(t1))) < np.asarray(row_signed(sub, ring(t2)))
             hi = np.where(take, t2, hi)
             lo = np.where(take, lo, t1)
         th = 0.5 * (lo + hi)
-        resid = np.asarray(row_distance(sub, ring(th)))
-        if float(np.max(resid)) > 1e-6:
+        depth = np.asarray(row_signed(sub, ring(th)))
+        if float(np.max(depth)) > 1e-6:
             raise NonConvergence("lens projection found no feasible point")
-        best[sub] = ring(th)
+        arc = depth < 0.0
+        best[sub[~arc]] = ring(th[~arc])
+        flip_r = np.concatenate([flip_r, sub[arc], sub[arc]])
+        th_in = np.concatenate([th_in, th[arc], th[arc]])
+        th_out = np.concatenate([th_out, th[arc] - gap, th[arc] + gap])
+
+    for _ in range(46):
+        mid = 0.5 * (th_in + th_out)
+        ok = np.asarray(row_signed(flip_r, ring(mid))) <= 0.0
+        th_in = np.where(ok, mid, th_in)
+        th_out = np.where(ok, th_out, mid)
+    corners = ring(th_in)
+    # Farthest first, so each row keeps its nearest corner (the last write).
+    order = np.argsort(np.linalg.norm(x2[flip_r] - corners, axis=1))[::-1]
+    best[flip_r[order]] = corners[order]
     return best
 
 
@@ -354,12 +317,15 @@ def intersection_signed_distance(x2, sa, sb, project):
     max(sa, sb) is exact inside, where the depth is the smaller of the two
     depths, but outside it only bounds the distance from below near the corner
     wedges. Outside rows therefore take the distance to project(rows, points),
-    the projection onto the intersection.
+    the projection onto the intersection, and never less than max(sa, sb),
+    the distance to the nearer of the two sets: an approximate projection
+    (Dykstra stops at TOL_PROJ) cannot pull it below that bound.
     """
     signed = np.maximum(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
     out = np.flatnonzero(signed > 0)
     if len(out):
-        signed[out] = np.linalg.norm(x2[out] - project(out, x2[out]), axis=1)
+        signed[out] = np.maximum(
+            signed[out], np.linalg.norm(x2[out] - project(out, x2[out]), axis=1))
     return signed
 
 
@@ -385,19 +351,11 @@ class IntersectionSet(ConvexSetOracle):
         if self.dim == 2 and isinstance(self.second, BallSet):
             out = ball_lens_project(
                 x2, self.second,
-                lambda rows, pts: self.first.membership(pts),
                 lambda rows, pts: self.first.project(pts),
-                lambda rows, pts: self.first.distance(pts))
+                lambda rows, pts: self.first.signed_boundary_distance(pts))
         else:
             out = dykstra(self.first.project, self.second.project, x2)
         return _restore(out, single)
-
-    def membership(self, x, tol: float = 0.0):
-        x2, single = _atleast_2d(x)
-        both = np.asarray(self.first.membership(x2, tol=tol)) & np.asarray(
-            self.second.membership(x2, tol=tol)
-        )
-        return _restore(both, single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)

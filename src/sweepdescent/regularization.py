@@ -14,8 +14,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, DomainError, OutOfReach
-from .functions import QuasiconvexFunction, _rows, slope_values
-from .geometry import (ConvexSetOracle, DilatedSet, outward_normals,
+from .functions import QuasiconvexFunction, slope_values
+from .geometry import (DilatedSet, _atleast_2d, outward_normals,
                        sample_boundary)
 
 
@@ -40,8 +40,8 @@ class RegularizedFunction(QuasiconvexFunction):
     def eval(self, x):
         return self.base.level_at_distance(x, self.eps)
 
-    def sublevel(self, alpha: float) -> ConvexSetOracle:
-        return DilatedSet(self.base.sublevel(self.base.clamp_level(alpha)), self.eps)
+    def level_interior_point(self, alpha: float) -> np.ndarray:
+        return self.base.level_interior_point(alpha)
 
     def level_bbox(self, alpha: float):
         lo, hi = self.base.level_bbox(self.base.clamp_level(alpha))
@@ -59,11 +59,6 @@ class RegularizedFunction(QuasiconvexFunction):
             res[out] = z[out] + delta[out] * (self.eps / dist[out])[:, None]
         return res
 
-    def level_distance(self, alphas, points):
-        return np.maximum(
-            self.base.level_distance(alphas, points) - self.eps, 0.0
-        )
-
     def level_signed_distance(self, alphas, points):
         hi = np.inf if self.level_hi is None else self.level_hi
         return self.base.level_signed_distance(np.minimum(alphas, hi), points) - self.eps
@@ -80,7 +75,7 @@ def base_point(freg: RegularizedFunction, x, warn_non_unique: bool = True):
     Below the bottom level the projection is still returned, but the defining
     level is not unique there, which is reported as a warning.
     """
-    x2, single = _rows(x)
+    x2, single = _atleast_2d(x)
     vals = np.asarray(freg.eval(x2), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise DomainError("base point requested outside the regularized domain")
@@ -95,7 +90,7 @@ def semigroup_gaps(freg: RegularizedFunction, eps1: float, points):
 
     Regularizing by eps at once and in two steps must agree pointwise.
     """
-    pts, _ = _rows(points)
+    pts, _ = _atleast_2d(points)
     whole = np.asarray(freg.eval(pts), dtype=float)
     nested = np.asarray(regularize(regularize(freg.base, eps1), freg.eps - eps1).eval(pts),
                         dtype=float)
@@ -109,7 +104,7 @@ def slope_deficits(freg: RegularizedFunction, points, seed: int = 0):
     The slope of the regularization dominates the slope at its base point,
     so no deficit should exceed the slope estimator's accuracy.
     """
-    pts, _ = _rows(points)
+    pts, _ = _atleast_2d(points)
     z = freg.base.level_project(np.asarray(freg.eval(pts), dtype=float), pts)
     s_reg, _ = slope_values(freg, pts, seed=seed)
     s_base, _ = slope_values(freg.base, z, seed=seed)
@@ -124,7 +119,7 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x,
     projection is the base projection pushed out radially to distance eps;
     points already outside the open dilated set are their own projection.
     """
-    x2, single = _rows(x)
+    x2, single = _atleast_2d(x)
     alphas = np.full(len(x2), freg.base.clamp_level(alpha))
     z = freg.base.level_project(alphas, x2)
     delta = x2 - z

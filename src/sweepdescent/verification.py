@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingConstants
-from .functions import (LocalizedFunction, QuasiconvexFunction, _rows,
+from .functions import (LocalizedFunction, QuasiconvexFunction,
                         limiting_slope, localize, slope_values)
-from .geometry import sample_boundary
+from .geometry import _atleast_2d, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
 from .rng import split_rng
@@ -239,7 +239,7 @@ def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x,
     Takes one point (returns a bool) or an (n, d) batch (returns a boolean
     array) and makes one limiting_slope call.
     """
-    x2, single = _rows(x)
+    x2, single = _atleast_2d(x)
     vals = np.asarray(regularize(f, eps).eval(x2), dtype=float)
     out = np.isfinite(vals)
     z = f.level_project(vals[out], x2[out])
@@ -475,16 +475,18 @@ def _check_lipschitz_transfer(freg, window, n_points, seed) -> CheckResult:
                  "n_points": int(len(pts))})
 
 
-def _check_prox_lower_bound(freg, window, seed) -> CheckResult:
-    levels = np.linspace(window[0], window[1], 3)
-    r_hats = [prox_radius_estimate(freg, lvl, seed=seed).r_hat for lvl in levels]
+def _check_prox_lower_bound(freg, h3: CheckResult) -> CheckResult:
+    # The window's ends and middle, whose estimates H3 already made: its
+    # levels are an odd-length linspace of the same window and seed.
+    levels = h3.details["levels"][::2]
+    r_hats = h3.details["r_hats"][::2]
     r_min = float(np.min(r_hats))
     passed = r_min >= 0.9 * freg.eps
     return CheckResult(
         name="dilation-prox-lower-bound",
         anchor="dilated complements stay prox-regular at the dilation radius",
         passed=bool(passed), margin=r_min - 0.9 * freg.eps,
-        details={"levels": levels.tolist(), "r_hats": r_hats, "eps": freg.eps})
+        details={"levels": levels, "r_hats": r_hats, "eps": freg.eps})
 
 
 def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
@@ -545,7 +547,7 @@ def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
         checks.append(_check_slope_transfer(target, window, n_points, seed))
         checks.append(_check_monotone_eps(target, window, n_points, seed))
         checks.append(_check_lipschitz_transfer(target, window, n_points, seed))
-        checks.append(_check_prox_lower_bound(target, window, seed))
+        checks.append(_check_prox_lower_bound(target, h3))
         if probe_starts > 0 and h2.passed and h3.passed:
             probe_cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80,
                                        seed=seed)

@@ -271,6 +271,36 @@ def test_localized_center_must_match_dimension(tmp_path, capsys, args, message):
     assert err == f"config error: {message}\n"
 
 
+LOCALIZED = "localized:tube:1.5,0:0.4"
+
+
+@pytest.mark.parametrize("args,code,message", [
+    # x0 = (1.1, 0) is the one point of the bottom level set, inf f =
+    # 0.10000000000000009: a zero horizon runs (its boundary residual is 0,
+    # and 0.2 in the dilation, whose center x0 is), a positive one underflows.
+    (["descend", "--function", LOCALIZED, "--x0", "1.1,0", "--T", "0"], 0, "0.0"),
+    (["descend", "--function", LOCALIZED, "--epsilon", "0.2", "--x0", "1.1,0", "--T", "0"],
+     0, "0.2"),
+    (["descend", "--function", LOCALIZED, "--x0", "1.1,0", "--T", "0.5"], 3,
+     "numerical failure: level window reaches the infimum of the function\n"),
+    # Sampling the start boundary needs an interior point, which the bottom
+    # level set of the localization does not have.
+    (["foliate", "--function", LOCALIZED, "--epsilon", "0.2",
+      "--alpha2", "0.10000000000000009", "--T", "0"], 3,
+     f"numerical failure: no interior point of the level-0.1 set of {LOCALIZED}\n"),
+    (["foliate", "--function", LOCALIZED, "--epsilon", "0.2", "--alpha2", "0.1", "--T", "0"],
+     2, f"config error: the level-0.1 sublevel set of {LOCALIZED}~0.2 is empty: "
+        "inf f = 0.10000000000000009\n"),
+])
+def test_localized_bottom_level_outcomes(tmp_path, capsys, args, code, message):
+    assert run(tmp_path, *args) == code
+    if code == 0:
+        rows = (tmp_path / "forward.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1 and rows[0].split(",")[-1] == message
+        message = ""
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("args,message", [
     (["descend", "--function", "norm3", "--x0", "1,0"],
      "function 'norm3' is 3-dimensional, not 2"),

@@ -1,17 +1,18 @@
-import zlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdescent import functions
-from sweepdescent.errors import DomainError
-from sweepdescent.functions import (QuasiconvexFunction, aze_corvellec_check,
+from sweepdescent.errors import DomainError, EmptySample
+from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
+                                    NormFunction, QuasiconvexFunction,
+                                    TubeFunction, aze_corvellec_check,
                                     check_H2_region, get_function, is_critical,
                                     limiting_slope, localize, slope,
                                     slope_values)
-from sweepdescent.geometry import sample_boundary
+from sweepdescent.geometry import (BallSet, ConvexSetOracle, DilatedSet,
+                                   IntersectionSet, TwoBallHullSet,
+                                   sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng
 
@@ -163,19 +164,40 @@ def test_localized_name_roundtrip(norm):
         get_function("nosuch")
 
 
-def test_localized_slater_seed_is_process_independent(monkeypatch, tube):
-    # At the bottom level the Slater search runs; its seed must not come
-    # from Python's per-process string hash.
+def test_localized_bottom_level_set_is_one_point(tube):
+    # At inf_value the ball touches the base's level-0.1 capsule in the one
+    # point (1.1, 0). The set's projection and distance work (to the 1e-8
+    # that a tangency allows); it has no interior, so sampling its boundary,
+    # or that of its dilation, raises EmptySample.
     h = localize(tube, [1.5, 0.0], 0.4)
-    seeds = []
+    oracle = h.sublevel(h.inf_value)
+    pts = np.array([[3.0, 0.0], [1.1, 2.0], [0.0, 0.0], [1.5, 0.3]])
+    assert np.max(np.abs(oracle.project(pts) - [1.1, 0.0])) <= 1e-7
+    want = np.linalg.norm(pts - [1.1, 0.0], axis=1)
+    assert np.max(np.abs(oracle.distance(pts) - want)) <= 1e-7
+    with pytest.raises(EmptySample):
+        sample_boundary(oracle, 0.01)
+    with pytest.raises(EmptySample):
+        sample_boundary(regularize(h, 0.2).sublevel(h.inf_value), 0.01)
+    with pytest.raises(ValueError):
+        h.sublevel(np.nextafter(h.inf_value, 0.0))
 
-    def record(first, second, seed=0):
-        seeds.append(seed)
-        return h.center.copy()
 
-    monkeypatch.setattr(functions, "find_interior_point", record)
-    h.sublevel(h.inf_value)
-    assert seeds == [zlib.crc32(h.name.encode("utf-8"))]
+def test_one_sublevel_constructor_and_one_membership_rule():
+    # Every sublevel set is a view on its function's level oracles, and every
+    # set derives membership and distance from its signed distance.
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    functions = list(subclasses(QuasiconvexFunction))
+    sets = list(subclasses(ConvexSetOracle))
+    assert {NormFunction, TubeFunction, GaugeFunction, LocalizedFunction,
+            RegularizedFunction} <= set(functions)
+    assert {BallSet, TwoBallHullSet, DilatedSet, IntersectionSet} <= set(sets)
+    assert not [c for c in functions if "sublevel" in c.__dict__]
+    assert not [c for c in sets if {"membership", "distance"} & set(c.__dict__)]
 
 
 def test_aze_corvellec_examples(norm, tube):
@@ -294,39 +316,57 @@ def test_slope_values_batch_matches_single(tube):
     assert np.allclose(batch, singles, atol=1e-12)
 
 
+def _reference_sublevel(f, alpha):
+    """The alpha-sublevel set of a gallery entry, built from the standalone
+    sets of geometry rather than from f's level oracles."""
+    if isinstance(f, RegularizedFunction):
+        return DilatedSet(_reference_sublevel(f.base, alpha), f.eps)
+    if isinstance(f, LocalizedFunction):
+        # Projection and signed distance never read the interior point.
+        return IntersectionSet(_reference_sublevel(f.base, min(alpha, f.level_hi)),
+                               BallSet(f.center, f.delta), interior_point=f.center)
+    a = f.clamp_level(alpha)
+    if isinstance(f, NormFunction):
+        return BallSet(np.zeros(f.dim), a)
+    if isinstance(f, TubeFunction):
+        return TwoBallHullSet([0.0, 0.0], 1.0, [a, 0.0], 1.0)
+    assert isinstance(f, GaugeFunction)
+    return TwoBallHullSet([0.0, 0.0], a, [0.0, max(2.0 * a - 1.0, 0.0)], max(a - 1.0, 0.0))
+
+
 @pytest.mark.parametrize("eps", [None, 0.25])
 @pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2),
                                       ("gauge", 2),
                                       ("localized:tube:1.5,0:0.4", 2)])
 def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
-    # Every batched oracle (signed distance, projection, distance) against
-    # the per-row sublevel oracle.
+    # Every batched oracle (signed distance, projection, distance) and the
+    # sublevel view against an independent per-row reference set.
     f = get_function(name, dim=dim)
     if eps is not None:
         f = regularize(f, eps)
     top = f.level_hi if f.level_hi is not None else 2.0
     span = top - f.inf_value
-    localized = name.startswith("localized")
-    # The bottom level, three inside the window (for the gauge s = 0.6, 1 and
-    # 1.5: a ball, the transition and a proper hull) and one above the
-    # saturation level, where each class clamps. At its bottom level a
-    # localized sublevel set has no interior, so the reference oracle cannot
-    # be built there and the lowest level sits just above it.
-    bottom = f.inf_value + (1e-3 if localized else 0.0)
-    levels = (bottom,) + tuple(f.inf_value + c * span for c in (0.3, 0.5, 0.75)) \
+    # The bottom level (for the localization one point), three inside the
+    # window (for the gauge s = 0.6, 1 and 1.5: a ball, the transition and a
+    # proper hull) and one above the saturation level, where each class
+    # clamps.
+    levels = (f.inf_value,) + tuple(f.inf_value + c * span for c in (0.3, 0.5, 0.75)) \
         + (top + 0.5,)
     rng = split_rng(0, "level-signed", name, dim)
     lo, hi = f.level_bbox(top)
     alphas = np.repeat(levels, 30)
     pts = rng.uniform(lo - 0.5, hi + 0.5, size=(len(alphas), dim))
-    # The batched lens route finds the corners with a 1e-12 feasibility
-    # tolerance, so lens projections agree to about 1e-11.
-    gate = 1e-10 if localized else 1e-12
-    for batched, oracle in ((f.level_signed_distance, "signed_boundary_distance"),
-                            (f.level_project, "project"),
-                            (f.level_distance, "distance")):
-        want = np.array([getattr(f.sublevel(a), oracle)(p) for a, p in zip(alphas, pts)])
-        assert np.max(np.abs(batched(alphas, pts) - want)) <= gate, oracle
+    for oracle, batched in (("signed_boundary_distance", f.level_signed_distance),
+                            ("project", f.level_project),
+                            ("distance", f.level_distance),
+                            ("membership", None)):
+        want = np.array([getattr(_reference_sublevel(f, a), oracle)(p)
+                         for a, p in zip(alphas, pts)], dtype=float)
+        if batched is not None:
+            assert np.max(np.abs(batched(alphas, pts) - want)) <= 1e-12, oracle
+        got = np.array([getattr(f.sublevel(a), oracle)(p)
+                        for a, p in zip(alphas, pts)], dtype=float)
+        assert np.max(np.abs(got - want)) <= 1e-12, oracle
 
 
 @pytest.mark.parametrize("eps", [None, 0.2])
@@ -347,11 +387,18 @@ def test_localized_signed_distance_outside_is_the_distance(eps):
     r = h.delta + rng.uniform(0.0, 0.5, size=1000)
     pts = h.center + r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
     got = f.level_signed_distance(np.full(len(pts), level), pts)
-    want = np.array([float(f.sublevel(level).distance(p)) for p in pts])
+    want = np.linalg.norm(pts - f.level_project(level, pts), axis=1)
     outside = want > 0
     assert np.sum(outside) > 500
     assert np.max(np.abs(got[outside] - want[outside])) <= 1e-10
     assert np.all(got[~outside] <= 0.0)
+    # A point of the base sublevel 5e-11 outside the ball (angle 0.3 off the
+    # axis towards the origin): the lens accepts it as its own projection,
+    # yet its distance to the set is the 5e-11 to the ball.
+    x = h.center + (h.delta + 5e-11) * np.array([-np.cos(0.3), np.sin(0.3)])
+    gap = float(h.level_signed_distance(level, x[None, :])[0])
+    assert gap == pytest.approx(5e-11, abs=1e-15)
+    assert not h.sublevel(level).membership(x)
 
 
 def test_level_at_distance_terminates_at_large_levels():

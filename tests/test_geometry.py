@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweepdescent.errors import DegenerateNormal, EmptySample
@@ -262,6 +262,57 @@ def test_intersection_projection_matches_brute_force():
     p = half.project([0.5, 2.0])
     brute_x = 0.5 * 100.0 / np.hypot(0.5, 102.0)
     assert np.linalg.norm(p - [brute_x, -(brute_x**2) / 200]) < 1e-3
+    # A point of the first disk 5e-11 outside the second (angle 0.3 off the
+    # axis towards the origin) is 5e-11 from the lens, not on it.
+    lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet([1.2, 0.0], 1.0),
+                           interior_point=[0.6, 0.0])
+    x = np.array([1.2, 0.0]) + (1.0 + 5e-11) * np.array([-np.cos(0.3), np.sin(0.3)])
+    assert float(lens.signed_boundary_distance(x)) == pytest.approx(5e-11, abs=1e-15)
+    assert not lens.membership(x)
+
+
+def _unit_lens_projection(s, x):
+    """Closed-form projection onto the lens of the unit disks about (0, 0)
+    and (s, 0), 0 < s <= 2."""
+    b = np.array([s, 0.0])
+    pa = x / max(np.linalg.norm(x), 1.0)
+    pb = b + (x - b) / max(np.linalg.norm(x - b), 1.0)
+    if np.linalg.norm(x) <= 1.0 and np.linalg.norm(x - b) <= 1.0:
+        return x
+    if np.linalg.norm(pa - b) <= 1.0:
+        return pa
+    if np.linalg.norm(pb) <= 1.0:
+        return pb
+    h = np.sqrt(max(1.0 - s * s / 4.0, 0.0))
+    corners = np.array([[s / 2.0, h], [s / 2.0, -h]])
+    return corners[np.argmin(np.linalg.norm(corners - x, axis=1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1.9, 2.0), st.floats(0.0, 2.0 * np.pi),
+       st.lists(st.tuples(st.floats(-3.0, 5.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=8))
+@example(1.9999, 0.0, [(1.0, 0.5), (1.0, -3.0), (3.5, 0.2), (1.0, 0.0)])
+@example(1.9999, 1.0, [(1.0, 0.5), (1.0, -3.0), (1.87, -2.2e-6), (1.0, 0.0)])
+@example(2.0, 0.0, [(1.0, 0.5), (1.0, -3.0), (1.87, -2.2e-6), (0.5, 0.0)])
+@example(2.0, 1.0, [(1.0, 0.5), (1.0, -3.0), (1.87, -2.2e-6), (0.5, 0.0)])
+def test_lens_projection_matches_closed_form(s, phi, points):
+    # Thin lenses of unit disks whose centers are 1.9 to 2 apart, rotated by
+    # phi so the lens falls anywhere between the kernel's ring samples. The
+    # corners (s/2, +-h) have h = sqrt(1 - s^2/4); a feasibility test in
+    # floats places them to about 1e-16 / h, which stays below 1e-9 while
+    # h >= 1e-6 and reaches the 1.5e-8 square root of the float spacing at
+    # the tangency s = 2, where the lens is one point.
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet(rot @ [s, 0.0], 1.0),
+                           interior_point=[0.0, 0.0])
+    x = np.array(points)
+    want = np.array([_unit_lens_projection(s, p) for p in x]) @ rot.T
+    got = lens.project(x @ rot.T)
+    gate = 1e-9 if 1.0 - s * s / 4.0 >= 1e-12 else 5e-8
+    assert np.max(np.linalg.norm(got - want, axis=1)) <= gate
+    dist = np.linalg.norm(x @ rot.T - want, axis=1)
+    assert np.max(np.abs(lens.distance(x @ rot.T) - dist)) <= gate
 
 
 @pytest.mark.parametrize("level", [0.3, 0.43])
@@ -272,7 +323,11 @@ def test_dilated_lens_boundary_samples_lie_on_the_set(level):
     oracle = regularize(get_function("localized:tube:1.5,0:0.4"), 0.2).sublevel(level)
     pts = sample_boundary(oracle, 0.01).points
     assert len(pts) > 300
-    assert np.max(oracle.distance(pts)) <= 1e-12
+
+    def projection_distance(q):
+        return np.linalg.norm(q - oracle.project(q), axis=1)
+
+    assert np.max(projection_distance(pts)) <= 1e-12
     out = pts - oracle.interior_point
     out /= np.linalg.norm(out, axis=1, keepdims=True)
-    assert not np.any(oracle.membership(pts + 1e-9 * out))
+    assert np.all(projection_distance(pts + 1e-9 * out) > 0.0)
