@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, ReverseRefused, SweepDescentError, ThetaGuard)
+from .errors import (ConfigError, LevelUnderflow, ReverseRefused,
+                     SweepDescentError, ThetaGuard)
 from .functions import get_function
 from .geometry import _ray_boundary_points
 from .regularization import RegularizedFunction, regularize
@@ -234,6 +235,11 @@ def cmd_descend(config: ExperimentConfig) -> int:
     map_lip = config.map_lipschitz
     if config.reverse and map_lip is None:
         window = (max(alpha2 - config.T, f.inf_value + 1e-6), alpha2)
+        if not window[0] < window[1]:
+            raise LevelUnderflow(f"no level window below the start level {alpha2!r} for "
+                                 f"the reverse run's slope floor: it must lie above "
+                                 f"alpha2 - T = {alpha2 - config.T!r} and above inf f "
+                                 f"+ 1e-6, inf f = {f.inf_value!r}")
         floor = estimate_slope_floor(f, window, n_points=64, seed=config.seed)
         if floor <= 0:
             raise ConfigError("slope floor estimate is zero; supply --map-lipschitz")

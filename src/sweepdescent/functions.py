@@ -10,7 +10,9 @@ that forwards to those oracles at the fixed level alpha; no function builds
 its sublevel sets a second time. The gallery carries three entries: the
 Euclidean norm in any dimension, a tube-shaped function whose sublevel sets
 are capsules, and a two-disk gauge whose level sets degenerate in curvature
-near the level 1.
+near the level 1. Each maps its levels to two-ball hulls, level_hull(alphas)
+-> (r1, axis_len, r2) about the origin along hull_axis, which a localization
+cuts with its ball through geometry.ball_lens_project.
 """
 
 import warnings
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EmptySample, GridTooCoarse
 from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, _atleast_2d,
-                       _itp, _restore, ball_lens_project, dykstra,
+                       _axial_section, _itp, _restore, ball_lens_project,
                        hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
@@ -138,6 +140,10 @@ class NormFunction(QuasiconvexFunction):
         self.level_hi = None
         self.domain = FullSpaceSet(dim)
         self.default_window = (0.5, 1.5)
+        self.hull_axis = np.eye(dim)[0]
+
+    def level_hull(self, alphas):
+        return alphas, 0.0, alphas
 
     def level_bbox(self, alpha: float):
         return -alpha * np.ones(self.dim), alpha * np.ones(self.dim)
@@ -175,6 +181,10 @@ class TubeFunction(QuasiconvexFunction):
         self.level_hi = 3.0
         self.domain = self.sublevel(self.level_hi)
         self.default_window = (0.3, 1.7)
+        self.hull_axis = np.array([1.0, 0.0])
+
+    def level_hull(self, alphas):
+        return 1.0, np.minimum(alphas, self.level_hi), 1.0
 
     def level_bbox(self, alpha: float):
         t = self.clamp_level(alpha)
@@ -218,7 +228,7 @@ class GaugeFunction(QuasiconvexFunction):
     radius max(s - 1, 0) centered at (0, max(2s - 1, 0)): the ball of radius s
     for s <= 1, where the second disk lies inside the first, and a proper
     two-disk hull for s in (1, 2]. Every oracle maps the level to these hull
-    parameters per row and calls geometry.hull_section; eval and
+    parameters per row (level_hull) and calls geometry.hull_section; eval and
     level_at_distance are the generic root-find in s of the signed distance.
     The minimal internal curvature radius of the level boundary is s for
     s <= 1 and s - 1 above.
@@ -231,15 +241,15 @@ class GaugeFunction(QuasiconvexFunction):
         self.level_hi = 2.0
         self.domain = self.sublevel(self.level_hi)
         self.default_window = (1.2, 1.8)
+        self.hull_axis = np.array([0.0, 1.0])
 
-    @staticmethod
-    def _hull(s):
+    def level_hull(self, alphas):
         """Hull parameters (r1, axis_len, r2) of S(s) along the vertical axis."""
+        s = np.minimum(alphas, self.level_hi)
         return s, np.maximum(2.0 * s - 1.0, 0.0), np.maximum(s - 1.0, 0.0)
 
     def _section(self, alphas, pts):
-        s = np.minimum(alphas, self.level_hi)
-        return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self._hull(s))
+        return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas))
 
     def level_bbox(self, alpha: float):
         s = self.clamp_level(alpha)
@@ -260,6 +270,9 @@ class LocalizedFunction(QuasiconvexFunction):
 
     def __init__(self, base: QuasiconvexFunction, center, delta: float):
         center = np.asarray(center, dtype=float)
+        if not hasattr(base, "level_hull"):
+            raise ValueError(f"cannot localize {base.name}: its sublevel sets are not "
+                             "given as two-ball hulls (level_hull)")
         if center.shape != (base.dim,):
             raise ValueError(f"localization center {center.tolist()} needs {base.dim} "
                              f"coordinates for {base.name}")
@@ -325,15 +338,19 @@ class LocalizedFunction(QuasiconvexFunction):
     def level_project(self, alphas, points):
         """Projection onto per-row base sublevels cut by the indicator ball."""
         pts = np.asarray(points, dtype=float)
-        alphas = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
-                            self.level_hi)
+        hull = self.base.level_hull(np.minimum(np.asarray(alphas, dtype=float), self.level_hi))
         if self.dim == 2:
-            return ball_lens_project(
-                pts, self.ball,
-                lambda rows, p: self.base.level_project(alphas[rows], p),
-                lambda rows, p: self.base.level_signed_distance(alphas[rows], p))
-        return dykstra(lambda p: self.base.level_project(alphas, p),
-                       self.ball.project, pts)
+            return ball_lens_project(pts, self.ball, self.base.hull_axis, *hull)
+        # In d >= 3 the base is the norm: its balls about the origin make the
+        # set symmetric about the line through the center, so each point is
+        # projected in its (axial, radial) half-plane. Members stay put.
+        gap = float(np.linalg.norm(self.center))
+        axis = self.center / gap if gap > 0 else self.base.hull_axis
+        a, rho, w = _axial_section(pts, 0.0, axis)
+        sec = np.stack([a, rho], axis=1)
+        proj = ball_lens_project(sec, BallSet([gap, 0.0], self.delta), (1.0, 0.0), *hull)
+        return np.where(np.all(proj == sec, axis=1)[:, None], pts,
+                        proj[:, :1] * axis + proj[:, 1:] * w)
 
 
 @dataclass

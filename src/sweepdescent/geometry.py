@@ -6,10 +6,10 @@ distance derive from the signed distance, once, in ConvexSetOracle: a point
 is a member when its signed distance is at most the tolerance, and its
 distance is the positive part. Balls, dilations and hulls of two balls are
 exact in closed form; the hull math is one per-row kernel, hull_section,
-which the gallery functions also call with per-row parameters. Intersections
-with a ball in the plane are exact through ball_lens_project, whose one
-feasibility rule is a signed distance <= 0; other intersections use
-Dykstra's scheme. The signed distance of an intersection is exact on both
+which the gallery functions also call with per-row parameters. A plane hull
+cut by a ball (IntersectionSet, and every localized sublevel set) is exact
+through ball_lens_project, which takes its corners in closed form from the
+hull parameters. The signed distance of an intersection is exact on both
 sides of its boundary.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
@@ -24,9 +24,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateNormal, EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-TOL_PROJ = 1e-10
 BOUNDARY_TOL = 1e-7
-DYKSTRA_MAX_ITER = 10_000
 PROBE_STEP = 1e-5
 RAY_BLOCK = 8192
 
@@ -87,6 +85,7 @@ class BallSet(ConvexSetOracle):
         self.radius = float(radius)
         self.dim = self.center.shape[0]
         self.interior_point = self.center.copy()
+        self.hull = (self.center, np.eye(self.dim)[0], self.radius, 0.0, self.radius)
 
     def project(self, x):
         x2, single = _atleast_2d(x)
@@ -102,6 +101,23 @@ class BallSet(ConvexSetOracle):
         return _restore(np.linalg.norm(x2 - self.center, axis=1) - self.radius, single)
 
 
+def _hull_frame(r1, axis_len, r2):
+    """The upper tangent's outward normal (sin, cos); (1, 0) for a nested hull."""
+    nested = axis_len + r2 <= r1 + 1e-15
+    sin = np.where(nested, 1.0, (r1 - r2) / np.where(nested, 1.0, axis_len))
+    return sin, np.sqrt(np.maximum(1.0 - sin**2, 0.0))
+
+
+def _axial_section(x2, origin, axis):
+    """Axial coordinate, radial distance and radial unit of points about the
+    line origin + t * axis. Points on the line get a zero radial unit."""
+    rel = x2 - origin
+    a = rel @ axis
+    radial_vec = rel - a[:, None] * axis
+    rho = np.linalg.norm(radial_vec, axis=1)
+    return a, rho, radial_vec / np.where(rho > 0, rho, 1.0)[:, None]
+
+
 def hull_section(a, rho, r1, axis_len, r2):
     """Exact oracle of the hull of two disks in section coordinates, per row.
 
@@ -115,9 +131,7 @@ def hull_section(a, rho, r1, axis_len, r2):
     the segment. Returns the projection (pa, prho) and the signed boundary
     distance, negative inside.
     """
-    nested = axis_len + r2 <= r1 + 1e-15
-    sin = np.where(nested, 1.0, (r1 - r2) / np.where(nested, 1.0, axis_len))
-    cos = np.sqrt(np.maximum(1.0 - sin**2, 0.0))
+    sin, cos = _hull_frame(r1, axis_len, r2)
     k = cos * a - sin * rho
     d1 = np.hypot(a, rho)
     d2 = np.hypot(a - axis_len, rho)
@@ -154,27 +168,18 @@ class TwoBallHullSet(ConvexSetOracle):
         # Coincident centers make the hull ball 1, where any axis serves.
         self.axis = (c2 - c1) / self.axis_len if self.axis_len > 0 else np.eye(self.dim)[0]
         self.interior_point = self.c1.copy()
-
-    def _section(self, x2):
-        """Split points into axial coordinate, radial coordinate, radial unit."""
-        rel = x2 - self.c1
-        a = rel @ self.axis
-        radial_vec = rel - a[:, None] * self.axis
-        rho = np.linalg.norm(radial_vec, axis=1)
-        # Exactly axial points get a zero radial unit; their radial part is 0.
-        w = radial_vec / np.where(rho > 0, rho, 1.0)[:, None]
-        return a, rho, w
+        self.hull = (self.c1, self.axis, self.r1, self.axis_len, self.r2)
 
     def project(self, x):
         x2, single = _atleast_2d(x)
-        a, rho, w = self._section(x2)
+        a, rho, w = _axial_section(x2, self.c1, self.axis)
         pa, prho, signed = hull_section(a, rho, self.r1, self.axis_len, self.r2)
         out = self.c1 + pa[:, None] * self.axis + prho[:, None] * w
         return _restore(np.where((signed > 0)[:, None], out, x2), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
-        a, rho, _ = self._section(x2)
+        a, rho, _ = _axial_section(x2, self.c1, self.axis)
         return _restore(hull_section(a, rho, self.r1, self.axis_len, self.r2)[2], single)
 
 
@@ -205,110 +210,81 @@ class DilatedSet(ConvexSetOracle):
         return _restore(self.base.signed_boundary_distance(x2) - self.eps, single)
 
 
-def ball_lens_project(x2: np.ndarray, ball: "BallSet", row_project, row_signed,
-                      n_theta: int = 96):
-    """Exact 2d projection onto (convex set A) intersect (ball), batched.
+def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
+    """Exact 2d projection onto (two-ball hull) intersect (ball), batched.
 
-    The per-row set A is reached through its projection and signed distance,
-    callables taking (row_indices, pts); a point is feasible for A where that
-    signed distance is <= 0. The projection is x itself, A's projection of x
-    (if inside the ball), the ball's projection (if inside A), or the nearer
-    crossing point of the two boundaries, found by bisecting sign changes of
-    A-feasibility along the ball circle. A row whose ring scan sees no
-    feasible point takes the deepest circle point: a feasible arc shorter
-    than the ring spacing has its crossings within one spacing of it, and
-    otherwise the circle only touches A there (tangency).
+    Row i's hull is hull_section's (r1, axis_len, r2)[i], broadcast over the
+    rows, about the origin along the unit vector axis; no oracle of the
+    hull's function is called. The projection is x itself, the hull's
+    projection of x (if inside the ball), the ball's projection (if inside the
+    hull), or else a corner of the lens (_lens_corners).
     """
-    m = len(x2)
-    rows = np.arange(m)
-    best = np.full((m, 2), np.nan)
-
-    inside = (np.asarray(row_signed(rows, x2)) <= 0.0) & np.asarray(ball.membership(x2))
-    best[inside] = x2[inside]
+    r1, axis_len, r2 = (np.broadcast_to(np.asarray(p, dtype=float), (len(x2),))
+                        for p in (r1, axis_len, r2))
+    # Complex coordinates in hull_section's frame, where the axis is real.
+    turn = complex(*axis).conjugate()
+    z = (x2[:, 0] + 1j * x2[:, 1]) * turn
+    c, big_r = complex(*ball.center) * turn, ball.radius
 
     # When one set's own projection is feasible for the other it is already
     # the metric projection of the intersection; only the remaining rows
-    # (facing a corner wedge) need boundary-crossing candidates.
-    pa = np.asarray(row_project(rows, x2))
-    va = ~inside & np.asarray(ball.membership(pa))
-    best[va] = pa[va]
-    pb = np.asarray(ball.project(x2))
-    vb = ~inside & ~va & (np.asarray(row_signed(rows, pb)) <= 0.0)
+    # (facing a corner wedge) need the corners.
+    pa, prho, signed = hull_section(z.real, np.abs(z.imag), r1, axis_len, r2)
+    best = pa + 1j * np.copysign(prho, z.imag)
+    va = np.abs(best - c) <= big_r
+    gap = np.abs(z - c)
+    pb = c + (z - c) * np.where(gap > big_r, big_r / np.maximum(gap, 1e-300), 1.0)
+    vb = ~va & (hull_section(pb.real, np.abs(pb.imag), r1, axis_len, r2)[2] <= 0.0)
     best[vb] = pb[vb]
-
-    open_rows = np.flatnonzero(~(inside | va | vb))
-    if not len(open_rows):
-        return best
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    gap = 2.0 * np.pi / n_theta
-
-    def ring(th):
-        return ball.center + ball.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    k = len(open_rows)
-    ring_pts = np.broadcast_to(ring(theta), (k, n_theta, 2)).reshape(-1, 2)
-    signed_ring = np.asarray(
-        row_signed(np.repeat(open_rows, n_theta), ring_pts)).reshape(k, n_theta)
-    feas = signed_ring <= 0.0
-    sub_i, flip_j = np.nonzero(feas != np.roll(feas, -1, axis=1))
-    flip_r = open_rows[sub_i]
-    th_in = theta[flip_j] + np.where(feas[sub_i, flip_j], 0.0, gap)
-    th_out = theta[flip_j] + np.where(feas[sub_i, flip_j], gap, 0.0)
-
-    missing = np.setdiff1d(np.arange(k), sub_i)
-    if len(missing):
-        # Ternary search for the deepest circle point near the best sample.
-        sub = open_rows[missing]
-        j = np.argmin(signed_ring[missing], axis=1)
-        lo, hi = theta[j] - gap, theta[j] + gap
-        for _ in range(60):
-            t1 = lo + (hi - lo) / 3.0
-            t2 = hi - (hi - lo) / 3.0
-            take = np.asarray(row_signed(sub, ring(t1))) < np.asarray(row_signed(sub, ring(t2)))
-            hi = np.where(take, t2, hi)
-            lo = np.where(take, lo, t1)
-        th = 0.5 * (lo + hi)
-        depth = np.asarray(row_signed(sub, ring(th)))
-        if float(np.max(depth)) > 1e-6:
-            raise NonConvergence("lens projection found no feasible point")
-        arc = depth < 0.0
-        best[sub[~arc]] = ring(th[~arc])
-        flip_r = np.concatenate([flip_r, sub[arc], sub[arc]])
-        th_in = np.concatenate([th_in, th[arc], th[arc]])
-        th_out = np.concatenate([th_out, th[arc] - gap, th[arc] + gap])
-
-    for _ in range(46):
-        mid = 0.5 * (th_in + th_out)
-        ok = np.asarray(row_signed(flip_r, ring(mid))) <= 0.0
-        th_in = np.where(ok, mid, th_in)
-        th_out = np.where(ok, th_out, mid)
-    corners = ring(th_in)
-    # Farthest first, so each row keeps its nearest corner (the last write).
-    order = np.argsort(np.linalg.norm(x2[flip_r] - corners, axis=1))[::-1]
-    best[flip_r[order]] = corners[order]
-    return best
+    rows = np.flatnonzero(~(va | vb))
+    if len(rows):
+        best[rows] = _lens_corners(z[rows], c, big_r, r1[rows], axis_len[rows], r2[rows])
+    best = best * turn.conjugate()
+    return np.where(((signed <= 0.0) & va)[:, None], x2,
+                    np.stack([best.real, best.imag], axis=1))
 
 
-def dykstra(project_a, project_b, x2):
-    """Projection onto A intersect B by Dykstra's alternating projections.
+def _lens_corners(z, c, big_r, r1, axis_len, r2):
+    """The nearest crossing of the circle |w - c| = big_r with the hull's
+    boundary per row, in complex coordinates of hull_section's frame.
 
-    Plain alternating projections only reach a feasible point, which breaks
-    the nonexpansiveness and distance contracts, so the correction terms are
-    required. Stops once no row moves by TOL_PROJ in one sweep.
+    A crossing with a disk's circle lies in that disk, so in the lens; one
+    with a tangent line counts only where hull_section's coordinate k puts it
+    on the segment. A row facing a corner wedge projects to a corner, the
+    nearest of these lens points. Circles that miss by at most 1e-14 of the
+    scale are tangent; a row with no crossing raises EmptySample. Half chords
+    are products of factors, h^2 = (r + R - D)(D + r - R)(D - r + R)(D + r + R)
+    / 4D^2, so thin lenses keep their corners.
     """
-    y = x2.copy()
-    p = np.zeros_like(x2)
-    q = np.zeros_like(x2)
-    prev = None
-    for _ in range(DYKSTRA_MAX_ITER):
-        u = project_a(y + p)
-        p = y + p - u
-        y = project_b(u + q)
-        q = u + q - y
-        if prev is not None and float(np.max(np.linalg.norm(y - prev, axis=1))) < TOL_PROJ:
-            return y
-        prev = y.copy()
-    raise NonConvergence("Dykstra projection did not reach tolerance")
+    sin, cos = _hull_frame(r1, axis_len, r2)
+    tol = 1e-14 * (r1 + axis_len + big_r + np.abs(c))
+    cands, valid = [], []
+    for p, r in ((0.0, r1), (axis_len, r2)):
+        dist = np.abs(c - p)
+        f1, f2, f3 = r + big_r - dist, dist + r - big_r, dist - r + big_r
+        meets = (np.minimum(np.minimum(f1, f2), f3) >= -tol) & (dist > 0)
+        dist = np.where(dist > 0, dist, 1.0)
+        f1, f2, f3 = (np.maximum(f, 0.0) for f in (f1, f2, f3))
+        h = np.sqrt(f1 * f2 * f3 * (dist + r + big_r)) / (2.0 * dist)
+        e = (c - p) / dist
+        foot = p + (r - f1 * f3 / (2.0 * dist)) * e
+        cands += [foot + 1j * h * e, foot - 1j * h * e]
+        valid += [meets, meets]
+    for sgn in (1.0, -1.0):  # the upper and the lower tangent line
+        n = sin + 1j * sgn * cos  # outward normal
+        t = -1j * sgn * n  # along the segment, away from disk 1
+        off = (c * n.conjugate()).real - r1
+        h = np.sqrt(np.maximum(big_r - off, 0.0) * np.maximum(big_r + off, 0.0))
+        for q in (c - off * n + h * t, c - off * n - h * t):
+            k = (q * t.conjugate()).real
+            cands.append(q)
+            valid.append((big_r - np.abs(off) >= -tol) & (k >= 0.0) & (k <= cos * axis_len))
+    cands = np.stack(cands, axis=1)
+    gap = np.where(np.stack(valid, axis=1), np.abs(cands - z[:, None]), np.inf)
+    j = np.argmin(gap, axis=1)
+    if not np.all(np.isfinite(gap[np.arange(len(z)), j])):
+        raise EmptySample("the ball misses the hull: the lens is empty")
+    return cands[np.arange(len(z)), j]
 
 
 def intersection_signed_distance(x2, sa, sb, project):
@@ -318,8 +294,7 @@ def intersection_signed_distance(x2, sa, sb, project):
     depths, but outside it only bounds the distance from below near the corner
     wedges. Outside rows therefore take the distance to project(rows, points),
     the projection onto the intersection, and never less than max(sa, sb),
-    the distance to the nearer of the two sets: an approximate projection
-    (Dykstra stops at TOL_PROJ) cannot pull it below that bound.
+    the distance to the nearer of the two sets.
     """
     signed = np.maximum(np.asarray(sa, dtype=float), np.asarray(sb, dtype=float))
     out = np.flatnonzero(signed > 0)
@@ -330,15 +305,15 @@ def intersection_signed_distance(x2, sa, sb, project):
 
 
 class IntersectionSet(ConvexSetOracle):
-    """Intersection of two convex oracles.
-
-    In the plane, when the second set is a ball, the projection is computed
-    exactly from boundary candidates (ball_lens_project); otherwise by
-    Dykstra's scheme.
-    """
+    """A plane two-ball hull cut by a plane ball, projected by ball_lens_project
+    on the first set's hull = (origin, axis, r1, axis_len, r2), which BallSet
+    and TwoBallHullSet carry."""
 
     def __init__(self, first: ConvexSetOracle, second: ConvexSetOracle,
                  interior_point=None):
+        if not (hasattr(first, "hull") and isinstance(second, BallSet)
+                and first.dim == second.dim == 2):
+            raise ValueError("an intersection is a plane two-ball hull cut by a plane BallSet")
         self.first = first
         self.second = second
         self.dim = first.dim
@@ -348,14 +323,10 @@ class IntersectionSet(ConvexSetOracle):
 
     def project(self, x):
         x2, single = _atleast_2d(x)
-        if self.dim == 2 and isinstance(self.second, BallSet):
-            out = ball_lens_project(
-                x2, self.second,
-                lambda rows, pts: self.first.project(pts),
-                lambda rows, pts: self.first.signed_boundary_distance(pts))
-        else:
-            out = dykstra(self.first.project, self.second.project, x2)
-        return _restore(out, single)
+        origin, axis, r1, axis_len, r2 = self.first.hull
+        rel, ball = x2 - origin, BallSet(self.second.center - origin, self.second.radius)
+        p = ball_lens_project(rel, ball, axis, r1, axis_len, r2)
+        return _restore(np.where(np.all(p == rel, axis=1)[:, None], x2, origin + p), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)

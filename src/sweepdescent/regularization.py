@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateDirection, DomainError, OutOfReach
+from .errors import DegenerateDirection, DomainError, EmptySample, OutOfReach
 from .functions import QuasiconvexFunction, slope_values
 from .geometry import (DilatedSet, _atleast_2d, outward_normals,
                        sample_boundary)
@@ -41,7 +41,12 @@ class RegularizedFunction(QuasiconvexFunction):
         return self.base.level_at_distance(x, self.eps)
 
     def level_interior_point(self, alpha: float) -> np.ndarray:
-        return self.base.level_interior_point(alpha)
+        """The base's interior point, or where it has none (a localization's
+        bottom level) a point of the base set, the center of an eps-ball."""
+        try:
+            return self.base.level_interior_point(alpha)
+        except EmptySample:
+            return self.base.level_project(alpha, self.base.domain.interior_point[None, :])[0]
 
     def level_bbox(self, alpha: float):
         lo, hi = self.base.level_bbox(self.base.clamp_level(alpha))

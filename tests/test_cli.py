@@ -283,22 +283,45 @@ LOCALIZED = "localized:tube:1.5,0:0.4"
      0, "0.2"),
     (["descend", "--function", LOCALIZED, "--x0", "1.1,0", "--T", "0.5"], 3,
      "numerical failure: level window reaches the infimum of the function\n"),
-    # Sampling the start boundary needs an interior point, which the bottom
-    # level set of the localization does not have.
+    # The dilation of that one-point set is the 0.2-disk around (1.1, 0),
+    # whose center is its interior point: the grid sits on the circle.
     (["foliate", "--function", LOCALIZED, "--epsilon", "0.2",
-      "--alpha2", "0.10000000000000009", "--T", "0"], 3,
-     f"numerical failure: no interior point of the level-0.1 set of {LOCALIZED}\n"),
+      "--alpha2", "0.10000000000000009", "--T", "0"], 0, "0.2"),
     (["foliate", "--function", LOCALIZED, "--epsilon", "0.2", "--alpha2", "0.1", "--T", "0"],
      2, f"config error: the level-0.1 sublevel set of {LOCALIZED}~0.2 is empty: "
         "inf f = 0.10000000000000009\n"),
+    # A reverse run from the bottom level has no level window for its slope
+    # floor estimate; it stops before sampling one.
+    (["descend", "--function", LOCALIZED, "--epsilon", "0.2", "--x0", "1.1,0", "--T", "0.3",
+      "--k", "10", "--reverse"], 3,
+     "numerical failure: no level window below the start level 0.10000000000000009 for "
+     "the reverse run's slope floor: it must lie above alpha2 - T = -0.1999999999999999 "
+     "and above inf f + 1e-6, inf f = 0.10000000000000009\n"),
 ])
 def test_localized_bottom_level_outcomes(tmp_path, capsys, args, code, message):
     assert run(tmp_path, *args) == code
-    if code == 0:
+    if code == 0 and args[0] == "descend":
         rows = (tmp_path / "forward.csv").read_text().splitlines()[2:]
         assert len(rows) == 1 and rows[0].split(",")[-1] == message
         message = ""
+    elif code == 0:
+        # foliate's index: one row per grid point, columns m0, m1 after the name
+        rows = [r.split(",") for r in (tmp_path / "index.csv").read_text().splitlines()[2:]]
+        grid = np.array([[float(r[1]), float(r[2])] for r in rows])
+        radii = np.linalg.norm(grid - [1.1, 0.0], axis=1)
+        assert len(grid) == 16 and np.max(np.abs(radii - float(message))) <= 1e-12
+        message = ""
     assert capsys.readouterr().err == message
+
+
+def test_localized_norm3_descend_to_near_the_bottom_level(tmp_path, capsys):
+    # f = |x| on the 0.4-ball about (1, 0, 0), inf f = 0.6: the run ends
+    # 6e-5 above the bottom level, where the lens of the two balls is thin.
+    assert run(tmp_path, "descend", "--function", "localized:norm:1,0,0:0.4", "--dim", "3",
+               "--x0", "1.2,0.1,0", "--T", "0.6041", "--k", "50") == 0
+    out = capsys.readouterr().out
+    line = next(r for r in out.splitlines() if r.startswith("value-decay residual: "))
+    assert float(line.partition(": ")[2]) <= 1e-12
 
 
 @pytest.mark.parametrize("args,message", [

@@ -167,8 +167,9 @@ def test_localized_name_roundtrip(norm):
 def test_localized_bottom_level_set_is_one_point(tube):
     # At inf_value the ball touches the base's level-0.1 capsule in the one
     # point (1.1, 0). The set's projection and distance work (to the 1e-8
-    # that a tangency allows); it has no interior, so sampling its boundary,
-    # or that of its dilation, raises EmptySample.
+    # that a tangency allows); it has no interior, so sampling its boundary
+    # raises EmptySample. Its dilation is the eps-disk around that point,
+    # whose center serves as the dilation's interior point.
     h = localize(tube, [1.5, 0.0], 0.4)
     oracle = h.sublevel(h.inf_value)
     pts = np.array([[3.0, 0.0], [1.1, 2.0], [0.0, 0.0], [1.5, 0.3]])
@@ -177,10 +178,35 @@ def test_localized_bottom_level_set_is_one_point(tube):
     assert np.max(np.abs(oracle.distance(pts) - want)) <= 1e-7
     with pytest.raises(EmptySample):
         sample_boundary(oracle, 0.01)
-    with pytest.raises(EmptySample):
-        sample_boundary(regularize(h, 0.2).sublevel(h.inf_value), 0.01)
+    dilated = regularize(h, 0.2).sublevel(h.inf_value)
+    assert np.max(np.abs(dilated.interior_point - [1.1, 0.0])) <= 1e-7
+    circle = sample_boundary(dilated, 0.01).points
+    assert np.max(np.abs(np.linalg.norm(circle - [1.1, 0.0], axis=1) - 0.2)) <= 1e-7
     with pytest.raises(ValueError):
         h.sublevel(np.nextafter(h.inf_value, 0.0))
+
+
+def test_localized_norm3_projection_is_feasible_near_the_bottom_level():
+    # The 3-d lens of two balls, projected in each point's (axial, radial)
+    # half-plane, at the bottom level (one point) and just above it.
+    h = get_function("localized:norm:1,0.5,0:0.6", dim=3)
+    x = h.center + split_rng(0, "norm3-bottom").uniform(-1.5, 1.5, size=(500, 3))
+    for frac in (0.0, 1e-6, 1e-3):
+        level = h.inf_value + frac * (h.level_hi - h.inf_value)
+        p = h.level_project(level, x)
+        assert np.max(h.base.level_signed_distance(level, p)) <= 1e-12
+        assert np.max(h.ball.signed_boundary_distance(p)) <= 1e-12
+
+
+def test_lens_constructors_reject_other_sets():
+    # A localization cuts its base's two-ball hull with its ball, and an
+    # intersection is a plane two-ball hull cut by a plane ball.
+    with pytest.raises(ValueError):
+        localize(regularize(get_function("tube"), 0.2), [1.5, 0.0], 0.4)
+    with pytest.raises(ValueError):
+        IntersectionSet(DilatedSet(BallSet([0.0, 0.0], 1.0), 0.1), BallSet([1.0, 0.0], 0.5))
+    with pytest.raises(ValueError):
+        IntersectionSet(BallSet([0.0, 0.0, 0.0], 1.0), BallSet([1.0, 0.0, 0.0], 0.5))
 
 
 def test_one_sublevel_constructor_and_one_membership_rule():

@@ -331,3 +331,117 @@ def test_dilated_lens_boundary_samples_lie_on_the_set(level):
     out = pts - oracle.interior_point
     out /= np.linalg.norm(out, axis=1, keepdims=True)
     assert np.all(projection_distance(pts + 1e-9 * out) > 0.0)
+
+
+def _two_disk_hull_gap(pts, c1, r1, c2, r2):
+    """min over t in [0, 1] of |x - c(t)| - r(t), where c(t) and r(t)
+    interpolate the two balls. The hull of two balls is the union of the
+    balls B(c(t), r(t)), and the map is convex in t, so a ternary search finds
+    its minimum: negative inside the hull, the distance to it outside."""
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+
+    def g(t):
+        centers = (1.0 - t)[:, None] * c1 + t[:, None] * c2
+        return np.linalg.norm(pts - centers, axis=1) - ((1.0 - t) * r1 + t * r2)
+
+    lo, hi = np.zeros(len(pts)), np.ones(len(pts))
+    for _ in range(100):
+        t1, t2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        left = g(t1) <= g(t2)
+        lo, hi = np.where(left, lo, t1), np.where(left, t2, hi)
+    return np.minimum.reduce([g(lo), g(np.zeros(len(pts))), g(np.ones(len(pts)))])
+
+
+def _assert_is_lens_projection(x, p, hull, center, radius):
+    """p = P(x) onto hull(B(c1, r1), B(c2, r2)) cut by B(center, radius),
+    checked without the lens kernel: p lies in both sets, and
+    <x - p, y - p> <= 0 for a sample y of the three spheres' points in the
+    lens, whose limits include every extreme point of the lens. The sample is
+    uniform plus directions scattered around each p at angular scales from
+    1e-8 to 1, so thin lenses are sampled too; every y is kept only where the
+    membership tests above accept it."""
+    c1, r1, c2, r2 = hull
+    center = np.asarray(center, dtype=float)
+    assert np.max(_two_disk_hull_gap(p, *hull)) <= 1e-12
+    assert np.max(np.linalg.norm(p - center, axis=1) - radius) <= 1e-12
+    rng = split_rng(0, "lens-sample", len(center))
+    ys = []
+    for c, r in ((c1, r1), (c2, r2), (center, radius)):
+        u = p - np.asarray(c, dtype=float)
+        dirs = [unit_directions(rng, 4000, len(center))]
+        for scale in np.logspace(-8.0, 0.0, 9):
+            d = u + scale * np.linalg.norm(u, axis=1, keepdims=True) * rng.normal(size=u.shape)
+            dirs.append(d / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300))
+        ys.append(np.asarray(c) + r * np.vstack(dirs))
+    ys = np.vstack(ys)
+    ys = ys[(_two_disk_hull_gap(ys, *hull) <= 0.0)
+            & (np.linalg.norm(ys - center, axis=1) <= radius)]
+    assert len(ys) > 100
+    v = x - p
+    for rows in np.array_split(np.arange(len(x)), 8):
+        vi = np.max(v[rows] @ ys.T, axis=1) - np.einsum("ij,ij->i", v[rows], p[rows])
+        assert np.max(vi) <= 1e-12
+
+
+def _gallery_hull(name, dim, alpha):
+    """The gallery's alpha-sublevel set as (c1, r1, c2, r2), written out."""
+    zero = np.zeros(dim)
+    if name == "tube":
+        a = min(alpha, 3.0)
+        return zero, 1.0, np.array([a, 0.0]), 1.0
+    if name == "gauge":
+        s = min(alpha, 2.0)
+        return zero, s, np.array([0.0, max(2.0 * s - 1.0, 0.0)]), max(s - 1.0, 0.0)
+    return zero, alpha, zero, alpha
+
+
+def _rotation(phi):
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
+# (hull, ball center, ball radius) in the plane, with where the corners lie.
+LENS_CASES = {
+    # capsules: corners on the upper tangent segment, also off the origin
+    # along a slanted axis
+    "capsule-segment": (([0.0, 0.0], 1.0, [2.0, 0.0], 1.0), [1.0, 1.1], 0.4),
+    "capsule-slanted": (([0.3, -0.2], 1.0, [1.5, 1.4], 1.0), [0.02, 1.26], 0.4),
+    # gauge hulls: s = 0.6 (a ball, disk 2 nested), s = 1.5 with corners on
+    # arc 2 and on the right tangent segment
+    "gauge-0.6": (([0.0, 0.0], 0.6, [0.0, 0.2], 0.0), [0.5, 0.3], 0.3),
+    "gauge-1.5-arc2": (([0.0, 0.0], 1.5, [0.0, 2.0], 0.5), [0.3, 2.4], 0.35),
+    "gauge-1.5-segment": (([0.0, 0.0], 1.5, [0.0, 2.0], 0.5), [0.953, 1.55], 0.4),
+    # a ball cut by a ball, and a lens of unit disks 1e-6 short of tangency
+    "ball": (([0.0, 0.0], 1.0, [0.0, 0.0], 1.0), [1.2, 0.5], 0.6),
+    "near-tangent": (([0.0, 0.0], 1.0, [0.0, 0.0], 1.0),
+                     _rotation(0.7) @ [2.0 - 1e-6, 0.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENS_CASES))
+def test_intersection_projection_satisfies_the_projection_inequality(case):
+    (c1, r1, c2, r2), center, radius = LENS_CASES[case]
+    hull = TwoBallHullSet(c1, r1, c2, r2) if r2 > 0 else BallSet(c1, r1)
+    lens = IntersectionSet(hull, BallSet(center, radius), interior_point=center)
+    rng = split_rng(0, "lens-projection", case)
+    x = np.asarray(center) + rng.uniform(-1.5, 1.5, size=(300, 2))
+    _assert_is_lens_projection(x, lens.project(x), (c1, r1, c2, r2), center, radius)
+
+
+@pytest.mark.parametrize("name,dim,fractions", [
+    ("localized:tube:1.5,0:0.4", 2, (1e-6, 0.3, 0.7)),
+    ("localized:gauge:0.3,2.3:0.35", 2, (1e-6, 0.4, 0.8)),
+    ("localized:gauge:0.4,0.2:0.3", 2, (1e-6, 0.5)),
+    ("localized:norm:2,0:0.5", 2, (1e-6, 0.5)),
+    ("localized:norm:1,0.5,0:0.6", 3, (1e-6, 1e-3, 0.5)),
+])
+def test_localized_projection_satisfies_the_projection_inequality(name, dim, fractions):
+    # Near-tangent levels (1e-6 of the level span above inf f) have thin
+    # lenses; the gauge entries cut hulls with s > 1 (corners on arc 2) and
+    # balls (s < 1).
+    f = get_function(name, dim=dim)
+    rng = split_rng(0, "localized-projection", name)
+    for frac in fractions:
+        level = f.inf_value + frac * (f.level_hi - f.inf_value)
+        x = f.center + rng.uniform(-1.5, 1.5, size=(300, dim))
+        hull = _gallery_hull(name.split(":")[1], dim, level)
+        _assert_is_lens_projection(x, f.level_project(level, x), hull, f.center, f.delta)
