@@ -17,6 +17,7 @@ shape (n, d) and return the matching shape.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -464,8 +465,14 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
     point is not strictly inside (an empty interior) raises EmptySample.
 
     d = 2 uses a deterministic angular sweep sized from a coarse perimeter
-    estimate; d >= 3 uses seeded sphere directions. Duplicates closer than
-    resolution / 2 are rejected.
+    estimate. d = 3 uses a spherical Fibonacci lattice (Swinbank & Purser,
+    QJRMS 2006; Gonzalez, Math. Geosci. 2010) and ignores the seed: one ray
+    per 2 * resolution^2 of the sphere of radius r_max, the largest exit of a
+    128-point lattice, or ceil(2 pi (r_max / resolution)^2) rays, which cover
+    a round set within about resolution. d >= 4 uses seeded sphere
+    directions. The ray count is capped at max_points (capped is then True).
+    Exits closer than resolution / 2 are thinned to the canonical maximal set
+    of _dedupe.
     """
     dim = oracle.dim
     if dim == 2:
@@ -477,26 +484,45 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
         angles = np.linspace(0.0, 2 * np.pi, count + 1)[:-1]
         pts = _ray_boundary_points(oracle, np.stack([np.cos(angles), np.sin(angles)], axis=1))
     else:
-        rng = split_rng(seed, "boundary", dim)
-        coarse = _ray_boundary_points(oracle, unit_directions(rng, 128, dim))
+        directions = (_fibonacci_directions if dim == 3 else
+                      partial(unit_directions, split_rng(seed, "boundary", dim), dim=dim))
+        coarse = _ray_boundary_points(oracle, directions(128))
         r_max = float(np.max(np.linalg.norm(coarse - oracle.interior_point, axis=1)))
         # Shave 1e-12 relative before the ceiling, so a count that sits on an
         # integer does not move with the last bit of r_max.
-        count = int(np.ceil((4.0 * r_max / resolution) ** (dim - 1) * (1.0 - 1e-12))) + 64
+        if dim == 3:
+            count = int(np.ceil(2.0 * np.pi * (r_max / resolution) ** 2 * (1.0 - 1e-12)))
+        else:
+            count = int(np.ceil((4.0 * r_max / resolution) ** (dim - 1) * (1.0 - 1e-12))) + 64
         capped, count = count > max_points, min(count, max_points)
-        pts = _ray_boundary_points(oracle, unit_directions(rng, count, dim))
+        pts = _ray_boundary_points(oracle, directions(count))
 
     keep = _dedupe(pts, resolution / 2.0)
     return BoundarySample(points=pts[keep], resolution=resolution, capped=capped)
 
 
+def _fibonacci_directions(n):
+    """n unit vectors of the spherical Fibonacci lattice: z_i = 1 - (2i+1)/n,
+    longitude i * pi * (3 - sqrt(5))."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    rho = np.sqrt(1.0 - z * z)
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
 def _dedupe(pts, min_gap):
-    tree = cKDTree(pts)
-    keep = np.ones(len(pts), dtype=bool)
-    for i, j in tree.query_pairs(min_gap):
-        if keep[i] and keep[j]:
-            keep[max(i, j)] = False
-    return keep
+    """Mask of the lexicographically first maximal independent set of the
+    graph joining points closer than min_gap: each point in index order is
+    kept unless a kept point of lower index lies within min_gap, so every
+    dropped point has a kept one within min_gap."""
+    pairs = cKDTree(pts).query_pairs(min_gap, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    keep = [True] * len(pts)
+    for i, j in pairs.tolist():
+        if keep[i]:
+            keep[j] = False
+    return np.array(keep, dtype=bool)
 
 
 def outward_normal(oracle: ConvexSetOracle, point, probe: float = PROBE_STEP,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MissingConstants
+from .errors import DomainError, MissingConstants, SweepDescentError
 from .functions import (LocalizedFunction, QuasiconvexFunction,
                         limiting_slope, localize, slope_values)
 from .geometry import _atleast_2d, sample_boundary
@@ -203,7 +203,7 @@ def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
             radius = float(np.max(np.linalg.norm(
                 sample.points - oracle.interior_point, axis=1)))
             bounded &= np.isfinite(radius)
-        except Exception:
+        except SweepDescentError:
             bounded = False
         depths.append(-float(oracle.signed_boundary_distance(oracle.interior_point)))
     h1 = CheckResult(

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateNormal, EmptySample
-from sweepdescent.functions import get_function
+from sweepdescent.functions import get_function, localize
 from sweepdescent.geometry import (RAY_BLOCK, BallSet, DilatedSet,
-                                   IntersectionSet, TwoBallHullSet, _itp,
-                                   _ray_block, _ray_boundary_points,
-                                   outward_normal, sample_boundary)
+                                   IntersectionSet, TwoBallHullSet, _dedupe,
+                                   _fibonacci_directions, _itp, _ray_block,
+                                   _ray_boundary_points, outward_normal,
+                                   sample_boundary)
+from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 
 from conftest import dense_boundary_nearest
@@ -142,7 +145,6 @@ def test_boundary_sample_spacing_and_accuracy():
     sample = sample_boundary(UNIT_DISK, 0.05, seed=3)
     radii = np.linalg.norm(sample.points, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
-    from scipy.spatial import cKDTree
     gaps = cKDTree(sample.points).query(sample.points, k=2)[0][:, 1]
     assert np.min(gaps) > 0.05 / 2
     assert not sample.capped
@@ -155,8 +157,99 @@ def test_boundary_sample_dimension_3():
     radii = np.linalg.norm(sample.points, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
     assert len(sample) > 50 and not sample.capped
-    capped = sample_boundary(ball, 0.2, seed=5, max_points=300)
-    assert capped.capped and len(capped) <= 300
+    capped = sample_boundary(ball, 0.2, seed=5, max_points=100)
+    assert capped.capped and len(capped) <= 100
+
+
+def _greedy_by_index(pts, min_gap):
+    """Reference: keep each point unless a kept point of lower index is
+    closer than min_gap, by brute-force distances."""
+    kept = []
+    for i, p in enumerate(pts):
+        if all(np.linalg.norm(pts[k] - p) > min_gap for k in kept):
+            kept.append(i)
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[kept] = True
+    return keep
+
+
+def _dedupe_clouds():
+    rng = split_rng(0, "dedupe")
+    t = np.linspace(0.0, 1.0, 400)
+    yield rng.uniform(0.0, 1.0, size=(600, 2)), 0.05
+    yield rng.uniform(0.0, 1.0, size=(600, 3)), 0.12
+    # chains: points spaced below the gap, where dropping the larger index of
+    # every close pair drops points whose only close neighbours are dropped
+    yield np.stack([t, np.zeros_like(t)], axis=1), 0.004
+    yield rng.permutation(np.stack([np.cos(6 * t), np.sin(6 * t)], axis=1)), 0.02
+    yield rng.normal(size=(300, 2)) * 0.01 + rng.integers(0, 4, size=(300, 1)), 0.01
+
+
+@pytest.mark.parametrize("pts,min_gap", list(_dedupe_clouds()),
+                         ids=["plane", "space", "line-chain", "circle-chain", "clusters"])
+def test_dedupe_is_the_greedy_maximal_set(pts, min_gap):
+    keep = _dedupe(pts, min_gap)
+    assert np.array_equal(keep, _greedy_by_index(pts, min_gap))
+    kept, dropped = pts[keep], pts[~keep]
+    assert np.any(~keep)
+    gaps = np.linalg.norm(kept[:, None] - kept[None], axis=2)[np.triu_indices(len(kept), 1)]
+    assert np.min(gaps) > min_gap
+    nearest = np.min(np.linalg.norm(dropped[:, None] - kept[None], axis=2), axis=1)
+    assert np.max(nearest) <= min_gap
+
+
+def test_dedupe_keeps_every_exit_of_a_gauge_sweep_near_a_kept_one():
+    # 1,400 sweep rays on the gauge's level-1 set at gap 0.005: dropping the
+    # larger index of each close pair kept 577 exits and left one 0.009 from
+    # every kept exit
+    oracle = get_function("gauge").sublevel(1.0)
+    angles = np.linspace(0.0, 2 * np.pi, 1401)[:-1]
+    pts = _ray_boundary_points(oracle, np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    keep = _dedupe(pts, 0.005)
+    nearest = cKDTree(pts[keep]).query(pts[~keep])[0]
+    assert np.max(nearest) <= 0.005
+    assert np.array_equal(keep, _greedy_by_index(pts, 0.005))
+
+
+def test_fibonacci_directions_are_unit_and_spread():
+    dirs = _fibonacci_directions(1000)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
+    assert np.allclose(dirs[:, 2], 1.0 - (2.0 * np.arange(1000) + 1.0) / 1000)
+    assert np.linalg.norm(np.mean(dirs, axis=0)) < 1e-3
+
+
+def test_boundary_sample_dimension_3_ignores_the_seed():
+    oracle = localize(get_function("norm", 3), [1.0, 0.0, 0.0], 0.4).sublevel(0.8)
+    a = sample_boundary(oracle, 0.02, seed=0)
+    b = sample_boundary(oracle, 0.02, seed=41)
+    assert a.points.tobytes() == b.points.tobytes()
+
+
+def _round_and_lens_sets():
+    norm3 = get_function("norm", 3)
+    lens = localize(norm3, [1.0, 0.0, 0.0], 0.4)
+    yield "norm3@0.5", norm3.sublevel(0.5), True
+    yield "norm3@1.5", norm3.sublevel(1.5), True
+    yield "norm3~0.25@0.5", regularize(norm3, 0.25).sublevel(0.5), True
+    yield "lens@0.8", lens.sublevel(0.8), False
+    yield "lens~0.2@0.8", regularize(lens, 0.2).sublevel(0.8), False
+
+
+@pytest.mark.parametrize("name,oracle,round_set", list(_round_and_lens_sets()),
+                         ids=[case[0] for case in _round_and_lens_sets()])
+def test_boundary_sample_dimension_3_covering_radius(name, oracle, round_set):
+    # The moving-map checks allow 2 * resolution for sampling. The covering
+    # radius is the largest distance from 400k reference ray exits to the
+    # sample; a lattice sized at one ray per 2 * resolution^2 of sphere area
+    # covers a round set within about resolution.
+    resolution = 0.01
+    sample = sample_boundary(oracle, resolution)
+    assert not sample.capped
+    reference = _ray_boundary_points(oracle, _fibonacci_directions(400_000))
+    covering = float(np.max(cKDTree(sample.points).query(reference)[0]))
+    assert covering < 2.0 * resolution
+    if round_set:
+        assert covering <= 1.05 * resolution
 
 
 def _bisection_ray_exits(oracle, dirs):

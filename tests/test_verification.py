@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sweepdescent.errors import MissingConstants
+from sweepdescent import verification
+from sweepdescent.errors import MissingConstants, NonConvergence
 from sweepdescent.functions import get_function, limiting_slope, localize
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
@@ -30,10 +31,11 @@ def test_moving_map_tube_levels(tube):
 
 
 def test_moving_map_reports_sample_counts_and_cap():
-    # At resolution 0.025 the 3-d ray count at level 3 exceeds max_points.
+    # At resolution 0.01 the 3-d ray count at level 3, 2 * pi * 300^2 rays,
+    # exceeds max_points.
     norm3 = get_function("norm", 3)
     check_s, check_u, _ = verify_moving_map_lipschitz(
-        norm3, 0.5, 3.0, n_levels=2, slope_floor=1.0, resolution=0.025)
+        norm3, 0.5, 3.0, n_levels=2, slope_floor=1.0, resolution=0.01)
     for check in (check_s, check_u):
         assert check.details["capped"] == [False, True]
         assert 0 < check.details["n_samples"][0] < check.details["n_samples"][1]
@@ -51,6 +53,20 @@ def test_H1_H3_norm(norm):
     assert h2.details["slope_floor"] == pytest.approx(1.0, abs=1e-2)
     # complements of balls are prox-regular at the ball radius
     assert h3.details["r_hats"][0] == pytest.approx(1.0, rel=0.05)
+
+
+def test_H1_catches_library_errors_only(norm, monkeypatch):
+    def failing_sample(error):
+        def sample(*args, **kwargs):
+            raise error("no boundary sample")
+        return sample
+
+    monkeypatch.setattr(verification, "sample_boundary", failing_sample(NonConvergence))
+    h1, _, _ = verify_H1_H3(norm, (1.0, 2.0), n_levels=2)
+    assert h1.passed is False
+    monkeypatch.setattr(verification, "sample_boundary", failing_sample(TypeError))
+    with pytest.raises(TypeError):
+        verify_H1_H3(norm, (1.0, 2.0), n_levels=2)
 
 
 def test_H1_H3_gauge_degenerates(gauge):
