@@ -403,6 +403,20 @@ def slope_values(f: QuasiconvexFunction, points, radii=SLOPE_RADII,
     return (float(value[0]) if single else value), per_radius
 
 
+def level_slopes(f: QuasiconvexFunction, points, radii=SLOPE_RADII[-2:]):
+    """Strong slope (f(x) - min of f over the closed h-ball) / h, batched: one
+    level_at_distance call per radius, the largest value over the radii, +inf
+    where f(x) is not finite; never below slope_values at the same radii."""
+    pts, single = _atleast_2d(points)
+    fx = np.asarray(f.eval(pts), dtype=float)
+    rows = np.isfinite(fx)
+    value = np.where(rows, 0.0, np.inf)
+    for h in radii:
+        drop = fx[rows] - f.level_at_distance(pts[rows], h)
+        value[rows] = np.maximum(value[rows], drop / h)
+    return float(value[0]) if single else value
+
+
 def _refine_angle(f, pts, fx, rho, arg, n):
     """Bracketed angular subdivision around the best sampled direction."""
     m = pts.shape[0]
@@ -451,13 +465,11 @@ def _refine_cap(f, pts, fx, rho, dirs, seed):
 def slope(f: QuasiconvexFunction, x, radii=SLOPE_RADII, n_directions=None,
           seed: int = 0, refine: bool = True) -> SlopeEstimate:
     """Descent-rate estimate at a single point."""
-    x = np.asarray(x, dtype=float)
-    fx = float(f.eval(x))
-    n = _directions_for(x.shape[0], n_directions)
-    if not np.isfinite(fx):
-        return SlopeEstimate(np.inf, tuple(radii), n, in_domain=False)
     value, per_radius = slope_values(f, x, radii=radii, n_directions=n_directions,
                                      seed=seed, refine=refine)
+    n = _directions_for(len(x), n_directions)
+    if not np.isfinite(value):
+        return SlopeEstimate(np.inf, tuple(radii), n, in_domain=False)
     tail = per_radius[-2:, 0]
     scale = max(float(tail.max()), 1e-12)
     converged = abs(tail[0] - tail[1]) <= 0.2 * scale
@@ -472,9 +484,8 @@ def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS
                    n_samples: int = LIMITING_SAMPLES, seed: int = 0):
     """Lower envelope of the slope over value-close nearby points.
 
-    One point gives a float, an (n, d) batch an array from one slope_values
-    call. In d >= 3 the slope refinement draws noise sized by its batch, so
-    there a batched value can differ slightly from the one-point call.
+    One point gives a float, an (n, d) batch an array from one level_slopes
+    call, equal to the one-point calls row by row.
     """
     x2, single = _atleast_2d(x)
     fx = np.asarray(f.eval(x2), dtype=float)
@@ -487,7 +498,7 @@ def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS
     fy = np.asarray(f.eval(pts), dtype=float).reshape(len(rows), len(offsets))
     valid = np.isfinite(fy) & (np.abs(fy - fx[rows, None]) <= delta_f)
     envelope = np.full(valid.shape, np.inf)
-    envelope[valid], _ = slope_values(f, pts[valid.ravel()], seed=seed)
+    envelope[valid] = level_slopes(f, pts[valid.ravel()])
     out[rows] = envelope.min(axis=1)
     return float(out[0]) if single else out
 
@@ -539,8 +550,9 @@ def aze_corvellec_check(f: QuasiconvexFunction, region, alpha: float,
     """Sampled error bound: d(x, [f <= alpha]) <= (f(x) - alpha)^+ / floor.
 
     The relative slack absorbs the upward bias of the empirical slope floor,
-    which is accurate to about one part in a thousand. Returns (passed,
-    witness); witness is a violating point or None.
+    a minimum over seeded points: at most 2e-5 on tube~0.25 and norm3 in the
+    benchmark's verify runs at seeds 0, 7 and 41, but 0.6-16% on the gauge at
+    0.9:1.1. Returns (passed, witness); witness is a violating point or None.
     """
     if slope_floor <= 0:
         raise ValueError("requires a validated positive slope floor")

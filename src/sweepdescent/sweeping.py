@@ -38,10 +38,6 @@ class SweepingConfig:
         if self.steps < 1:
             raise ValueError("partition needs at least one step")
 
-    @property
-    def step_width(self) -> float:
-        return self.horizon / self.steps if self.horizon > 0 else 0.0
-
     def theta(self, span: float | None = None) -> float:
         """Reverse step-size guard for a run over the given time span."""
         if self.map_lipschitz is None or self.prox_radius is None:

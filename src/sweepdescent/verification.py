@@ -6,6 +6,16 @@ constants (slope floor, moving-map Lipschitz rate, prox radius, function
 Lipschitz bound) are reported alongside and feed the sweeping consumers.
 Probabilistic claims are reported as pass fractions over seeded samples,
 never as proof verdicts.
+
+Slope estimator per check:
+- level_slopes, the level-search slope (one batched level_at_distance call
+  per radius): h2-slope-floor and every check built on its floor,
+  func_lipschitz and the probe's criticality filter.
+- slope_values, the probe sweep, where the level search would be circular:
+  steepest-descent-probe, whose speed is a sublevel distance per level drop,
+  and slope-transfer, which B(z, h) in B(x, eps + h) would make hold by
+  construction. functions.slope and check_H2_region keep it for eval-only
+  functions, which have no level oracles.
 """
 
 import json
@@ -14,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingConstants, SweepDescentError
-from .functions import (LocalizedFunction, QuasiconvexFunction,
-                        limiting_slope, localize, slope_values)
+from .functions import (LocalizedFunction, QuasiconvexFunction, aze_corvellec_check,
+                        level_slopes, limiting_slope, localize, slope_values)
 from .geometry import _atleast_2d, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
@@ -121,16 +131,14 @@ def estimate_slope_floor(f: QuasiconvexFunction, window, n_points: int = 160,
                          seed: int = 0) -> float:
     """Minimum slope estimate over seeded points of the level annulus."""
     pts = _annulus_sample(f, window, n_points, seed, "slope-floor")
-    vals, _ = slope_values(f, pts, seed=seed)
-    return float(np.min(vals))
+    return float(np.min(level_slopes(f, pts)))
 
 
 def estimate_function_lipschitz(f: QuasiconvexFunction, window,
                                 n_points: int = 160, seed: int = 0) -> float:
     """Maximum slope estimate over seeded points of the level annulus."""
     pts = _annulus_sample(f, window, n_points, seed, "func-lip")
-    vals, _ = slope_values(f, pts, seed=seed)
-    return float(np.max(vals[np.isfinite(vals)]))
+    return float(np.max(level_slopes(f, pts)))
 
 
 def verify_moving_map_lipschitz(f: QuasiconvexFunction, alpha1: float,
@@ -516,7 +524,6 @@ def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
             passed=bool(direct <= 1.0 / floor + slack),
             margin=1.0 / floor + slack - direct,
             details={"direct_rate": direct, "rate_bound": 1.0 / floor}))
-        from .functions import aze_corvellec_check
         box = target.level_bbox(window[1])
         alpha_mid = 0.5 * (window[0] + window[1])
         ok, witness = aze_corvellec_check(target, box, alpha_mid, floor,

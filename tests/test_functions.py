@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 from sweepdescent.errors import DomainError, EmptySample
 from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
-                                    TubeFunction, aze_corvellec_check,
+                                    SLOPE_RADII, TubeFunction, aze_corvellec_check,
                                     check_H2_region, get_function, is_critical,
-                                    limiting_slope, localize, slope,
-                                    slope_values)
+                                    level_slopes, limiting_slope, localize,
+                                    slope, slope_values)
 from sweepdescent.geometry import (BallSet, ConvexSetOracle, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng
+from sweepdescent.verification import _annulus_sample
 
 from conftest import dense_boundary_nearest
 
@@ -340,6 +341,42 @@ def test_slope_values_batch_matches_single(tube):
     batch, _ = slope_values(tube, pts, seed=3)
     singles = [slope(tube, p, seed=3).value for p in pts]
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2),
+                                      ("gauge", 2),
+                                      ("localized:tube:1.5,0:0.4", 2)])
+def test_level_slopes_dual_route(name, dim, regularized):
+    # The level-search slope against the probe sweep of slope_values on 400
+    # seeded annulus points. The closed h-ball contains the probe sphere, so
+    # the level search is never below the sweep; the sweep's misses bound
+    # the gap from above. The 3-d sweep's cap search misses by up to 2.4e-3
+    # relative on some seeded samples (8.5e-4 on this one), so its bound is
+    # 5e-3.
+    f = get_function(name, dim=dim)
+    if regularized:
+        f = regularize(f, 0.2 if name.startswith("localized") else 0.25)
+    pts = _annulus_sample(f, f.default_window, 400, 0, "dual-route")
+    s_level = level_slopes(f, pts)
+    s_probe, _ = slope_values(f, pts)
+    assert np.all(s_level >= s_probe - 1e-9)
+    assert np.max((s_level - s_probe) / s_level) <= (1e-6 if dim == 2 else 5e-3)
+    h = np.array(SLOPE_RADII[-2:])[:, None]
+    if name == "norm":
+        # s_h = 1 wherever the h-ball stays off the argmin (the eps-ball of
+        # the regularization).
+        reach = np.linalg.norm(pts, axis=1) - (f.eps if regularized else 0.0)
+        assert np.all(reach > h.max())
+        assert s_level == pytest.approx(np.ones(len(pts)), abs=1e-9)
+    if name == "tube" and not regularized:
+        # Off the argmin the h-ball's lowest level is x - sqrt((1+h)^2 - y^2),
+        # so s_h = (sqrt((1+h)^2 - y^2) - sqrt(1 - y^2)) / h.
+        x, y = pts[:, 0], pts[:, 1]
+        rows = np.all(x > np.sqrt((1.0 + h)**2 - y**2), axis=0)
+        assert np.sum(rows) > 300
+        want = np.max((np.sqrt((1.0 + h)**2 - y**2) - np.sqrt(1.0 - y**2)) / h, axis=0)
+        assert s_level[rows] == pytest.approx(want[rows], rel=1e-9)
 
 
 def _reference_sublevel(f, alpha):

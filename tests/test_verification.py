@@ -91,11 +91,13 @@ def test_membership_U_epsilon_examples(norm, tube):
     assert not membership_U_epsilon(tube, 0.25, [5.0, 5.0])
 
 
-@pytest.mark.parametrize("name", ["tube", "norm"])
-def test_membership_U_epsilon_batch_matches_points(gallery, name):
-    f = gallery[name]
-    pts = split_rng(4, "criticality-batch").uniform(-1.0, 4.0, size=(40, 2))
-    pts[:3] = [[0.0, 0.0], [0.05, 0.0], [9.0, 9.0]]  # critical, critical, outside
+@pytest.mark.parametrize("name,dim", [("tube", 2), ("norm", 2), ("norm", 3)],
+                         ids=["tube", "norm", "norm3"])
+def test_membership_U_epsilon_batch_matches_points(name, dim):
+    f = get_function(name, dim)
+    pts = split_rng(4, "criticality-batch").uniform(-1.0, 4.0, size=(40, dim))
+    pts[:3] = 0.0
+    pts[1, 0], pts[2] = 0.05, 9.0  # critical, critical, outside the tube
     batch = membership_U_epsilon(f, 0.25, pts)
     single = [membership_U_epsilon(f, 0.25, p) for p in pts]
     assert batch.dtype == bool and all(isinstance(b, bool) for b in single)
