@@ -8,23 +8,20 @@ regularization properties the construction relies on.
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DegenerateDirection, DegenerateNormal,
-                     DomainError, EmptySample, GridTooCoarse, LevelUnderflow,
-                     MissingConstants, NonConvergence, OutOfReach,
-                     ReverseRefused, SweepDescentError, ThetaGuard)
+from .errors import (ConfigError, DegenerateDirection, DomainError,
+                     EmptySample, LevelUnderflow, MissingConstants,
+                     NonConvergence, OutOfReach, ReverseRefused,
+                     SweepDescentError, ThetaGuard)
 from .functions import (GaugeFunction, LevelSet, LocalizedFunction,
-                        NormFunction, QuasiconvexFunction, SlopeEstimate,
-                        TubeFunction, aze_corvellec_check, check_H2_region,
-                        get_function, is_critical, limiting_slope, localize,
-                        slope, slope_values)
+                        NormFunction, QuasiconvexFunction, TubeFunction,
+                        aze_corvellec_check, get_function, limiting_slope,
+                        localize, slope_values)
 from .geometry import (BallSet, BoundarySample, ConvexSetOracle, DilatedSet,
                        FullSpaceSet, IntersectionSet, TwoBallHullSet,
-                       hull_section, outward_normal, outward_normals,
-                       sample_boundary)
+                       hull_section, outward_normals, sample_boundary)
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
-                             base_point, complement_projection,
-                             prox_radius_estimate, regularize, semigroup_gaps,
-                             slope_deficits)
+                             complement_projection, prox_radius_estimate,
+                             regularize, semigroup_gaps, slope_deficits)
 from .sweeping import (FlowMap, SweepingConfig, Trajectory, flow_map,
                        forward_catching_up, forward_catching_up_batch,
                        invert_flow_check, reverse_catching_up,

@@ -13,9 +13,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
+import types
 from dataclasses import dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -46,20 +49,20 @@ class ExperimentConfig:
     alpha2: float | None = None
     T: float = 1.0
     k: int = 1000
-    x0: list | None = None
+    x0: list[float] | None = None
     reverse: bool = False
     tbar: float | None = None
     map_lipschitz: float | None = None
     prox_radius: float | None = None
     grid_size: int = 16
     # verify
-    window: list | None = None
+    window: list[float] | None = None
     n_points: int = 100
     n_levels: int = 4
     resolution: float = 0.01
     probe_starts: int = 20
     # regularize
-    points: list | None = None
+    points: list[list[float]] | None = None
 
     def __post_init__(self):
         if not self.resolution > 0:
@@ -67,17 +70,22 @@ class ExperimentConfig:
         for key, least in (("dim", 1), ("n_levels", 2), ("n_points", 1), ("grid_size", 2)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        for key, value in vars(self).items():
+            if not all(math.isfinite(v) for v in _floats(value)):
+                raise ConfigError(f"{key} must be finite, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key, value in data.items():
+            if not _fits(value, fields[key]):
+                kind = fields[key]
+                name = kind.__name__ if isinstance(kind, type) else str(kind)
+                raise ConfigError(f"{key} must be {name}, got {value!r}")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -91,6 +99,25 @@ class ExperimentConfig:
 
     def stamp(self) -> str:
         return f"sweepdescent {__version__} config={self.hash()} seed={self.seed}"
+
+
+def _fits(value, kind) -> bool:
+    """Whether a config value has its field's annotated type. bool is no
+    number, and an int serves where a float is expected."""
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in get_args(kind))
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _floats(value) -> list:
+    """The floats in a config value, nested lists included."""
+    if isinstance(value, list):
+        return [v for item in value for v in _floats(item)]
+    return [value] if isinstance(value, float) else []
 
 
 def _load_config_file(path: str) -> dict:

@@ -13,10 +13,6 @@ class EmptySample(SweepDescentError):
     """A boundary sample required to be nonempty was empty."""
 
 
-class DegenerateNormal(SweepDescentError):
-    """No unique outward normal exists at the queried boundary point."""
-
-
 class DomainError(SweepDescentError):
     """A point lies outside the effective domain of a function."""
 
@@ -47,7 +43,3 @@ class MissingConstants(SweepDescentError):
 
 class ConfigError(SweepDescentError):
     """An experiment configuration failed validation."""
-
-
-class GridTooCoarse(UserWarning):
-    """Adjacent slope estimates on a verification grid disagree strongly."""

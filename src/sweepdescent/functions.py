@@ -15,19 +15,17 @@ near the level 1. Each maps its levels to two-ball hulls, level_hull(alphas)
 cuts with its ball through geometry.ball_lens_project.
 """
 
-import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, EmptySample, GridTooCoarse
+from .errors import DomainError, EmptySample
 from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, _atleast_2d,
                        _axial_section, _itp, _restore, ball_lens_project,
                        hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
-SLOPE_RADII = (1e-2, 1e-3, 1e-4, 1e-5)
+SLOPE_RADII = (1e-4, 1e-5)
 LIMITING_RADIUS = 1e-2
 LIMITING_VALUE_GAP = 1e-2
 LIMITING_SAMPLES = 128
@@ -353,65 +351,46 @@ class LocalizedFunction(QuasiconvexFunction):
                         proj[:, :1] * axis + proj[:, 1:] * w)
 
 
-@dataclass
-class SlopeEstimate:
-    """Result of the directional descent-rate estimator."""
+def slope_values(f: QuasiconvexFunction, points, seed: int = 0):
+    """Descent-rate estimates at a batch of points, +inf outside the domain.
 
-    value: float
-    radii_used: tuple
-    directions_per_radius: int
-    in_domain: bool = True
-    converged: bool = True
-
-
-def _directions_for(dim: int, n_directions=None) -> int:
-    if n_directions is not None:
-        return n_directions
-    return 64 if dim == 2 else 32 * dim
-
-
-def slope_values(f: QuasiconvexFunction, points, radii=SLOPE_RADII,
-                 n_directions=None, seed: int = 0, refine: bool = True):
-    """Vectorized descent-rate estimates at a batch of points.
-
-    For each radius the maximal positive difference quotient over a seeded
-    direction sweep is taken and locally refined; the estimate is the largest
-    value over the two smallest radii.
+    The probe sweep: at each radius of SLOPE_RADII the largest positive
+    difference quotient over a seeded direction sweep (64 directions in 2-d,
+    32 * dim above), locally refined around the best direction; the estimate
+    is the largest value over the radii. It reads only eval.
     """
     pts, single = _atleast_2d(points)
     m, dim = pts.shape
-    n = _directions_for(dim, n_directions)
+    n = 64 if dim == 2 else 32 * dim
     fx = np.asarray(f.eval(pts), dtype=float)
-    per_radius = np.zeros((len(radii), m))
-    for ri, rho in enumerate(radii):
+    value = np.full(m, -np.inf)
+    # Keys 2 and 3 keep the direction streams these radii had after 1e-2 and 1e-3.
+    for ri, rho in enumerate(SLOPE_RADII, start=2):
         dirs = unit_directions(split_rng(seed, "slope", ri), n, dim)
         probes = pts[:, None, :] + rho * dirs[None, :, :]
         fp = np.asarray(f.eval(probes.reshape(-1, dim))).reshape(m, n)
         with np.errstate(invalid="ignore"):
             quot = np.nan_to_num(np.maximum(fx[:, None] - fp, 0.0), nan=0.0) / rho
         best = quot.max(axis=1)
-        if refine:
-            if dim == 2:
-                best = np.maximum(best, _refine_angle(f, pts, fx, rho,
-                                                      quot.argmax(axis=1), n))
-            else:
-                best = np.maximum(best, _refine_cap(f, pts, fx, rho,
-                                                    dirs[quot.argmax(axis=1)], seed))
-        per_radius[ri] = best
-    value = per_radius[-2:].max(axis=0) if len(radii) >= 2 else per_radius[-1]
+        if dim == 2:
+            best = np.maximum(best, _refine_angle(f, pts, fx, rho, quot.argmax(axis=1), n))
+        else:
+            best = np.maximum(best, _refine_cap(f, pts, fx, rho,
+                                                dirs[quot.argmax(axis=1)], seed))
+        value = np.maximum(value, best)
     value = np.where(np.isfinite(fx), value, np.inf)
-    return (float(value[0]) if single else value), per_radius
+    return float(value[0]) if single else value
 
 
-def level_slopes(f: QuasiconvexFunction, points, radii=SLOPE_RADII[-2:]):
+def level_slopes(f: QuasiconvexFunction, points):
     """Strong slope (f(x) - min of f over the closed h-ball) / h, batched: one
-    level_at_distance call per radius, the largest value over the radii, +inf
-    where f(x) is not finite; never below slope_values at the same radii."""
+    level_at_distance call per radius h of SLOPE_RADII, the largest value over
+    the radii, +inf where f(x) is not finite; never below slope_values."""
     pts, single = _atleast_2d(points)
     fx = np.asarray(f.eval(pts), dtype=float)
     rows = np.isfinite(fx)
     value = np.where(rows, 0.0, np.inf)
-    for h in radii:
+    for h in SLOPE_RADII:
         drop = fx[rows] - f.level_at_distance(pts[rows], h)
         value[rows] = np.maximum(value[rows], drop / h)
     return float(value[0]) if single else value
@@ -462,27 +441,10 @@ def _refine_cap(f, pts, fx, rho, dirs, seed):
     return best
 
 
-def slope(f: QuasiconvexFunction, x, radii=SLOPE_RADII, n_directions=None,
-          seed: int = 0, refine: bool = True) -> SlopeEstimate:
-    """Descent-rate estimate at a single point."""
-    value, per_radius = slope_values(f, x, radii=radii, n_directions=n_directions,
-                                     seed=seed, refine=refine)
-    n = _directions_for(len(x), n_directions)
-    if not np.isfinite(value):
-        return SlopeEstimate(np.inf, tuple(radii), n, in_domain=False)
-    tail = per_radius[-2:, 0]
-    scale = max(float(tail.max()), 1e-12)
-    converged = abs(tail[0] - tail[1]) <= 0.2 * scale
-    if not converged:
-        warnings.warn("slope estimates at the two smallest radii disagree "
-                      "by more than 20%")
-    return SlopeEstimate(float(value), tuple(radii), n, converged=converged)
-
-
-def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS,
-                   delta_f: float = LIMITING_VALUE_GAP,
-                   n_samples: int = LIMITING_SAMPLES, seed: int = 0):
-    """Lower envelope of the slope over value-close nearby points.
+def limiting_slope(f: QuasiconvexFunction, x, seed: int = 0):
+    """Lower envelope of the slope over value-close nearby points: x and the
+    LIMITING_SAMPLES seeded points of the LIMITING_RADIUS ball around x whose
+    values lie within LIMITING_VALUE_GAP of f(x).
 
     One point gives a float, an (n, d) batch an array from one level_slopes
     call, equal to the one-point calls row by row.
@@ -491,52 +453,16 @@ def limiting_slope(f: QuasiconvexFunction, x, rho_outer: float = LIMITING_RADIUS
     fx = np.asarray(f.eval(x2), dtype=float)
     out = np.full(len(x2), np.inf)
     rows = np.flatnonzero(np.isfinite(fx))
-    rng = split_rng(seed, "limiting", n_samples)
+    rng = split_rng(seed, "limiting", LIMITING_SAMPLES)
     offsets = np.vstack([np.zeros(x2.shape[1]),
-                         ball_points(rng, n_samples, x2.shape[1], rho_outer)])
+                         ball_points(rng, LIMITING_SAMPLES, x2.shape[1], LIMITING_RADIUS)])
     pts = (x2[rows, None, :] + offsets).reshape(-1, x2.shape[1])
     fy = np.asarray(f.eval(pts), dtype=float).reshape(len(rows), len(offsets))
-    valid = np.isfinite(fy) & (np.abs(fy - fx[rows, None]) <= delta_f)
+    valid = np.isfinite(fy) & (np.abs(fy - fx[rows, None]) <= LIMITING_VALUE_GAP)
     envelope = np.full(valid.shape, np.inf)
     envelope[valid] = level_slopes(f, pts[valid.ravel()])
     out[rows] = envelope.min(axis=1)
     return float(out[0]) if single else out
-
-
-def is_critical(f: QuasiconvexFunction, x, tol: float) -> bool:
-    """True when the limiting slope at x does not exceed tol."""
-    return limiting_slope(f, x) <= tol
-
-
-def check_H2_region(f: QuasiconvexFunction, region, resolution: float,
-                    seed: int = 0):
-    """Grid slope floor over a box region disjoint from the argmin.
-
-    Returns (passed, floor) with floor the minimal slope estimate on the grid.
-    Warns when adjacent grid estimates differ by more than 50 percent.
-    """
-    lo, hi = (np.asarray(region[0], dtype=float), np.asarray(region[1], dtype=float))
-    axes = [np.arange(lo[i], hi[i] + resolution / 2, resolution) for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    fx = np.asarray(f.eval(pts), dtype=float)
-    inside = np.isfinite(fx)
-    vals = np.full(len(pts), np.nan)
-    est, _ = slope_values(f, pts[inside], seed=seed)
-    vals[inside] = est
-    grid_vals = vals.reshape(mesh[0].shape)
-    for axis in range(grid_vals.ndim):
-        a = np.moveaxis(grid_vals, axis, 0)
-        pair_ok = np.isfinite(a[:-1]) & np.isfinite(a[1:])
-        if np.any(pair_ok):
-            lo_pair = np.minimum(a[:-1], a[1:])[pair_ok]
-            hi_pair = np.maximum(a[:-1], a[1:])[pair_ok]
-            if np.any(hi_pair - lo_pair > 0.5 * np.maximum(hi_pair, 1e-12)):
-                warnings.warn("adjacent slope estimates vary by more than 50%",
-                              GridTooCoarse)
-                break
-    floor = float(np.nanmin(vals)) if np.any(inside) else 0.0
-    return floor > 0.0, floor
 
 
 def localize(f: QuasiconvexFunction, center, delta: float) -> LocalizedFunction:
@@ -586,6 +512,9 @@ def get_function(name: str, dim: int = 2) -> QuasiconvexFunction:
             delta = float(delta_str)
         except ValueError as exc:
             raise ValueError(f"bad localized name {name!r}") from exc
+        if not np.all(np.isfinite(center + [delta])):
+            raise ValueError(f"function {name!r}: the localization center and radius "
+                             "must be finite")
         return localize(get_function(base_name, dim=dim), center, delta)
     if name.startswith("norm") and name[4:].isdigit():
         # The name NormFunction(d) gives itself in d >= 3; d must match dim.

@@ -6,11 +6,14 @@ distance derive from the signed distance, once, in ConvexSetOracle: a point
 is a member when its signed distance is at most the tolerance, and its
 distance is the positive part. Balls, dilations and hulls of two balls are
 exact in closed form; the hull math is one per-row kernel, hull_section,
-which the gallery functions also call with per-row parameters. A plane hull
-cut by a ball (IntersectionSet, and every localized sublevel set) is exact
+which the gallery functions also call with per-row parameters, and the
+dilation's push-out is one function, dilated_projection, which regularized
+functions also call. A plane hull cut by a ball (IntersectionSet, whose
+interior point the caller gives, and every localized sublevel set) is exact
 through ball_lens_project, which takes its corners in closed form from the
 hull parameters. The signed distance of an intersection is exact on both
-sides of its boundary.
+sides of its boundary. sample_boundary shoots rays from the interior point,
+and outward_normals probes the normals at boundary points and masks corners.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
 shape (n, d) and return the matching shape.
@@ -22,10 +25,9 @@ from functools import partial
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateNormal, EmptySample, NonConvergence
+from .errors import EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-BOUNDARY_TOL = 1e-7
 PROBE_STEP = 1e-5
 RAY_BLOCK = 8192
 
@@ -197,18 +199,24 @@ class DilatedSet(ConvexSetOracle):
 
     def project(self, x):
         x2, single = _atleast_2d(x)
-        z = self.base.project(x2)
-        delta = x2 - z
-        dist = np.linalg.norm(delta, axis=1)
-        out = dist > self.eps
-        res = x2.copy()
-        if np.any(out):
-            res[out] = z[out] + delta[out] * (self.eps / dist[out])[:, None]
-        return _restore(res, single)
+        return _restore(dilated_projection(x2, self.base.project(x2), self.eps), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         return _restore(self.base.signed_boundary_distance(x2) - self.eps, single)
+
+
+def dilated_projection(x2, z, eps):
+    """Projection onto a set dilated by eps, from the projections z of the
+    rows x2 onto the set: rows farther than eps from z move to distance eps
+    along x2 - z, the others stay put."""
+    delta = x2 - z
+    dist = np.linalg.norm(delta, axis=1)
+    out = dist > eps
+    res = x2.copy()
+    if np.any(out):
+        res[out] = z[out] + delta[out] * (eps / dist[out])[:, None]
+    return res
 
 
 def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
@@ -310,16 +318,13 @@ class IntersectionSet(ConvexSetOracle):
     on the first set's hull = (origin, axis, r1, axis_len, r2), which BallSet
     and TwoBallHullSet carry."""
 
-    def __init__(self, first: ConvexSetOracle, second: ConvexSetOracle,
-                 interior_point=None):
+    def __init__(self, first: ConvexSetOracle, second: ConvexSetOracle, interior_point):
         if not (hasattr(first, "hull") and isinstance(second, BallSet)
                 and first.dim == second.dim == 2):
             raise ValueError("an intersection is a plane two-ball hull cut by a plane BallSet")
         self.first = first
         self.second = second
         self.dim = first.dim
-        if interior_point is None:
-            interior_point = find_interior_point(first, second)
         self.interior_point = np.asarray(interior_point, dtype=float)
 
     def project(self, x):
@@ -336,35 +341,6 @@ class IntersectionSet(ConvexSetOracle):
             self.second.signed_boundary_distance(x2),
             lambda rows, pts: self.project(pts))
         return _restore(signed, single)
-
-
-def find_interior_point(first: ConvexSetOracle, second: ConvexSetOracle,
-                        seed: int = 0, n_samples: int = 256) -> np.ndarray:
-    """Search for a common interior point of two oracles (Slater point)."""
-    rng = split_rng(seed, "interior", n_samples)
-    anchors = np.stack([first.interior_point, second.interior_point])
-    scale = max(1.0, float(np.linalg.norm(anchors[0] - anchors[1])))
-    pts = np.concatenate([
-        anchors,
-        anchors.mean(axis=0)[None, :],
-        anchors.mean(axis=0) + scale * rng.normal(size=(n_samples, first.dim)),
-    ])
-    # Alternating projections drive the cloud into the intersection; the
-    # centroid of distinct feasible points then sits strictly inside.
-    for _ in range(400):
-        pts = second.project(first.project(pts))
-        if (np.all(first.membership(pts, tol=BOUNDARY_TOL))
-                and np.all(second.membership(pts, tol=BOUNDARY_TOL))):
-            break
-    candidates = np.concatenate([pts, pts.mean(axis=0)[None, :]])
-    depth = -np.maximum(
-        np.asarray(first.signed_boundary_distance(candidates)),
-        np.asarray(second.signed_boundary_distance(candidates)),
-    )
-    i = int(np.argmax(depth))
-    if depth[i] <= BOUNDARY_TOL:
-        raise NonConvergence("no interior point found for intersection")
-    return candidates[i]
 
 
 @dataclass
@@ -525,27 +501,13 @@ def _dedupe(pts, min_gap):
     return np.array(keep, dtype=bool)
 
 
-def outward_normal(oracle: ConvexSetOracle, point, probe: float = PROBE_STEP,
-                   corner_tol: float = 1e-3):
-    """Unit outward normal at a boundary point.
+def outward_normals(oracle: ConvexSetOracle, points):
+    """Outward normals at boundary points, batched, as (normals, ok).
 
-    Seeds a direction from finite differences of the distance function, pushes
-    an exterior probe and normalizes x - project(x). A second probe along the
-    refined direction must agree, otherwise the point is treated as a corner.
-    """
-    b = np.asarray(point, dtype=float)
-    if abs(float(oracle.signed_boundary_distance(b))) > BOUNDARY_TOL * 10:
-        raise DegenerateNormal("query point is not on the boundary")
-    normals = outward_normals(oracle, b[None, :], probe=probe, corner_tol=corner_tol)
-    return normals[0]
-
-
-def outward_normals(oracle: ConvexSetOracle, points, probe: float = PROBE_STEP,
-                    corner_tol: float = 1e-3, strict: bool = True):
-    """Vectorized outward normals.
-
-    With strict=True a corner point raises DegenerateNormal; otherwise the
-    pair (normals, ok_mask) is returned and corner rows are masked out.
+    Seeds each direction from central differences of the signed distance,
+    pushes an exterior probe PROBE_STEP out and normalizes x - project(x). A
+    re-probe from a tilted direction must come back within 1e-3 in cosine;
+    rows where it does not are corners, and ok is False there.
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
@@ -553,22 +515,22 @@ def outward_normals(oracle: ConvexSetOracle, points, probe: float = PROBE_STEP,
     grad = np.zeros_like(pts)
     for axis in range(dim):
         off = np.zeros(dim)
-        off[axis] = probe
+        off[axis] = PROBE_STEP
         grad[:, axis] = (
             np.asarray(oracle.signed_boundary_distance(pts + off))
             - np.asarray(oracle.signed_boundary_distance(pts - off))
-        ) / (2 * probe)
+        ) / (2 * PROBE_STEP)
     norms = np.linalg.norm(grad, axis=1)
     bad_seed = norms < 1e-12
     norms[bad_seed] = 1.0
     seed_dir = grad / norms[:, None]
 
     def refine(direction):
-        outside = pts + probe * direction
+        outside = pts + PROBE_STEP * direction
         feet = oracle.project(outside)
         delta = outside - feet
         dist = np.linalg.norm(delta, axis=1)
-        ok = dist > probe * 1e-6
+        ok = dist > PROBE_STEP * 1e-6
         out = direction.copy()
         out[ok] = delta[ok] / dist[ok][:, None]
         return out, ok
@@ -588,11 +550,5 @@ def outward_normals(oracle: ConvexSetOracle, points, probe: float = PROBE_STEP,
     tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
     n_tst, ok3 = refine(tilted)
     agreement = np.einsum("ij,ij->i", n_ret, n_tst)
-    corner = bad_seed | ~ok1 | ~ok2 | ~ok3 | (agreement < 1.0 - corner_tol)
-    if np.any(corner) and strict:
-        raise DegenerateNormal(
-            f"no unique normal at rows {np.flatnonzero(corner).tolist()[:8]}"
-        )
-    if strict:
-        return n_ret
+    corner = bad_seed | ~ok1 | ~ok2 | ~ok3 | (agreement < 1.0 - 1e-3)
     return n_ret, ~corner

@@ -7,16 +7,15 @@ the base function's level search level_at_distance(x, eps). The base point
 z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateDirection, DomainError, EmptySample, OutOfReach
+from .errors import DegenerateDirection, EmptySample, OutOfReach
 from .functions import QuasiconvexFunction, slope_values
-from .geometry import (DilatedSet, _atleast_2d, outward_normals,
-                       sample_boundary)
+from .geometry import (DilatedSet, _atleast_2d, dilated_projection,
+                       outward_normals, sample_boundary)
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -54,15 +53,8 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        alphas = np.asarray(alphas, dtype=float)
-        z = self.base.level_project(alphas, pts)
-        delta = pts - z
-        dist = np.linalg.norm(delta, axis=1)
-        out = dist > self.eps
-        res = pts.copy()
-        if np.any(out):
-            res[out] = z[out] + delta[out] * (self.eps / dist[out])[:, None]
-        return res
+        z = self.base.level_project(np.asarray(alphas, dtype=float), pts)
+        return dilated_projection(pts, z, self.eps)
 
     def level_signed_distance(self, alphas, points):
         hi = np.inf if self.level_hi is None else self.level_hi
@@ -72,22 +64,6 @@ class RegularizedFunction(QuasiconvexFunction):
 def regularize(f: QuasiconvexFunction, eps: float) -> RegularizedFunction:
     """Wrap f so that every sublevel oracle is the eps-dilation of f's."""
     return RegularizedFunction(f, eps)
-
-
-def base_point(freg: RegularizedFunction, x, warn_non_unique: bool = True):
-    """Nearest point of [f <= f_eps(x)]; carries the regularized value.
-
-    Below the bottom level the projection is still returned, but the defining
-    level is not unique there, which is reported as a warning.
-    """
-    x2, single = _atleast_2d(x)
-    vals = np.asarray(freg.eval(x2), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise DomainError("base point requested outside the regularized domain")
-    if warn_non_unique and np.any(vals <= freg.inf_value + 1e-10):
-        warnings.warn("base point at the bottom level is not level-unique")
-    z = freg.base.level_project(vals, x2)
-    return z[0] if single else z
 
 
 def semigroup_gaps(freg: RegularizedFunction, eps1: float, points):
@@ -111,8 +87,8 @@ def slope_deficits(freg: RegularizedFunction, points, seed: int = 0):
     """
     pts, _ = _atleast_2d(points)
     z = freg.base.level_project(np.asarray(freg.eval(pts), dtype=float), pts)
-    s_reg, _ = slope_values(freg, pts, seed=seed)
-    s_base, _ = slope_values(freg.base, z, seed=seed)
+    s_reg = slope_values(freg, pts, seed=seed)
+    s_base = slope_values(freg.base, z, seed=seed)
     return s_base - s_reg
 
 
@@ -168,7 +144,7 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
     for _ in range(2):
         sample = sample_boundary(oracle, resolution, seed=seed)
         pts = sample.points
-        normals, ok = outward_normals(oracle, pts, strict=False)
+        normals, ok = outward_normals(oracle, pts)
         skipped += int(np.sum(~ok))
         pts, normals = pts[ok], normals[ok]
         count = len(pts)

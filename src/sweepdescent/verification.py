@@ -11,11 +11,10 @@ Slope estimator per check:
 - level_slopes, the level-search slope (one batched level_at_distance call
   per radius): h2-slope-floor and every check built on its floor,
   func_lipschitz and the probe's criticality filter.
-- slope_values, the probe sweep, where the level search would be circular:
-  steepest-descent-probe, whose speed is a sublevel distance per level drop,
-  and slope-transfer, which B(z, h) in B(x, eps + h) would make hold by
-  construction. functions.slope and check_H2_region keep it for eval-only
-  functions, which have no level oracles.
+- slope_values, the probe sweep (difference quotients of eval alone), where
+  the level search would be circular: steepest-descent-probe, whose speed is
+  a sublevel distance per level drop, and slope-transfer, which B(z, h) in
+  B(x, eps + h) would make hold by construction.
 """
 
 import json
@@ -285,7 +284,7 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
     for j in range(1, k + 1):
         pts[j] = freg.level_project(alpha2s - times[j], pts[j - 1])
     speeds = np.linalg.norm(np.diff(pts, axis=0), axis=2) / (horizon / k)
-    slopes, _ = slope_values(freg, pts[1:].reshape(-1, freg.dim), seed=seed)
+    slopes = slope_values(freg, pts[1:].reshape(-1, freg.dim), seed=seed)
     products = speeds * slopes.reshape(k, len(starts))
     step_ok = np.abs(products - 1.0) <= step_tol
     per_start = step_ok.mean(axis=0)

@@ -204,6 +204,51 @@ def test_experiment_config_rejects_bad_sampling(data):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("args,field", [
+    (["descend", "--function", "norm", "--x0", "2,0", "--T", "nan", "--k", "5"], "T must"),
+    (["descend", "--function", "norm", "--x0", "inf,0"], "x0 must"),
+    (["descend", "--function", "tube", "--epsilon", "inf", "--x0", "2,0"], "epsilon must"),
+    (["regularize", "--function", "norm", "--epsilon", "0.25", "--points", "nan,0"],
+     "points must"),
+    (["verify", "--function", "localized:tube:nan,0:0.4"],
+     "function 'localized:tube:nan,0:0.4'"),
+    (["verify", "--function", "norm", "--levels", "0.5:inf:3"], "window must"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, args, field):
+    code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and field in err and "finite" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"k": "abc"}, "k must be int, got 'abc'"),
+    ({"seed": "abc"}, "seed must be int, got 'abc'"),
+    ({"seed": True}, "seed must be int, got True"),
+    ({"k": 5.0}, "k must be int, got 5.0"),
+    ({"reverse": 1}, "reverse must be bool, got 1"),
+    ({"T": "1"}, "T must be float, got '1'"),
+    ({"x0": [2.0, "0"]}, "x0 must be list[float] | None, got [2.0, '0']"),
+    ({"points": [[1.0, 2.0], 3.0]}, "points must be list[list[float]] | None"),
+    ({"function": 7}, "function must be str, got 7"),
+])
+def test_config_values_are_type_checked_per_field(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"x0": [2.0, 0.0], **data}))
+    code = main(["descend", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_ints_for_floats_and_null_for_unset():
+    config = ExperimentConfig.from_dict({"T": 1, "x0": [2, 0], "epsilon": None,
+                                         "threads": None})
+    assert config.T == 1 and config.x0 == [2, 0] and config.threads is None
+
+
 def test_bad_point_and_window_parsing(tmp_path):
     assert main(["descend", "--function", "norm", "--x0", "nope",
                  "--out", str(tmp_path)]) == 2

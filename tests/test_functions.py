@@ -7,9 +7,8 @@ from sweepdescent.errors import DomainError, EmptySample
 from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
                                     SLOPE_RADII, TubeFunction, aze_corvellec_check,
-                                    check_H2_region, get_function, is_critical,
-                                    level_slopes, limiting_slope, localize,
-                                    slope, slope_values)
+                                    get_function, level_slopes, limiting_slope,
+                                    localize, slope_values)
 from sweepdescent.geometry import (BallSet, ConvexSetOracle, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    sample_boundary)
@@ -56,9 +55,7 @@ def test_gauge_eval_matches_membership_bisection(gauge):
 
 
 def test_slope_norm(norm):
-    est = slope(norm, [2.0, 0.0])
-    assert est.value == pytest.approx(1.0, abs=1e-3)
-    assert est.converged
+    assert slope_values(norm, [2.0, 0.0]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_slope_constant_zero(norm):
@@ -69,17 +66,15 @@ def test_slope_constant_zero(norm):
             x = np.asarray(x, dtype=float)
             return 0.0 if x.ndim == 1 else np.zeros(len(x))
 
-    assert slope(Flat(), [0.3, 0.4]).value == 0.0
+    assert slope_values(Flat(), [0.3, 0.4]) == 0.0
 
 
 def test_slope_tube(tube):
-    assert slope(tube, [2.0, 0.0]).value == pytest.approx(1.0, abs=1e-2)
+    assert slope_values(tube, [2.0, 0.0]) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_slope_outside_domain_flagged(tube):
-    est = slope(tube, [5.0, 0.0])
-    assert est.value == np.inf
-    assert not est.in_domain
+    assert slope_values(tube, [5.0, 0.0]) == np.inf
 
 
 def test_limiting_slope_examples(norm, tube):
@@ -94,40 +89,14 @@ def test_slope_dominates_limiting_slope(gallery):
         pts = rng.uniform([-0.8, -0.8], [1.8, 0.8], size=(12, 2))
         vals = np.asarray(f.eval(pts))
         for x in pts[np.isfinite(vals)]:
-            assert slope(f, x).value >= limiting_slope(f, x) - 2e-2
+            assert slope_values(f, x) >= limiting_slope(f, x) - 2e-2
 
 
 def test_is_critical(norm, tube):
-    assert is_critical(norm, [0.0, 0.0], 1e-2)
-    assert not is_critical(norm, [1.0, 0.0], 1e-2)
-    assert is_critical(tube, [0.2, 0.1], 1e-2)
-
-
-def test_check_H2_region(norm, tube):
-    ok, floor = check_H2_region(norm, ([1.0, -1.0], [2.0, 1.0]), 0.25)
-    assert ok and floor == pytest.approx(1.0, abs=1e-2)
-    ok, floor = check_H2_region(tube, ([1.2, -0.5], [2.8, 0.5]), 0.2)
-    assert ok and floor >= 1.0 - 1e-2
-
-
-def test_check_H2_warns_on_coarse_grid(tube):
-    from sweepdescent.errors import GridTooCoarse
-    # slope runs from 1.25 to above 3 across this strip; a coarse grid sees
-    # adjacent estimates jumping by more than half
-    with pytest.warns(GridTooCoarse):
-        check_H2_region(tube, ([1.4, 0.55], [2.2, 0.97]), 0.4)
-
-
-def test_check_H2_constant_region_fails():
-    class Flat:
-        dim = 2
-
-        def eval(self, x):
-            x = np.asarray(x, dtype=float)
-            return 1.0 if x.ndim == 1 else np.ones(len(x))
-
-    ok, floor = check_H2_region(Flat(), ([0.0, 0.0], [1.0, 1.0]), 0.5)
-    assert not ok and floor == 0.0
+    # The probe's criticality rule: a limiting slope of at most 1e-2.
+    assert limiting_slope(norm, [0.0, 0.0]) <= 1e-2
+    assert not limiting_slope(norm, [1.0, 0.0]) <= 1e-2
+    assert limiting_slope(tube, [0.2, 0.1]) <= 1e-2
 
 
 def test_localize_eval_and_min(norm):
@@ -205,9 +174,11 @@ def test_lens_constructors_reject_other_sets():
     with pytest.raises(ValueError):
         localize(regularize(get_function("tube"), 0.2), [1.5, 0.0], 0.4)
     with pytest.raises(ValueError):
-        IntersectionSet(DilatedSet(BallSet([0.0, 0.0], 1.0), 0.1), BallSet([1.0, 0.0], 0.5))
+        IntersectionSet(DilatedSet(BallSet([0.0, 0.0], 1.0), 0.1), BallSet([1.0, 0.0], 0.5),
+                        [0.9, 0.0])
     with pytest.raises(ValueError):
-        IntersectionSet(BallSet([0.0, 0.0, 0.0], 1.0), BallSet([1.0, 0.0, 0.0], 0.5))
+        IntersectionSet(BallSet([0.0, 0.0, 0.0], 1.0), BallSet([1.0, 0.0, 0.0], 0.5),
+                        [0.9, 0.0, 0.0])
 
 
 def test_one_sublevel_constructor_and_one_membership_rule():
@@ -333,13 +304,13 @@ def test_norm_dim5_slope():
     norm5 = get_function("norm", dim=5)
     x = np.zeros(5)
     x[0] = 2.0
-    assert slope(norm5, x).value == pytest.approx(1.0, abs=5e-3)
+    assert slope_values(norm5, x) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_slope_values_batch_matches_single(tube):
     pts = np.array([[2.0, 0.0], [1.5, 0.3], [2.5, -0.2]])
-    batch, _ = slope_values(tube, pts, seed=3)
-    singles = [slope(tube, p, seed=3).value for p in pts]
+    batch = slope_values(tube, pts, seed=3)
+    singles = [slope_values(tube, p, seed=3) for p in pts]
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -359,10 +330,10 @@ def test_level_slopes_dual_route(name, dim, regularized):
         f = regularize(f, 0.2 if name.startswith("localized") else 0.25)
     pts = _annulus_sample(f, f.default_window, 400, 0, "dual-route")
     s_level = level_slopes(f, pts)
-    s_probe, _ = slope_values(f, pts)
+    s_probe = slope_values(f, pts)
     assert np.all(s_level >= s_probe - 1e-9)
     assert np.max((s_level - s_probe) / s_level) <= (1e-6 if dim == 2 else 5e-3)
-    h = np.array(SLOPE_RADII[-2:])[:, None]
+    h = np.array(SLOPE_RADII)[:, None]
     if name == "norm":
         # s_h = 1 wherever the h-ball stays off the argmin (the eps-ball of
         # the regularization).

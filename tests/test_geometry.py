@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from sweepdescent.errors import DegenerateNormal, EmptySample
+from sweepdescent.errors import EmptySample
 from sweepdescent.functions import get_function, localize
 from sweepdescent.geometry import (RAY_BLOCK, BallSet, DilatedSet,
                                    IntersectionSet, TwoBallHullSet, _dedupe,
                                    _fibonacci_directions, _itp, _ray_block,
-                                   _ray_boundary_points, outward_normal,
+                                   _ray_boundary_points, outward_normals,
                                    sample_boundary)
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
@@ -112,12 +112,14 @@ def test_hausdorff_tube_levels():
 
 
 def test_outward_normal_examples():
-    assert np.allclose(outward_normal(UNIT_DISK, [0.0, 1.0]), [0.0, 1.0], atol=1e-6)
-    assert np.allclose(outward_normal(UNIT_DISK, [1.0, 0.0]), [1.0, 0.0], atol=1e-6)
+    normals, ok = outward_normals(UNIT_DISK, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.all(ok)
+    assert np.allclose(normals, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
     capsule = TwoBallHullSet([0, 0], 1.0, [1.0, 0.0], 1.0)
-    n = outward_normal(capsule, [2.0, 0.0])
-    assert np.allclose(n, [1.0, 0.0], atol=1e-6)
-    assert abs(np.linalg.norm(n) - 1.0) < 1e-9
+    normals, ok = outward_normals(capsule, np.array([[2.0, 0.0]]))
+    assert ok[0]
+    assert np.allclose(normals[0], [1.0, 0.0], atol=1e-6)
+    assert abs(np.linalg.norm(normals[0]) - 1.0) < 1e-9
 
 
 def test_outward_normal_positive_alignment():
@@ -126,19 +128,21 @@ def test_outward_normal_positive_alignment():
     pts = rng.uniform(-3, 4, size=(50, 2))
     outside = pts[np.asarray(hull.distance(pts)) > 0.1]
     feet = hull.project(outside)
-    for x, b in zip(outside, feet):
-        n = outward_normal(hull, b)
-        assert abs(np.linalg.norm(n) - 1.0) < 1e-9
-        assert np.dot(n, x - b) > 0
+    normals, ok = outward_normals(hull, feet)
+    assert np.all(ok)
+    assert np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) < 1e-9
+    assert np.all(np.einsum("ij,ij->i", normals, outside - feet) > 0)
 
 
 def test_outward_normal_rejects_corner():
     lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet([1.2, 0.0], 1.0),
                            interior_point=[0.6, 0.0])
-    # the two circles cross at x = 0.6, a genuine corner of the lens
+    # the two circles cross at x = 0.6, a genuine corner of the lens; the
+    # second circle's arc is smooth at (0.2, 0)
     corner_y = np.sqrt(1.0 - 0.6**2)
-    with pytest.raises(DegenerateNormal):
-        outward_normal(lens, [0.6, corner_y])
+    normals, ok = outward_normals(lens, np.array([[0.6, corner_y], [0.2, 0.0]]))
+    assert ok.tolist() == [False, True]
+    assert np.allclose(normals[1], [-1.0, 0.0], atol=1e-6)
 
 
 def test_boundary_sample_spacing_and_accuracy():
@@ -348,10 +352,12 @@ def test_itp_brackets_kinked_maps(rows_in):
 
 
 def test_intersection_projection_matches_brute_force():
-    lens = IntersectionSet(BallSet([0, 0], 1.8), BallSet([2.0, 0.0], 0.5))
+    lens = IntersectionSet(BallSet([0, 0], 1.8), BallSet([2.0, 0.0], 0.5),
+                           interior_point=[1.65, 0.0])
     assert np.allclose(lens.project([3.0, 0.0]), [1.8, 0.0], atol=1e-8)
     # a case where plain alternating projections land at the wrong point
-    half = IntersectionSet(BallSet([0, 0], 1.0), BallSet([0.0, -100.0], 100.0))
+    half = IntersectionSet(BallSet([0, 0], 1.0), BallSet([0.0, -100.0], 100.0),
+                           interior_point=[0.0, -0.5])
     p = half.project([0.5, 2.0])
     brute_x = 0.5 * 100.0 / np.hypot(0.5, 102.0)
     assert np.linalg.norm(p - [brute_x, -(brute_x**2) / 200]) < 1e-3

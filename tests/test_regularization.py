@@ -3,10 +3,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
-from sweepdescent.functions import get_function, localize, slope
+from sweepdescent.functions import get_function, localize, slope_values
 from sweepdescent.geometry import TwoBallHullSet, outward_normals, sample_boundary
-from sweepdescent.regularization import (_secant_ratios, base_point,
-                                         complement_projection,
+from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_gaps, slope_deficits)
 from sweepdescent.rng import split_rng
@@ -75,12 +74,20 @@ def test_pointwise_below_base(gallery):
         assert np.all(fr <= fb + 1e-9)
 
 
+def _base_points(freg, x):
+    """Projections of the rows x onto the base sublevels at their regularized
+    values, which the base points carry."""
+    return freg.base.level_project(freg.eval(x), x)
+
+
 def test_base_point_examples(norm, tube):
     fr = regularize(norm, 0.5)
-    assert np.allclose(base_point(fr, [2.0, 0.0]), [1.5, 0.0], atol=1e-8)
-    assert np.allclose(base_point(fr, [1.2, 0.0]), [0.7, 0.0], atol=1e-8)
+    x = np.array([[2.0, 0.0], [1.2, 0.0]])
+    assert np.allclose(_base_points(fr, x), [[1.5, 0.0], [0.7, 0.0]], atol=1e-8)
+    # At the bottom level the base set is the argmin, the origin.
+    assert np.allclose(_base_points(fr, np.array([[0.2, 0.0]])), [[0.0, 0.0]], atol=1e-9)
     ft = regularize(tube, 0.5)
-    assert np.allclose(base_point(ft, [3.0, 0.0]), [2.5, 0.0], atol=1e-8)
+    assert np.allclose(_base_points(ft, np.array([[3.0, 0.0]])), [[2.5, 0.0]], atol=1e-8)
 
 
 def test_base_point_consistency(gallery):
@@ -93,13 +100,6 @@ def test_base_point_consistency(gallery):
         z = freg.base.level_project(vals[keep], pts[keep])
         assert np.max(np.abs(np.asarray(f.eval(z)) - vals[keep])) <= 1e-6
         assert np.max(np.linalg.norm(pts[keep] - z, axis=1)) <= 0.25 + 1e-6
-
-
-def test_base_point_bottom_flagged(norm):
-    fr = regularize(norm, 0.5)
-    with pytest.warns(UserWarning):
-        z = base_point(fr, [0.2, 0.0])
-    assert np.allclose(z, [0.0, 0.0], atol=1e-9)
 
 
 def test_semigroup_examples(norm, tube):
@@ -166,7 +166,7 @@ def test_secant_ratios_3d_match_sorted_pair_reference():
     hull = TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.2, 0.3, 0.0], 0.6)
     resolution = 0.1
     pts = sample_boundary(hull, resolution, seed=4).points
-    normals, ok = outward_normals(hull, pts, strict=False)
+    normals, ok = outward_normals(hull, pts)
     pts, normals = pts[ok], normals[ok]
     got = _secant_ratios(pts, normals, 3, resolution)
     # The earlier pair list: a sorted Python list of index tuples.
@@ -223,4 +223,4 @@ def test_regularized_slope_at_cap_angle(tube):
     freg = regularize(tube, 0.25)
     angle = np.pi / 6
     x = np.array([1.5 + 1.25 * np.cos(angle), 1.25 * np.sin(angle)])
-    assert slope(freg, x).value == pytest.approx(1.0 / np.cos(angle), rel=1e-3)
+    assert slope_values(freg, x) == pytest.approx(1.0 / np.cos(angle), rel=1e-3)

@@ -99,7 +99,7 @@ def test_speed_slope_sandwich_shrinks(tube):
     for k in (100, 200, 400):
         cfg = SweepingConfig(alpha2=1.5, horizon=0.4, steps=k)
         traj = forward_catching_up(freg, x0, cfg)
-        slopes, _ = slope_values(freg, traj.points[1:], seed=2)
+        slopes = slope_values(freg, traj.points[1:], seed=2)
         product = traj.speeds[1:] * slopes
         gaps.append(float(np.max(np.abs(product - 1.0))))
     assert gaps[2] < gaps[0]
@@ -116,7 +116,7 @@ def test_speed_sandwich_two_sided(tube):
     for j in (40, 100, 180):
         u = traj.points[j]
         speed = traj.speeds[j]
-        slopes, _ = slope_values(freg, u[None, :], seed=5)
+        slopes = slope_values(freg, u[None, :], seed=5)
         lim = limiting_slope(freg, u, seed=5)
         assert speed >= 1.0 / slopes[0] - delta
         assert speed <= 1.0 / lim + delta
