@@ -209,13 +209,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad levels {levels!r}, expected a:b:n")
         data["window"] = [float(parts[0]), float(parts[1])]
         data["n_levels"] = int(parts[2])
-    for key in ("function", "dim", "epsilon", "seed", "output_dir", "threads",
-                "x0", "alpha2", "T", "k", "reverse", "tbar", "map_lipschitz",
-                "prox_radius", "grid_size", "window", "n_points", "n_levels",
-                "resolution", "probe_starts"):
-        val = getattr(args, key, None)
-        if val is not None:
-            data[key] = val
+    for field in dataclasses.fields(ExperimentConfig):
+        val = getattr(args, field.name, None)
+        if val is not None and field.name not in ("command", "points"):
+            data[field.name] = val
     points = getattr(args, "points", None)
     if points is not None:
         data["points"] = [_parse_point(p) for p in points.split(";")]

@@ -285,21 +285,13 @@ class LocalizedFunction(QuasiconvexFunction):
         self.ball = BallSet(center, delta)
         self.domain = self.ball
         self.inf_value = float(base.level_at_distance(center, self.delta))
-        self.level_hi = self._max_over_ball(base.level_hi)
+        # The smallest level whose sublevel set contains the ball: the
+        # maximum of the base over the ball.
+        self.level_hi = float(base.level_at_distance(center, -self.delta))
         self.default_window = (
             self.inf_value + 0.25 * (self.level_hi - self.inf_value),
             self.inf_value + 0.75 * (self.level_hi - self.inf_value),
         )
-
-    def _max_over_ball(self, base_hi) -> float:
-        rng = split_rng(0, "localize-max", self.name)
-        pts = self.center + ball_points(rng, 2048, self.dim, self.delta)
-        border = self.center + self.delta * unit_directions(rng, 512, self.dim)
-        vals = self.base.eval(np.vstack([pts, border]))
-        hi = float(np.max(vals[np.isfinite(vals)])) + 1e-6
-        if base_hi is not None:
-            hi = min(hi, base_hi)
-        return hi
 
     def eval(self, x):
         x2, single = _atleast_2d(x)

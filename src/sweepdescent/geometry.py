@@ -12,7 +12,8 @@ functions also call. A plane hull cut by a ball (IntersectionSet, whose
 interior point the caller gives, and every localized sublevel set) is exact
 through ball_lens_project, which takes its corners in closed form from the
 hull parameters. The signed distance of an intersection is exact on both
-sides of its boundary. sample_boundary shoots rays from the interior point,
+sides of its boundary. sample_boundary keeps the exit of every ray it shoots
+from the interior point, one ray per resolution of arc length in the plane,
 and outward_normals probes the normals at boundary points and masks corners.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
@@ -440,24 +440,26 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
     found by ITP root-finding to about 1e-15 relative; a set whose interior
     point is not strictly inside (an empty interior) raises EmptySample.
 
-    d = 2 uses a deterministic angular sweep sized from a coarse perimeter
-    estimate. d = 3 uses a spherical Fibonacci lattice (Swinbank & Purser,
+    d = 2 places one ray per resolution of arc length: a 64-ray pass gives a
+    closed polygon of perimeter P, and max(ceil(P / resolution), 64) rays go
+    at equal arc length along it, their angles interpolated linearly along
+    each edge. d = 3 uses a spherical Fibonacci lattice (Swinbank & Purser,
     QJRMS 2006; Gonzalez, Math. Geosci. 2010) and ignores the seed: one ray
     per 2 * resolution^2 of the sphere of radius r_max, the largest exit of a
     128-point lattice, or ceil(2 pi (r_max / resolution)^2) rays, which cover
     a round set within about resolution. d >= 4 uses seeded sphere
     directions. The ray count is capped at max_points (capped is then True).
-    Exits closer than resolution / 2 are thinned to the canonical maximal set
-    of _dedupe.
+    Every ray gives one sample.
     """
     dim = oracle.dim
     if dim == 2:
-        t = np.linspace(0.0, 2 * np.pi, 65)[:-1]
-        coarse = _ray_boundary_points(oracle, np.stack([np.cos(t), np.sin(t)], axis=1))
-        perimeter = float(np.linalg.norm(np.roll(coarse, -1, axis=0) - coarse, axis=1).sum())
-        count = max(int(np.ceil(perimeter / resolution)) * 2, 64)
+        t = np.linspace(0.0, 2 * np.pi, 65)
+        coarse = _ray_boundary_points(oracle, np.stack([np.cos(t), np.sin(t)], axis=1)[:-1])
+        chords = np.linalg.norm(np.roll(coarse, -1, axis=0) - coarse, axis=1)
+        arc = np.concatenate([[0.0], np.cumsum(chords)])
+        count = max(int(np.ceil(arc[-1] / resolution)), 64)
         capped, count = count > max_points, min(count, max_points)
-        angles = np.linspace(0.0, 2 * np.pi, count + 1)[:-1]
+        angles = np.interp(np.arange(count) * (arc[-1] / count), arc, t)
         pts = _ray_boundary_points(oracle, np.stack([np.cos(angles), np.sin(angles)], axis=1))
     else:
         directions = (_fibonacci_directions if dim == 3 else
@@ -473,8 +475,7 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
         capped, count = count > max_points, min(count, max_points)
         pts = _ray_boundary_points(oracle, directions(count))
 
-    keep = _dedupe(pts, resolution / 2.0)
-    return BoundarySample(points=pts[keep], resolution=resolution, capped=capped)
+    return BoundarySample(points=pts, resolution=resolution, capped=capped)
 
 
 def _fibonacci_directions(n):
@@ -485,20 +486,6 @@ def _fibonacci_directions(n):
     rho = np.sqrt(1.0 - z * z)
     phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-
-
-def _dedupe(pts, min_gap):
-    """Mask of the lexicographically first maximal independent set of the
-    graph joining points closer than min_gap: each point in index order is
-    kept unless a kept point of lower index lies within min_gap, so every
-    dropped point has a kept one within min_gap."""
-    pairs = cKDTree(pts).query_pairs(min_gap, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    keep = [True] * len(pts)
-    for i, j in pairs.tolist():
-        if keep[i]:
-            keep[j] = False
-    return np.array(keep, dtype=bool)
 
 
 def outward_normals(oracle: ConvexSetOracle, points):

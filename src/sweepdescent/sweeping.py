@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DomainError, LevelUnderflow, MissingConstants,
                      ReverseRefused, SweepDescentError, ThetaGuard)
 from .functions import QuasiconvexFunction
-from .geometry import _ray_block
+from .geometry import PROBE_STEP, _ray_block
 from .regularization import RegularizedFunction, complement_projection
 
 BOUNDARY_RIDE_TOL = 1e-6
@@ -125,8 +125,7 @@ def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfi
                       direction="forward", config=cfg)
 
 
-def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
-                                probe: float = 1e-5):
+def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x):
     """Nearest boundary point of [f <= alpha] from inside.
 
     Fixed-point iteration between the ray exit to the boundary and the
@@ -140,7 +139,7 @@ def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
     grad = np.zeros_like(x)
     for axis in range(len(x)):
         off = np.zeros(len(x))
-        off[axis] = probe
+        off[axis] = PROBE_STEP
         grad[axis] = float(oracle.signed_boundary_distance(x + off)) - float(
             oracle.signed_boundary_distance(x - off))
     norm = np.linalg.norm(grad)
@@ -148,11 +147,11 @@ def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x,
     best = None
     for _ in range(20):
         b = _ray_block(oracle, direction[None, :], origin=x)[0]
-        exterior = b + probe * direction
+        exterior = b + PROBE_STEP * direction
         foot = oracle.project(exterior)
         delta = exterior - foot
         dist = np.linalg.norm(delta)
-        new_dir = delta / dist if dist > probe * 1e-6 else direction
+        new_dir = delta / dist if dist > PROBE_STEP * 1e-6 else direction
         if best is not None and np.linalg.norm(new_dir - direction) < 1e-13:
             return b
         best = b

@@ -156,6 +156,27 @@ def test_localized_bottom_level_set_is_one_point(tube):
         h.sublevel(np.nextafter(h.inf_value, 0.0))
 
 
+@pytest.mark.parametrize("name", ["localized:tube:1.5,0:0.4", "localized:tube:1.5,0:0.2",
+                                  "localized:gauge:0.3,2.3:0.35",
+                                  "localized:gauge:0.4,0.2:0.3"])
+def test_localized_top_level_is_the_maximum_over_the_ball(name):
+    # A quasiconvex function takes its maximum over a ball on the border.
+    f = get_function(name)
+    t = np.linspace(0.0, 2 * np.pi, 200_000, endpoint=False)
+    border = f.center + f.delta * np.stack([np.cos(t), np.sin(t)], axis=1)
+    gap = f.level_hi - float(np.max(f.base.eval(border)))
+    assert 0.0 <= gap <= 1e-9
+
+
+def test_localized_norm3_top_level_keeps_the_whole_ball():
+    # A top level below the true maximum 1.4 cuts the domain short: the
+    # regularized value 2e-4 inside the eps-dilated ball would read +inf.
+    f = get_function("localized:norm3:1,0,0:0.4", dim=3)
+    assert f.level_hi == np.linalg.norm(f.center) + f.delta
+    value = regularize(f, 0.2).eval([[1.5998, 0.0, 0.0]])
+    assert abs(value[0] - 1.3998) <= 1e-12
+
+
 def test_localized_norm3_projection_is_feasible_near_the_bottom_level():
     # The 3-d lens of two balls, projected in each point's (axial, radial)
     # half-plane, at the bottom level (one point) and just above it.
