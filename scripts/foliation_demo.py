@@ -47,7 +47,7 @@ def main():
     # reverse a few leaves back to the starting boundary
     worst = 0.0
     for i in range(0, len(grid), max(len(grid) // 4, 1)):
-        rev = reverse_catching_up(freg, fm.endpoints[i], args.horizon, cfg)
+        rev = reverse_catching_up(freg, fm.endpoint[i], args.horizon, cfg)
         worst = max(worst, float(np.linalg.norm(rev.endpoint - grid[i])))
     print(f"reverse recovery gap over sampled leaves: {worst:.2e}")
 

@@ -22,10 +22,9 @@ from .geometry import (BallSet, BoundarySample, ConvexSetOracle, DilatedSet,
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
                              complement_projection, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
-from .sweeping import (FlowMap, SweepingConfig, Trajectory, flow_map,
-                       forward_catching_up, forward_catching_up_batch,
-                       invert_flow_check, reverse_catching_up,
-                       trajectory_to_csv)
+from .sweeping import (SweepingConfig, Trajectory, flow_map, forward_catching_up,
+                       forward_catching_up_batch, invert_flow_check,
+                       reverse_catching_up, trajectory_to_csv)
 from .verification import (CheckResult, DiagnosticsReport,
                            hoffmann_localization_check, membership_U_epsilon,
                            probe_steepest_descent, run_verification_suite,

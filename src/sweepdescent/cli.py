@@ -344,11 +344,10 @@ def cmd_foliate(config: ExperimentConfig) -> int:
                           os.path.join(config.output_dir, name),
                           comment=config.stamp())
         names.append(name)
-    endpoints = fm.endpoints
-    sep = np.full(len(grid), np.inf)
-    for i in range(len(grid)):
-        others = np.delete(np.arange(len(grid)), i)
-        sep[i] = float(np.min(np.linalg.norm(endpoints[others] - endpoints[i], axis=1)))
+    endpoints = fm.endpoint
+    gaps = np.linalg.norm(endpoints[None, :, :] - endpoints[:, None, :], axis=2)
+    np.fill_diagonal(gaps, np.inf)
+    sep = gaps.min(axis=1)
     index_lines = [f"# {config.stamp()}",
                    "file,m0,m1,end0,end1,min_endpoint_gap"]
     for i, name in enumerate(names):

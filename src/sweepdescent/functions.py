@@ -348,30 +348,63 @@ def slope_values(f: QuasiconvexFunction, points, seed: int = 0):
 
     The probe sweep: at each radius of SLOPE_RADII the largest positive
     difference quotient over a seeded direction sweep (64 directions in 2-d,
-    32 * dim above), locally refined around the best direction; the estimate
-    is the largest value over the radii. It reads only eval.
+    32 * dim above), refined by a compass search on the unit sphere (Kolda,
+    Lewis & Torczon, SIAM Review 2003) from the best swept direction; the
+    estimate is the largest value over the radii. It reads only eval.
     """
     pts, single = _atleast_2d(points)
     m, dim = pts.shape
     n = 64 if dim == 2 else 32 * dim
     fx = np.asarray(f.eval(pts), dtype=float)
-    value = np.full(m, -np.inf)
+    # Every compass round probes both radii in one eval call, since a level
+    # search costs nearly as much per call on a few hundred rows as on a few
+    # thousand: row k * m + i holds point i at radius SLOPE_RADII[k].
+    rho = np.repeat(SLOPE_RADII, m)
+    best, v, width = [], [], 0.0
     # Keys 2 and 3 keep the direction streams these radii had after 1e-2 and 1e-3.
-    for ri, rho in enumerate(SLOPE_RADII, start=2):
+    for ri, r in enumerate(SLOPE_RADII, start=2):
         dirs = unit_directions(split_rng(seed, "slope", ri), n, dim)
-        probes = pts[:, None, :] + rho * dirs[None, :, :]
-        fp = np.asarray(f.eval(probes.reshape(-1, dim))).reshape(m, n)
-        with np.errstate(invalid="ignore"):
-            quot = np.nan_to_num(np.maximum(fx[:, None] - fp, 0.0), nan=0.0) / rho
-        best = quot.max(axis=1)
-        if dim == 2:
-            best = np.maximum(best, _refine_angle(f, pts, fx, rho, quot.argmax(axis=1), n))
-        else:
-            best = np.maximum(best, _refine_cap(f, pts, fx, rho,
-                                                dirs[quot.argmax(axis=1)], seed))
-        value = np.maximum(value, best)
+        quot = _quotients(f, pts, fx, np.full(m, r), dirs)
+        best.append(quot.max(axis=1))
+        v.append(dirs[quot.argmax(axis=1)])
+        cosines = dirs @ dirs.T
+        np.fill_diagonal(cosines, -1.0)
+        width = max(width, float(np.arccos(np.clip(cosines.max(axis=1).min(), -1.0, 1.0))))
+    best, v = np.concatenate(best), np.concatenate(v)
+    x, fxr = np.tile(pts, (len(SLOPE_RADII), 1)), np.tile(fx, len(SLOPE_RADII))
+    # Start at the sweeps' largest nearest-neighbour angle and halve the
+    # width each round down to about 2e-4 rad; 1-d sweeps already hold both
+    # directions and take no round. Each round tries cos(w) v +- sin(w) t
+    # over the tangent frame at v, columns 1.. of the Householder matrix
+    # I - 2 u u^T / |u|^2 with u = v + sign(v_0) e_0, and moves to the best
+    # candidate that beats v.
+    for _ in range(int(np.ceil(np.log2(max(width, 2e-4) / 2e-4)))):
+        u = v.copy()
+        u[:, 0] += np.where(v[:, 0] >= 0.0, 1.0, -1.0)
+        frame = np.eye(dim)[1:] - 2.0 * u[:, 1:, None] * u[:, None, :] \
+            / np.sum(u * u, axis=1)[:, None, None]
+        cand = np.cos(width) * v[:, None, :] + np.sin(width) * np.concatenate(
+            [frame, -frame], axis=1)
+        q = _quotients(f, x, fxr, rho, cand)
+        top = q.max(axis=1)
+        move = top > best
+        v[move] = cand[move, q[move].argmax(axis=1)]
+        best = np.maximum(best, top)
+        width /= 2.0
+    value = best.reshape(len(SLOPE_RADII), m).max(axis=0)
     value = np.where(np.isfinite(fx), value, np.inf)
     return float(value[0]) if single else value
+
+
+def _quotients(f, pts, fx, rho, dirs):
+    """Positive difference quotients (f(x) - f(x + rho v))^+ / rho per row,
+    0 where a probe leaves the domain, for directions dirs of shape (k, d)
+    shared by every row or (m, k, d) per row."""
+    probes = pts[:, None, :] + rho[:, None, None] * dirs
+    m, k, dim = probes.shape
+    fp = np.asarray(f.eval(probes.reshape(-1, dim))).reshape(m, k)
+    with np.errstate(invalid="ignore"):
+        return np.nan_to_num(np.maximum(fx[:, None] - fp, 0.0), nan=0.0) / rho[:, None]
 
 
 def level_slopes(f: QuasiconvexFunction, points):
@@ -386,51 +419,6 @@ def level_slopes(f: QuasiconvexFunction, points):
         drop = fx[rows] - f.level_at_distance(pts[rows], h)
         value[rows] = np.maximum(value[rows], drop / h)
     return float(value[0]) if single else value
-
-
-def _refine_angle(f, pts, fx, rho, arg, n):
-    """Bracketed angular subdivision around the best sampled direction."""
-    m = pts.shape[0]
-    centers = 2.0 * np.pi * arg / n
-    width = 2.0 * np.pi / n
-    best = np.full(m, -np.inf)
-    for _ in range(3):
-        offs = np.linspace(-1.0, 1.0, 9)
-        angles = centers[:, None] + width * offs[None, :]
-        probes = pts[:, None, :] + rho * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=2
-        )
-        fp = np.asarray(f.eval(probes.reshape(-1, 2))).reshape(m, 9)
-        with np.errstate(invalid="ignore"):
-            quot = np.nan_to_num(np.maximum(fx[:, None] - fp, 0.0), nan=0.0) / rho
-        idx = quot.argmax(axis=1)
-        best = np.maximum(best, quot.max(axis=1))
-        centers = angles[np.arange(m), idx]
-        width /= 4.0
-    return best
-
-
-def _refine_cap(f, pts, fx, rho, dirs, seed):
-    """Shrinking spherical-cap search around the best sampled direction."""
-    m, dim = pts.shape
-    best = np.full(m, -np.inf)
-    width = 0.5
-    v = dirs.copy()
-    rng = split_rng(seed, "slope-cap")
-    for _ in range(4):
-        noise = rng.normal(size=(m, 24, dim))
-        cand = v[:, None, :] + width * noise
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        probes = pts[:, None, :] + rho * cand
-        fp = np.asarray(f.eval(probes.reshape(-1, dim))).reshape(m, 24)
-        with np.errstate(invalid="ignore"):
-            quot = np.nan_to_num(np.maximum(fx[:, None] - fp, 0.0), nan=0.0) / rho
-        idx = quot.argmax(axis=1)
-        better = quot.max(axis=1) > best
-        best = np.maximum(best, quot.max(axis=1))
-        v[better] = cand[better, idx[better]]
-        width /= 3.0
-    return best
 
 
 def limiting_slope(f: QuasiconvexFunction, x, seed: int = 0):

@@ -52,7 +52,11 @@ class SweepingConfig:
 
 @dataclass
 class Trajectory:
-    """Samples of one catching-up run: times, points and function values."""
+    """Samples of one catching-up run: times, points and function values.
+
+    A batch of runs on one partition has points of shape (k+1, n, d) and
+    values of shape (k+1, n); speeds and residuals then get one column per run.
+    """
 
     times: np.ndarray
     points: np.ndarray
@@ -68,15 +72,17 @@ class Trajectory:
 
     @property
     def speeds(self) -> np.ndarray:
-        out = np.zeros(len(self.times))
-        if len(self.times) > 1:
-            dt = np.diff(self.times)
-            out[1:] = np.linalg.norm(np.diff(self.points, axis=0), axis=1) / dt
-        return out
+        steps = np.linalg.norm(np.diff(self.points, axis=0), axis=-1)
+        return np.concatenate([np.zeros_like(self.values[:1]),
+                               (steps.T / np.diff(self.times)).T])
 
     @property
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
+
+    def trajectory(self, i: int) -> "Trajectory":
+        """Run i of a batch."""
+        return replace(self, points=self.points[:, i, :], values=self.values[:, i])
 
     def interpolate(self, t: float) -> np.ndarray:
         """Linear interpolation in time (used to compare unequal partitions)."""
@@ -89,13 +95,14 @@ class Trajectory:
 
     def boundary_residuals(self, f: QuasiconvexFunction) -> np.ndarray:
         """|distance to the moving sublevel boundary| at every sample."""
-        return np.abs(f.level_signed_distance(self.levels, self.points))
+        levels = np.repeat(self.levels, self.values[0].size)
+        pts = self.points.reshape(len(levels), -1)
+        return np.abs(f.level_signed_distance(levels, pts)).reshape(self.values.shape)
 
 
 def forward_catching_up(f: QuasiconvexFunction, x0, cfg: SweepingConfig) -> Trajectory:
     """Forward catching-up run from x0 across the level window."""
-    batch = forward_catching_up_batch(f, np.asarray(x0, dtype=float)[None, :], cfg)
-    return replace(batch, points=batch.points[:, 0, :], values=batch.values[:, 0])
+    return forward_catching_up_batch(f, np.asarray(x0, dtype=float)[None, :], cfg).trajectory(0)
 
 
 def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfig) -> Trajectory:
@@ -203,43 +210,18 @@ def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Traject
                       direction="reverse", config=cfg)
 
 
-@dataclass
-class FlowMap:
-    """Forward trajectories from a grid of boundary starts."""
-
-    grid: np.ndarray
-    times: np.ndarray
-    points: np.ndarray  # (k+1, n, d)
-    values: np.ndarray  # (k+1, n)
-    config: SweepingConfig
-
-    def at(self, t_index: int, m_index: int) -> np.ndarray:
-        return self.points[t_index, m_index]
-
-    def trajectory(self, m_index: int) -> Trajectory:
-        return Trajectory(times=self.times, points=self.points[:, m_index, :],
-                          values=self.values[:, m_index],
-                          direction="forward", config=self.config)
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> FlowMap:
+def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> Trajectory:
     """Forward trajectories for every grid point on the starting boundary.
 
     Grid points must lie on the alpha2-level boundary. All grid points run
-    as one batch, so the output is in grid order.
+    as one batch, so the output is in grid order: run i starts at grid[i].
     """
     grid = np.asarray(boundary_grid, dtype=float)
     start_set = f.sublevel(cfg.alpha2)
     residual = np.abs(np.asarray(start_set.signed_boundary_distance(grid)))
     if np.any(residual > 1e-5):
         raise DomainError("flow map grid points must lie on the level boundary")
-    batch = forward_catching_up_batch(f, grid, cfg)
-    return FlowMap(grid=grid, times=batch.times, points=batch.points,
-                   values=batch.values, config=cfg)
+    return forward_catching_up_batch(f, grid, cfg)
 
 
 def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
@@ -255,11 +237,7 @@ def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     batch = forward_catching_up_batch(f, np.stack([m1, m2]), cfg)
-    traj1 = Trajectory(times=batch.times, points=batch.points[:, 0, :],
-                       values=batch.values[:, 0], direction="forward", config=cfg)
-    traj2 = Trajectory(times=batch.times, points=batch.points[:, 1, :],
-                       values=batch.values[:, 1], direction="forward", config=cfg)
-    u1, u2 = traj1.interpolate(t1), traj2.interpolate(t2)
+    u1, u2 = batch.trajectory(0).interpolate(t1), batch.trajectory(1).interpolate(t2)
     d_in = abs(t1 - t2) + float(np.linalg.norm(m1 - m2))
     dist_out = float(np.linalg.norm(u1 - u2))
     factor = func_lipschitz + np.exp(

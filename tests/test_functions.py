@@ -328,6 +328,12 @@ def test_norm_dim5_slope():
     assert slope_values(norm5, x) == pytest.approx(1.0, abs=5e-3)
 
 
+def test_norm_dim1_slope():
+    # The 1-d sweep holds both directions, so no compass round runs.
+    norm1 = get_function("norm", dim=1)
+    assert slope_values(norm1, [[2.0], [-0.5]]) == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
 def test_slope_values_batch_matches_single(tube):
     pts = np.array([[2.0, 0.0], [1.5, 0.3], [2.5, -0.2]])
     batch = slope_values(tube, pts, seed=3)
@@ -343,17 +349,19 @@ def test_level_slopes_dual_route(name, dim, regularized):
     # The level-search slope against the probe sweep of slope_values on 400
     # seeded annulus points. The closed h-ball contains the probe sphere, so
     # the level search is never below the sweep; the sweep's misses bound
-    # the gap from above. The 3-d sweep's cap search misses by up to 2.4e-3
-    # relative on some seeded samples (8.5e-4 on this one), so its bound is
-    # 5e-3.
+    # the gap from above. On the cheap 2-d cases every sweep seed 0-7 runs
+    # too, since the seed sets the offset of the swept angles.
     f = get_function(name, dim=dim)
     if regularized:
         f = regularize(f, 0.2 if name.startswith("localized") else 0.25)
     pts = _annulus_sample(f, f.default_window, 400, 0, "dual-route")
     s_level = level_slopes(f, pts)
-    s_probe = slope_values(f, pts)
-    assert np.all(s_level >= s_probe - 1e-9)
-    assert np.max((s_level - s_probe) / s_level) <= (1e-6 if dim == 2 else 5e-3)
+    cheap = name == "tube" or (name == "gauge" and not regularized)
+    for seed in range(8) if cheap else [0]:
+        rows = slice(100) if seed else slice(None)
+        s_probe = slope_values(f, pts[rows], seed=seed)
+        assert np.all(s_level[rows] >= s_probe - 1e-9)
+        assert np.max((s_level[rows] - s_probe) / s_level[rows]) <= 1e-6
     h = np.array(SLOPE_RADII)[:, None]
     if name == "norm":
         # s_h = 1 wherever the h-ball stays off the argmin (the eps-ball of

@@ -179,6 +179,20 @@ def test_boundary_sample_dimension_3_ignores_the_seed():
     assert a.points.tobytes() == b.points.tobytes()
 
 
+def test_boundary_sample_dimension_4_seeded_directions():
+    # d >= 4 shoots ceil((4 r_max / resolution)^(d-1)) + 64 seeded rays:
+    # 8^3 + 64 = 576 on the unit 4-ball at resolution 0.5.
+    oracle = get_function("norm4", 4).sublevel(1.0)
+    sample = sample_boundary(oracle, 0.5)
+    assert len(sample) == 576 and not sample.capped
+    assert np.max(np.abs(np.linalg.norm(sample.points, axis=1) - 1.0)) <= 1e-12
+    capped = sample_boundary(oracle, 0.5, max_points=100)
+    assert len(capped) == 100 and capped.capped
+    a = sample_boundary(oracle, 0.5, seed=3)
+    b = sample_boundary(oracle, 0.5, seed=4)
+    assert a.points.tobytes() != b.points.tobytes()
+
+
 def _round_and_lens_sets():
     norm3 = get_function("norm", 3)
     lens = localize(norm3, [1.0, 0.0, 0.0], 0.4)

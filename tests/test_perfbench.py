@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,13 +34,14 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
-def test_traced_sweep_benchmark_ends_in_its_result_line():
+@pytest.mark.parametrize("workload", ["sweep", "verify", "localized"])
+def test_traced_benchmark_ends_in_its_result_line(workload):
     # The benchmark reads only the last line of standard output, so nothing
     # the library prints may follow the JSON result, traced or not. That line
     # is strict JSON and carries a number for every per-layer metric that
     # BENCHMARK.json declares.
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sweep", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -223,6 +223,23 @@ def test_pairwise_nonexpansive_forward(gallery):
         assert np.all(np.diff(gaps, axis=0) <= 1e-8)
 
 
+def test_batch_speeds_and_residuals_match_single_runs(norm):
+    # A batch trajectory gives one column of speeds and residuals per start,
+    # the values of that start's own run.
+    starts = np.array([[1.5, 0.0], [0.0, 2.0], [1.2, -1.2]])
+    cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=10)
+    batch = forward_catching_up_batch(norm, starts, cfg)
+    speeds, residuals = batch.speeds, batch.boundary_residuals(norm)
+    assert speeds.shape == residuals.shape == (11, 3)
+    for i, x0 in enumerate(starts):
+        single = forward_catching_up(norm, x0, cfg)
+        run = batch.trajectory(i)
+        assert np.array_equal(run.points, single.points)
+        assert np.allclose(speeds[:, i], single.speeds, rtol=0.0, atol=1e-14)
+        assert np.allclose(residuals[:, i], single.boundary_residuals(norm),
+                           rtol=0.0, atol=1e-14)
+
+
 def test_flow_map_radial_rays(norm):
     freg = regularize(norm, 0.5)
     angles = np.linspace(0, 2 * np.pi, 9)[:-1]
@@ -231,7 +248,7 @@ def test_flow_map_radial_rays(norm):
     fm = flow_map(freg, grid, cfg)
     assert fm.points.shape == (201, 8, 2)
     dirs = grid / np.linalg.norm(grid, axis=1, keepdims=True)
-    ends = fm.endpoints
+    ends = fm.endpoint
     assert np.allclose(ends, dirs, atol=1e-9)  # radius 0.5 + 0.5 rays
 
 
@@ -240,7 +257,7 @@ def test_flow_map_zero_horizon_identity(norm):
     grid = np.array([[2.0, 0.0], [0.0, 2.0]])
     cfg = SweepingConfig(alpha2=1.5, horizon=0.0, steps=1)
     fm = flow_map(freg, grid, cfg)
-    assert np.allclose(fm.endpoints, grid)
+    assert np.allclose(fm.endpoint, grid)
 
 
 def test_flow_map_injectivity_probe(tube):
@@ -249,7 +266,7 @@ def test_flow_map_injectivity_probe(tube):
     grid = np.stack([cap_point(1.5, a) for a in angles])
     cfg = SweepingConfig(alpha2=1.5, horizon=0.5, steps=200)
     fm = flow_map(freg, grid, cfg)
-    ends = fm.endpoints
+    ends = fm.endpoint
     gaps = np.linalg.norm(ends[:, None, :] - ends[None, :, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     assert float(np.min(gaps)) > 1e-4
