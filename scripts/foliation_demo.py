@@ -44,11 +44,10 @@ def main():
                           comment=f"foliation leaf {i}")
     print(f"wrote {len(grid)} leaves to {args.out}/")
 
-    # reverse a few leaves back to the starting boundary
-    worst = 0.0
-    for i in range(0, len(grid), max(len(grid) // 4, 1)):
-        rev = reverse_catching_up(freg, fm.endpoint[i], args.horizon, cfg)
-        worst = max(worst, float(np.linalg.norm(rev.endpoint - grid[i])))
+    # reverse a few leaves back to the starting boundary, in one batch
+    sampled = slice(0, len(grid), max(len(grid) // 4, 1))
+    rev = reverse_catching_up(freg, fm.endpoint[sampled], args.horizon, cfg)
+    worst = float(np.max(np.linalg.norm(rev.endpoint - grid[sampled], axis=1)))
     print(f"reverse recovery gap over sampled leaves: {worst:.2e}")
 
 

@@ -269,8 +269,7 @@ def cmd_descend(config: ExperimentConfig) -> int:
             raise ConfigError("slope floor estimate is zero; supply --map-lipschitz")
         map_lip = 1.0 / floor
     cfg = SweepingConfig(alpha2=alpha2, horizon=config.T, steps=config.k,
-                         map_lipschitz=map_lip, prox_radius=config.prox_radius,
-                         seed=config.seed)
+                         map_lipschitz=map_lip, prox_radius=config.prox_radius)
     traj = forward_catching_up(f, x0, cfg)
     _prepare_out(config)
     trajectory_to_csv(traj, f, os.path.join(config.output_dir, "forward.csv"),
@@ -333,8 +332,7 @@ def cmd_foliate(config: ExperimentConfig) -> int:
     angles = np.linspace(0.0, 2.0 * np.pi, config.grid_size, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid = _ray_boundary_points(start_set, dirs)
-    cfg = SweepingConfig(alpha2=config.alpha2, horizon=config.T, steps=config.k,
-                         seed=config.seed)
+    cfg = SweepingConfig(alpha2=config.alpha2, horizon=config.T, steps=config.k)
     fm = flow_map(f, grid, cfg)
     _prepare_out(config)
     names = []

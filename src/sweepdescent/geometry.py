@@ -370,12 +370,12 @@ def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarra
     return out
 
 
-def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray, origin=None) -> np.ndarray:
-    """Ray exits from origin (default: the interior point): doubling, then
-    ITP on the signed distance, which is convex and 1-Lipschitz along a ray
-    from an interior point. Each exit is the inner end of its bracket, a
-    point of the set within 2e-15 relative of the boundary."""
-    center = oracle.interior_point if origin is None else origin
+def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
+    """Ray exits from the interior point: doubling, then ITP on the signed
+    distance, which is convex and 1-Lipschitz along a ray from an interior
+    point. Each exit is the inner end of its bracket, a point of the set
+    within 2e-15 relative of the boundary."""
+    center = oracle.interior_point
     g0 = float(oracle.signed_boundary_distance(center))
     if g0 >= 0:
         raise EmptySample("set has an empty interior: no boundary rays")
@@ -443,12 +443,13 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
     d = 2 places one ray per resolution of arc length: a 64-ray pass gives a
     closed polygon of perimeter P, and max(ceil(P / resolution), 64) rays go
     at equal arc length along it, their angles interpolated linearly along
-    each edge. d = 3 uses a spherical Fibonacci lattice (Swinbank & Purser,
-    QJRMS 2006; Gonzalez, Math. Geosci. 2010) and ignores the seed: one ray
-    per 2 * resolution^2 of the sphere of radius r_max, the largest exit of a
-    128-point lattice, or ceil(2 pi (r_max / resolution)^2) rays, which cover
-    a round set within about resolution. d >= 4 uses seeded sphere
-    directions. The ray count is capped at max_points (capped is then True).
+    each edge; the exits come in counter-clockwise order about the interior
+    point, at strictly increasing angles from 0. d = 3 uses a spherical
+    Fibonacci lattice (Swinbank & Purser, QJRMS 2006; Gonzalez, Math.
+    Geosci. 2010) and ignores the seed: one ray per 2 * resolution^2 of the
+    sphere of radius r_max, the largest exit of a 128-point lattice, or
+    ceil(2 pi (r_max / resolution)^2) rays, which cover a round set within
+    about resolution. d >= 4 uses seeded sphere directions. The ray count is capped at max_points (capped is then True).
     Every ray gives one sample.
     """
     dim = oracle.dim
@@ -488,6 +489,16 @@ def _fibonacci_directions(n):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
+def _signed_distance_gradient(signed_distance, pts):
+    """Central differences of a signed distance at PROBE_STEP, per row of
+    pts (n, d); all 2d probes go to signed_distance in one batched call."""
+    n, dim = pts.shape
+    off = PROBE_STEP * np.eye(dim)
+    probes = np.concatenate([pts[None] + off[:, None], pts[None] - off[:, None]])
+    s = np.asarray(signed_distance(probes.reshape(-1, dim)), dtype=float).reshape(2, dim, n)
+    return ((s[0] - s[1]) / (2 * PROBE_STEP)).T
+
+
 def outward_normals(oracle: ConvexSetOracle, points):
     """Outward normals at boundary points, batched, as (normals, ok).
 
@@ -497,16 +508,8 @@ def outward_normals(oracle: ConvexSetOracle, points):
     rows where it does not are corners, and ok is False there.
     """
     pts = np.asarray(points, dtype=float)
-    n, dim = pts.shape
-    # Finite-difference seed from the signed boundary distance field.
-    grad = np.zeros_like(pts)
-    for axis in range(dim):
-        off = np.zeros(dim)
-        off[axis] = PROBE_STEP
-        grad[:, axis] = (
-            np.asarray(oracle.signed_boundary_distance(pts + off))
-            - np.asarray(oracle.signed_boundary_distance(pts - off))
-        ) / (2 * PROBE_STEP)
+    n = len(pts)
+    grad = _signed_distance_gradient(oracle.signed_boundary_distance, pts)
     norms = np.linalg.norm(grad, axis=1)
     bad_seed = norms < 1e-12
     norms[bad_seed] = 1.0

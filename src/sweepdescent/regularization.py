@@ -92,8 +92,7 @@ def slope_deficits(freg: RegularizedFunction, points, seed: int = 0):
     return s_base - s_reg
 
 
-def complement_projection(freg: RegularizedFunction, alpha: float, x,
-                          tol: float = 1e-12):
+def complement_projection(freg: RegularizedFunction, alpha: float, x):
     """Nearest point of the closed complement of int [f_eps <= alpha].
 
     For x strictly between the base sublevel set and the dilated boundary the
@@ -105,9 +104,9 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x,
     z = freg.base.level_project(alphas, x2)
     delta = x2 - z
     dist = np.linalg.norm(delta, axis=1)
-    if np.any(dist <= tol):
+    if np.any(dist <= 1e-12):
         bad = int(np.argmin(dist))
-        if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=tol)):
+        if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
             raise OutOfReach(
                 "point lies in the base sublevel set, beyond the prox-regular reach"
             )
@@ -128,18 +127,19 @@ class ProxRadiusEstimate:
 
 
 def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
-                         n_samples: int = 600, seed: int = 0) -> ProxRadiusEstimate:
+                         seed: int = 0) -> ProxRadiusEstimate:
     """Minimal internal curvature radius of the sublevel boundary.
 
     Pairs of nearby boundary samples (b, b') with outward normals n, n' give
     the secant ratio ||b - b'||^2 / <b - b', n - n'>, which equals the radius
     exactly on circular arcs; the minimum over close pairs estimates the
-    prox-regularity radius of the complement. One refinement pass re-samples
-    at spacing r_hat / 20. Corner samples are skipped and counted.
+    prox-regularity radius of the complement. The first pass samples at
+    spacing pi / 600 of the level box's diagonal; one refinement pass
+    re-samples at spacing r_hat / 20. Corner samples are skipped and counted.
     """
     oracle = f.sublevel(alpha)
     lo, hi = f.level_bbox(alpha)
-    resolution = float(np.linalg.norm(hi - lo)) * np.pi / max(n_samples, 32)
+    resolution = float(np.linalg.norm(hi - lo)) * np.pi / 600
     r_hat, count, skipped = np.inf, 0, 0
     for _ in range(2):
         sample = sample_boundary(oracle, resolution, seed=seed)
@@ -163,11 +163,10 @@ def _secant_ratios(pts, normals, dim, resolution):
     if len(pts) < 2:
         return np.zeros(0)
     if dim == 2:
-        center = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-        b, n = pts[order], normals[order]
-        db = np.roll(b, -1, axis=0) - b
-        dn = np.roll(n, -1, axis=0) - n
+        # Plane samples come in counter-clockwise order (sample_boundary), so
+        # neighbours in the array are neighbours on the boundary.
+        db = np.roll(pts, -1, axis=0) - pts
+        dn = np.roll(normals, -1, axis=0) - normals
     else:
         pairs = cKDTree(pts).query_pairs(3.0 * resolution, output_type="ndarray")
         if len(pairs) == 0:

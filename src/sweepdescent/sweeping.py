@@ -6,16 +6,25 @@ initial waiting phase holds the start point until the moving level reaches
 its value. The reverse process steps onto the growing closed complements of
 the dilated sublevel interiors, which is only well posed within the
 prox-regular reach and under the step-size guard theta = K * dt / r < 1.
+
+Forward and reverse runs share one catching-up loop over a batch of starts
+(n, d). A regularized function's reverse step is complement_projection; a
+plain function with a validated prox radius takes the closed-form inward
+step x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
+inside a convex set, with the gradient of the signed distance s from central
+differences, and raises DegenerateDirection where that gradient vanishes.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import (DomainError, LevelUnderflow, MissingConstants,
-                     ReverseRefused, SweepDescentError, ThetaGuard)
+from .errors import (DegenerateDirection, DomainError, LevelUnderflow,
+                     MissingConstants, ReverseRefused, SweepDescentError,
+                     ThetaGuard)
 from .functions import QuasiconvexFunction
-from .geometry import PROBE_STEP, _ray_block
+from .geometry import _atleast_2d, _signed_distance_gradient
 from .regularization import RegularizedFunction, complement_projection
 
 BOUNDARY_RIDE_TOL = 1e-6
@@ -30,7 +39,6 @@ class SweepingConfig:
     steps: int
     map_lipschitz: float | None = None
     prox_radius: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -52,23 +60,17 @@ class SweepingConfig:
 
 @dataclass
 class Trajectory:
-    """Samples of one catching-up run: times, points and function values.
+    """Samples of one catching-up run: times, levels, points and function values.
 
     A batch of runs on one partition has points of shape (k+1, n, d) and
     values of shape (k+1, n); speeds and residuals then get one column per run.
     """
 
     times: np.ndarray
+    levels: np.ndarray
     points: np.ndarray
     values: np.ndarray
-    direction: str
     config: SweepingConfig
-
-    @property
-    def levels(self) -> np.ndarray:
-        if self.direction == "forward":
-            return self.config.alpha2 - self.times
-        return self.config.alpha2 + self.times
 
     @property
     def speeds(self) -> np.ndarray:
@@ -100,6 +102,22 @@ class Trajectory:
         return np.abs(f.level_signed_distance(levels, pts)).reshape(self.values.shape)
 
 
+def _catching_up(f: QuasiconvexFunction, x0, times, levels, step,
+                 cfg: SweepingConfig) -> Trajectory:
+    """The catching-up loop pts[j] = step(levels[j], pts[j-1]) over (n, d)
+    starts x0, with one evaluation of every sample at the end."""
+    pts = np.empty((len(times), *x0.shape))
+    pts[0] = x0
+    for j in range(1, len(times)):
+        try:
+            pts[j] = step(levels[j], pts[j - 1])
+        except SweepDescentError as exc:
+            raise type(exc)(f"step {j} (level {levels[j]:.6g}): {exc}") from exc
+    values = np.asarray(f.eval(pts.reshape(-1, x0.shape[1])), dtype=float)
+    return Trajectory(times=times, levels=levels, points=pts,
+                      values=values.reshape(len(times), len(x0)), config=cfg)
+
+
 def forward_catching_up(f: QuasiconvexFunction, x0, cfg: SweepingConfig) -> Trajectory:
     """Forward catching-up run from x0 across the level window."""
     return forward_catching_up_batch(f, np.asarray(x0, dtype=float)[None, :], cfg).trajectory(0)
@@ -115,63 +133,46 @@ def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfi
     k = cfg.steps if cfg.horizon > 0 else 0
     times = (np.arange(k + 1) * cfg.horizon) / max(k, 1)
     f_x0 = np.asarray(f.eval(x0), dtype=float)
-    pts = np.empty((k + 1, len(x0), x0.shape[1]))
-    pts[0] = x0
-    for j in range(1, k + 1):
-        level = cfg.alpha2 - times[j]
-        waiting = level >= f_x0
-        try:
-            moved = f.level_project(np.full(len(x0), level), pts[j - 1])
-        except SweepDescentError as exc:
-            raise type(exc)(f"step {j} (level {level:.6g}): {exc}") from exc
-        pts[j] = np.where(waiting[:, None], x0, moved)
-    values = np.asarray(
-        f.eval(pts.reshape(-1, x0.shape[1])), dtype=float
-    ).reshape(k + 1, len(x0))
-    return Trajectory(times=times, points=pts, values=values,
-                      direction="forward", config=cfg)
+
+    def step(level, x):
+        # A start waits where it is until the moving level reaches its value.
+        moved = f.level_project(np.full(len(x0), level), x)
+        return np.where((level >= f_x0)[:, None], x0, moved)
+
+    return _catching_up(f, x0, times, cfg.alpha2 - times, step, cfg)
 
 
-def _inward_boundary_projection(f: QuasiconvexFunction, alpha: float, x):
-    """Nearest boundary point of [f <= alpha] from inside.
+def _inward_step(f: QuasiconvexFunction, level: float, x):
+    """Nearest boundary points of [f <= level] from inside, per row of x.
 
-    Fixed-point iteration between the ray exit to the boundary and the
-    outward normal there; converges on the smooth prox-regular boundaries
-    that reverse runs require.
+    Inside a convex set the signed distance s is exact, so the nearest
+    boundary point is x - s(x) * grad s / |grad s|, with the gradient from
+    central differences. Rows with s >= 0 stay where they are; a vanishing
+    gradient (norm below 1e-12) raises DegenerateDirection.
     """
-    oracle = f.sublevel(alpha)
-    x = np.asarray(x, dtype=float)
-    if not float(oracle.signed_boundary_distance(x)) < 0.0:
-        return x.copy()
-    grad = np.zeros_like(x)
-    for axis in range(len(x)):
-        off = np.zeros(len(x))
-        off[axis] = PROBE_STEP
-        grad[axis] = float(oracle.signed_boundary_distance(x + off)) - float(
-            oracle.signed_boundary_distance(x - off))
-    norm = np.linalg.norm(grad)
-    direction = grad / norm if norm > 0 else np.eye(len(x))[0]
-    best = None
-    for _ in range(20):
-        b = _ray_block(oracle, direction[None, :], origin=x)[0]
-        exterior = b + PROBE_STEP * direction
-        foot = oracle.project(exterior)
-        delta = exterior - foot
-        dist = np.linalg.norm(delta)
-        new_dir = delta / dist if dist > PROBE_STEP * 1e-6 else direction
-        if best is not None and np.linalg.norm(new_dir - direction) < 1e-13:
-            return b
-        best = b
-        direction = new_dir
-    return best
+    s = f.level_signed_distance(level, x)
+    inside = np.flatnonzero(s < 0.0)
+    out = x.copy()
+    if len(inside):
+        grad = _signed_distance_gradient(
+            lambda p: f.level_signed_distance(level, p), x[inside])
+        norms = np.linalg.norm(grad, axis=1)
+        if np.any(norms < 1e-12):
+            raise DegenerateDirection(
+                "the signed distance has no gradient: no nearest boundary direction")
+        out[inside] -= (s[inside] / norms)[:, None] * grad
+    return out
 
 
 def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Trajectory:
-    """Reverse run on the complement process from level alpha2 - tbar up to alpha2.
+    """Reverse runs on the complement process from level alpha2 - tbar up to alpha2.
 
-    Only offered for regularized functions (whose complements are eps
-    prox-regular by construction) or when the config carries a validated
-    prox radius; refuses otherwise, and refuses when theta >= 1.
+    Takes one start (d,) or a batch (n, d), which gives points of shape
+    (k+1, n, d). Only offered for regularized functions (whose complements
+    are eps prox-regular by construction, stepped by complement_projection)
+    or when the config carries a validated prox radius (stepped by the
+    closed-form inward boundary step); refuses otherwise, and refuses when
+    theta >= 1.
     """
     if not isinstance(freg, RegularizedFunction) and cfg.prox_radius is None:
         raise ReverseRefused(
@@ -187,27 +188,16 @@ def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Traject
         raise ThetaGuard(
             f"theta = {theta:.4g} >= 1: refine the partition before reversing"
         )
-    ubar = np.asarray(ubar, dtype=float)
+    x0, single = _atleast_2d(ubar)
     start_level = cfg.alpha2 - tbar
-    if abs(float(freg.sublevel(start_level).signed_boundary_distance(ubar))) > 1e-5:
+    if np.any(np.abs(freg.sublevel(start_level).signed_boundary_distance(x0)) > 1e-5):
         raise DomainError("reverse start must lie on the starting level boundary")
     k = cfg.steps if tbar > 0 else 0
     times = -tbar + (np.arange(k + 1) * tbar) / max(k, 1)
-    pts = np.empty((k + 1, ubar.shape[0]))
-    pts[0] = ubar
-    regularized = isinstance(freg, RegularizedFunction)
-    for j in range(1, k + 1):
-        level = cfg.alpha2 + times[j]
-        try:
-            if regularized:
-                pts[j] = complement_projection(freg, level, pts[j - 1])
-            else:
-                pts[j] = _inward_boundary_projection(freg, level, pts[j - 1])
-        except SweepDescentError as exc:
-            raise type(exc)(f"step {j} (level {level:.6g}): {exc}") from exc
-    values = np.asarray(freg.eval(pts), dtype=float)
-    return Trajectory(times=times, points=pts, values=values,
-                      direction="reverse", config=cfg)
+    step = partial(complement_projection if isinstance(freg, RegularizedFunction)
+                   else _inward_step, freg)
+    traj = _catching_up(freg, x0, times, cfg.alpha2 + times, step, cfg)
+    return traj.trajectory(0) if single else traj
 
 
 def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> Trajectory:
@@ -226,11 +216,12 @@ def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> Traj
 
 def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
                       cfg: SweepingConfig, func_lipschitz: float,
-                      slack: float = 0.05, tol: float = 1e-8) -> dict:
+                      slack: float = 0.05) -> dict:
     """Bi-Lipschitz bound and forward nonexpansiveness for one start pair.
 
     Compares the flow distance D = |t1 - t2| + ||m1 - m2|| against
-    (L + exp(K * T / r)) * ||u(t1, m1) - u(t2, m2)|| * (1 + slack).
+    (L + exp(K * T / r)) * ||u(t1, m1) - u(t2, m2)|| * (1 + slack), and the
+    pair's gap up to min(t1, t2) against its start gap plus 1e-8.
     """
     if cfg.map_lipschitz is None or cfg.prox_radius is None:
         raise MissingConstants("invert_flow_check needs map_lipschitz and prox_radius")
@@ -246,7 +237,7 @@ def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
     bound = factor * dist_out * (1.0 + slack)
     gaps = np.linalg.norm(batch.points[:, 0, :] - batch.points[:, 1, :], axis=1)
     span = batch.times <= min(t1, t2) + 1e-12
-    nonexpansive = bool(np.all(gaps[span] <= gaps[0] + tol))
+    nonexpansive = bool(np.all(gaps[span] <= gaps[0] + 1e-8))
     return {
         "D_in": d_in,
         "dist_out": dist_out,

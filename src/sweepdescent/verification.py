@@ -191,7 +191,7 @@ def verify_moving_map_lipschitz(f: QuasiconvexFunction, alpha1: float,
 
 
 def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
-                 seed: int = 0, slope_samples: int = 160):
+                 seed: int = 0):
     """The three standing regularity diagnostics over a level window.
 
     H1: sampled sublevel sets are bounded with interior points. H2: the slope
@@ -219,7 +219,7 @@ def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
         passed=bool(bounded and min(depths) > 1e-9), margin=float(min(depths)),
         details={"levels": levels.tolist(), "interior_depths": depths})
 
-    floor = estimate_slope_floor(f, window, n_points=slope_samples, seed=seed)
+    floor = estimate_slope_floor(f, window, seed=seed)
     h2 = CheckResult(
         name="h2-slope-floor",
         anchor="slope bounded away from zero on the window annulus",
@@ -239,9 +239,9 @@ def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
     return h1, h2, h3
 
 
-def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x,
-                         crit_tol: float = CRITICALITY_TOL, seed: int = 0):
-    """Non-lower-criticality through the base point of the regularization.
+def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x, seed: int = 0):
+    """Non-lower-criticality through the base point of the regularization:
+    a limiting slope there above CRITICALITY_TOL.
 
     Takes one point (returns a bool) or an (n, d) batch (returns a boolean
     array) and makes one limiting_slope call.
@@ -250,7 +250,7 @@ def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x,
     vals = np.asarray(regularize(f, eps).eval(x2), dtype=float)
     out = np.isfinite(vals)
     z = f.level_project(vals[out], x2[out])
-    out[out] = limiting_slope(f, z, seed=seed) > crit_tol
+    out[out] = limiting_slope(f, z, seed=seed) > CRITICALITY_TOL
     return bool(out[0]) if single else out
 
 
@@ -302,11 +302,11 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
 
 
 def hoffmann_localization_check(f: QuasiconvexFunction, center, delta: float,
-                                z, beta: float, tol: float = 1e-6) -> CheckResult:
+                                z, beta: float) -> CheckResult:
     """Distance bound for the ball-localized function at one probe point.
 
     d(z, [h <= beta]) <= (delta + d(c, [f <= beta])) / (delta - d(c, [f <= beta]))
-    * d(z, [f <= beta]), skipped when the denominator is not positive.
+    * d(z, [f <= beta]) + 1e-6, skipped when the denominator is not positive.
     """
     center = np.asarray(center, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -321,7 +321,7 @@ def hoffmann_localization_check(f: QuasiconvexFunction, center, delta: float,
                                   "d_center": d_center, "delta": delta})
     factor = (delta + d_center) / denom
     lhs = float(h.sublevel(beta).distance(z))
-    rhs = factor * float(f.sublevel(beta).distance(z)) + tol
+    rhs = factor * float(f.sublevel(beta).distance(z)) + 1e-6
     return CheckResult(
         name="localization-distance-bound",
         anchor="localized sublevel distances bounded by scaled base distances",
@@ -555,8 +555,7 @@ def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
         checks.append(_check_lipschitz_transfer(target, window, n_points, seed))
         checks.append(_check_prox_lower_bound(target, h3))
         if probe_starts > 0 and h2.passed and h3.passed:
-            probe_cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80,
-                                       seed=seed)
+            probe_cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80)
             probe = probe_steepest_descent(target, probe_starts, probe_cfg,
                                            window=window, seed=seed)
             probe.passed = probe.details["fraction"] >= 0.9

@@ -276,7 +276,7 @@ def test_criterion_12_steepest_descent_probe():
     for name, window, threshold in [("norm", (0.75, 1.4), 0.95),
                                     ("tube", (0.5, 1.4), 0.90)]:
         freg = regularize(get_function(name), 0.25)
-        cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80, seed=0)
+        cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80)
         probe = probe_steepest_descent(freg, 50, cfg, window=window,
                                        step_tol=5e-2, step_fraction=0.95,
                                        seed=0)

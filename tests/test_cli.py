@@ -52,6 +52,21 @@ def test_descend_reverse_roundtrip(tmp_path, capsys):
     assert (tmp_path / "reverse.csv").exists()
 
 
+def test_descend_plain_reverse_rides_the_boundary(tmp_path, capsys):
+    # A plain function reverses under a validated prox radius by the
+    # closed-form inward step, which lands on the moving boundary.
+    code = run(tmp_path, "descend", "--function", "tube", "--x0", "2.5,0.3",
+               "--alpha2", "2", "--T", "1", "--k", "200", "--reverse",
+               "--tbar", "0.5", "--prox-radius", "1", "--map-lipschitz", "1")
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "reverse.csv").read_text().splitlines()
+    assert len(lines) == 2 + 201
+    column = lines[1].split(",").index("dist_to_boundary")
+    residuals = [float(line.split(",")[column]) for line in lines[2:]]
+    assert max(residuals) <= 1e-12
+
+
 def test_descend_theta_guard_exit(tmp_path, capsys):
     code = run(tmp_path, "descend", "--function", "norm", "--epsilon", "0.5",
                "--x0", "2,0", "--T", "1", "--k", "1", "--reverse",

@@ -155,6 +155,19 @@ def test_boundary_sample_spacing_and_accuracy():
     assert sample_boundary(UNIT_DISK, 0.05, seed=3, max_points=100).capped
 
 
+def test_plane_samples_come_in_increasing_angle():
+    # Counter-clockwise about the interior point, from angle 0: the secant
+    # ratios of the prox-radius estimate pair neighbours in this order.
+    lens = get_function("localized:tube:1.5,0:0.4").sublevel(0.5)
+    capsule = TwoBallHullSet([0.0, 0.0], 1.0, [1.5, 0.0], 1.0)
+    gauge = regularize(get_function("gauge"), 0.2).sublevel(1.0)
+    for oracle in (UNIT_DISK, capsule, lens, gauge):
+        rel = sample_boundary(oracle, 0.01).points - oracle.interior_point
+        angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
+        assert angles[0] == 0.0
+        assert np.all(np.diff(angles) > 0.0)
+
+
 def test_boundary_sample_dimension_3():
     ball = BallSet([0.0, 0.0, 0.0], 1.0)
     sample = sample_boundary(ball, 0.2, seed=5)

@@ -40,3 +40,61 @@ def test_every_private_helper_is_used_in_the_package():
             and not node.name.startswith("__")
             and uses[node.name] == _names(node).count(node.name)]
     assert not dead, dead
+
+
+def _calls(trees):
+    """Per called name: (positional count, keyword names) of every call; a
+    *args call has an unbounded positional count and a **kwargs call the
+    keyword None, which stands for every name."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((
+                float("inf") if starred else len(node.args),
+                {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted(tree):
+    """(function, names it is called by, index, parameter) for every
+    defaulted parameter of every function in the tree. An __init__ is also
+    called by its class name. Calls of a method pass no self, so a
+    positional index counts from the first parameter after self; a
+    keyword-only parameter has index None."""
+    owner = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for f in cls.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        names = {node.name} | ({owner[id(node)]} if node.name == "__init__" else set())
+        positional = node.args.posonlyargs + node.args.args
+        shift = int(id(node) in owner)
+        first = len(positional) - len(node.args.defaults)
+        out += [(node.name, names, i - shift, p) for i, p in enumerate(positional)
+                if i >= first]
+        out += [(node.name, names, None, p)
+                for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # A default that no call in the package, the scripts or the tests ever
+    # overrides is a constant in disguise. Calls match by name, loosely: a
+    # method by its attribute name, an __init__ also by its class name.
+    root = SRC.parents[1]
+    calls = _calls(ast.parse(path.read_text(encoding="utf-8"))
+                   for folder in ("src", "scripts", "tests")
+                   for path in sorted((root / folder).rglob("*.py")))
+    unset = [f"{path.name}: {func}({param.arg})"
+             for path in sorted(SRC.glob("*.py"))
+             for func, names, index, param in _defaulted(ast.parse(path.read_text(encoding="utf-8")))
+             if not any(param.arg in keywords or None in keywords
+                        or (index is not None and index < count)
+                        for name in names for count, keywords in calls.get(name, ()))]
+    assert not unset, unset

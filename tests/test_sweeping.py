@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from sweepdescent.errors import (DomainError, LevelUnderflow, MissingConstants,
+from sweepdescent.errors import (DegenerateDirection, DomainError,
+                                 LevelUnderflow, MissingConstants,
                                  ReverseRefused, ThetaGuard)
 from sweepdescent.functions import get_function, slope_values
+from sweepdescent.geometry import sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
-from sweepdescent.sweeping import (SweepingConfig, flow_map,
+from sweepdescent.sweeping import (SweepingConfig, _inward_step, flow_map,
                                    forward_catching_up,
                                    forward_catching_up_batch,
                                    invert_flow_check, reverse_catching_up,
                                    trajectory_to_csv)
+
+from conftest import dense_boundary_nearest
 
 
 def cap_point(level, angle, eps=0.25):
@@ -203,6 +207,75 @@ def test_reverse_step_expansion_bound(tube):
     gaps = np.linalg.norm(r1.points - r2.points, axis=1)
     ratio = gaps[1:] / gaps[:-1]
     assert np.max(ratio) <= 1.0 / (1.0 - theta) + 1e-8
+
+
+def test_reverse_batch_equals_single_runs(tube):
+    # A batch of reverse starts runs every start as its own one-start run,
+    # bit for bit: regularized (complement projection) and plain (inward
+    # boundary step under a validated prox radius).
+    angles = np.linspace(-1.2, 1.2, 5)
+    runs = [
+        (regularize(tube, 0.25), np.stack([cap_point(1.0, a) for a in angles]), None),
+        (tube, np.stack([cap_point(1.0, a, eps=0.0) for a in angles]
+                        + [[0.5, 1.0], [0.25, -1.0]]), 1.0),
+    ]
+    for f, starts, prox_radius in runs:
+        cfg = SweepingConfig(alpha2=1.5, horizon=0.5, steps=50,
+                             map_lipschitz=1.0, prox_radius=prox_radius)
+        batch = reverse_catching_up(f, starts, 0.5, cfg)
+        assert batch.points.shape == (51, len(starts), 2)
+        assert batch.values.shape == (51, len(starts))
+        for i, start in enumerate(starts):
+            single = reverse_catching_up(f, start, 0.5, cfg)
+            assert single.points.shape == (51, 2)
+            assert np.array_equal(batch.trajectory(i).points, single.points)
+            assert np.array_equal(batch.trajectory(i).values, single.values)
+            assert np.array_equal(batch.levels, single.levels)
+
+
+def test_inward_step_matches_exact_nearest_boundary_points(norm, tube):
+    rng = split_rng(11, "inward-step")
+    # Norm: the nearest point of the level-a sphere is x * a / |x|.
+    x = rng.uniform(-1.0, 1.0, size=(50, 2))
+    x = x[np.linalg.norm(x, axis=1) > 0.1]
+    assert np.allclose(_inward_step(norm, 1.5, x),
+                       x * (1.5 / np.linalg.norm(x, axis=1))[:, None], rtol=0.0, atol=1e-9)
+    # Capsule: from its segment anchor, radially out to distance 1. Points
+    # within 1e-4 of the lines where the caps meet the sides are left out:
+    # there the central differences straddle a jump in curvature.
+    a = 1.2
+    x = np.stack([rng.uniform(-0.9, a + 0.9, 400), rng.uniform(-0.9, 0.9, 400)], axis=1)
+    anchor = np.stack([np.clip(x[:, 0], 0.0, a), np.zeros(len(x))], axis=1)
+    gap = np.linalg.norm(x - anchor, axis=1)
+    keep = (gap > 0.1) & (gap < 0.95) & (np.abs(x[:, 0]) > 1e-4) & (np.abs(x[:, 0] - a) > 1e-4)
+    x, anchor, gap = x[keep], anchor[keep], gap[keep]
+    exact = anchor + (x - anchor) / gap[:, None]
+    assert np.allclose(_inward_step(tube, a, x), exact, rtol=0.0, atol=1e-9)
+    # Points on or outside the boundary stay where they are.
+    out = np.array([[a + 1.0, 0.0], [3.0, 2.0]])
+    assert np.array_equal(_inward_step(tube, a, out), out)
+
+
+def test_inward_step_on_the_lens_matches_a_dense_boundary_sample():
+    f = get_function("localized:tube:1.5,0:0.4")
+    level = 0.5
+    rng = split_rng(12, "lens-step")
+    x = np.stack([rng.uniform(1.1, 1.5, 400), rng.uniform(-0.35, 0.35, 400)], axis=1)
+    s_base = f.base.level_signed_distance(level, x)
+    s_ball = f.ball.signed_boundary_distance(x)
+    # Inside the lens and away from its medial axis, where both pieces tie.
+    x = x[(np.maximum(s_base, s_ball) < -0.01) & (np.abs(s_base - s_ball) > 0.02)][:40]
+    assert len(x) >= 20
+    dense = sample_boundary(f.sublevel(level), 1e-4).points
+    step = _inward_step(f, level, x)
+    for p, q in zip(x, step):
+        assert np.linalg.norm(q - dense_boundary_nearest(dense, p)) <= 2e-4
+    assert np.max(np.abs(f.level_signed_distance(level, step))) <= 1e-12
+
+
+def test_inward_step_degenerate_at_the_norm_origin(norm):
+    with pytest.raises(DegenerateDirection):
+        _inward_step(norm, 1.0, np.zeros((1, 2)))
 
 
 def test_pairwise_nonexpansive_forward(gallery):
