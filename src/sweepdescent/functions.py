@@ -1,9 +1,10 @@
 """Quasiconvex function abstraction, slope estimators and benchmark gallery.
 
 A function answers every geometric question through batched per-row level
-oracles, (alphas, points) -> projection / signed distance, plus an interior
-point per level, a domain oracle, its infimum and one level search:
-level_at_distance(x, r), the minimum of f over the closed r-ball around x.
+oracles, (alphas, points) -> projection / signed distance / normal (its
+exact gradient, with a corner flag), plus an interior point per level, a
+domain oracle, its infimum and one level search: level_at_distance(x, r),
+the minimum of f over the closed r-ball around x.
 Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
 eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
 that forwards to those oracles at the fixed level alpha; no function builds
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DomainError, EmptySample
 from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, _atleast_2d,
                        _axial_section, _itp, _restore, ball_lens_project,
-                       hull_section, intersection_signed_distance)
+                       hull_normals, hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -98,6 +99,16 @@ class QuasiconvexFunction:
     def level_distance(self, alphas, points):
         """Distance of points[i] to the alphas[i]-sublevel set, batched."""
         return np.maximum(self.level_signed_distance(alphas, points), 0.0)
+
+    def level_normals(self, alphas, points):
+        """Unit outward normal of the alphas[i]-sublevel boundary piece
+        nearest points[i], the gradient of level_signed_distance on both
+        sides, and a corner flag, batched. This default reads level_hull's
+        hulls, which have no corners; it is zero at the norm's origin."""
+        pts = np.asarray(points, dtype=float)
+        a, rho, w = _axial_section(pts, 0.0, self.hull_axis)
+        na, nrho = hull_normals(a, rho, *self.level_hull(alphas))
+        return na[:, None] * self.hull_axis + nrho[:, None] * w, np.zeros(len(pts), dtype=bool)
 
     def level_at_distance(self, x, r):
         """Smallest level a with level_signed_distance(a, x) <= r, batched.
@@ -324,6 +335,25 @@ class LocalizedFunction(QuasiconvexFunction):
             pts, self.base.level_signed_distance(alphas, pts),
             self.ball.signed_boundary_distance(pts),
             lambda rows, p: self.level_project(alphas[rows], p))
+
+    def level_normals(self, alphas, points):
+        """Inside the set, the normal of the nearer piece: the base sublevel
+        at min(alpha, level_hi) or the ball, (x - c) / |x - c|. Outside,
+        (x - Px) / |x - Px|, Px the projection. A row is a corner where both
+        pieces' signed distances vanish, within 1e-12."""
+        pts = np.asarray(points, dtype=float)
+        alphas = np.full(len(pts), np.minimum(alphas, self.level_hi))
+        sa = self.base.level_signed_distance(alphas, pts)
+        rel = pts - self.center
+        gap = np.linalg.norm(rel, axis=1)
+        sb = gap - self.delta
+        normals = np.where((sb > sa)[:, None], rel / np.where(gap > 0, gap, np.inf)[:, None],
+                           self.base.level_normals(alphas, pts)[0])
+        out = np.flatnonzero(np.maximum(sa, sb) > 0.0)
+        delta = pts[out] - self.level_project(alphas[out], pts[out])
+        dist = np.linalg.norm(delta, axis=1)
+        normals[out[dist > 0]] = delta[dist > 0] / dist[dist > 0, None]
+        return normals, np.maximum(np.abs(sa), np.abs(sb)) <= 1e-12
 
     def level_project(self, alphas, points):
         """Projection onto per-row base sublevels cut by the indicator ball."""

@@ -5,16 +5,17 @@ signed boundary distance and a Slater (interior) point. Membership and
 distance derive from the signed distance, once, in ConvexSetOracle: a point
 is a member when its signed distance is at most the tolerance, and its
 distance is the positive part. Balls, dilations and hulls of two balls are
-exact in closed form; the hull math is one per-row kernel, hull_section,
-which the gallery functions also call with per-row parameters, and the
-dilation's push-out is one function, dilated_projection, which regularized
-functions also call. A plane hull cut by a ball (IntersectionSet, whose
-interior point the caller gives, and every localized sublevel set) is exact
-through ball_lens_project, which takes its corners in closed form from the
-hull parameters. The signed distance of an intersection is exact on both
-sides of its boundary. sample_boundary keeps the exit of every ray it shoots
-from the interior point, one ray per resolution of arc length in the plane,
-and outward_normals probes the normals at boundary points and masks corners.
+exact in closed form; the hull math is one per-row kernel, hull_section
+(its gradient is hull_normals), which the gallery functions also call with
+per-row parameters, and the dilation's push-out is one function,
+dilated_projection, which regularized functions also call. A plane hull cut
+by a ball (IntersectionSet, whose interior point the caller gives, and every
+localized sublevel set) is exact through ball_lens_project, which takes its
+corners in closed form from the hull parameters. The signed distance of an
+intersection is exact on both sides of its boundary. sample_boundary keeps
+the exit of every ray it shoots from the interior point, one ray per
+resolution of arc length in the plane, and outward_normals reads a sublevel
+set's normals from level_normals.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
 shape (n, d) and return the matching shape.
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-PROBE_STEP = 1e-5
 RAY_BLOCK = 8192
 
 
@@ -147,6 +147,21 @@ def hull_section(a, rho, r1, axis_len, r2):
     pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - signed * sin))
     prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - signed * cos))
     return np.where(out, pa, a), np.where(out, prho, rho), signed
+
+
+def hull_normals(a, rho, r1, axis_len, r2):
+    """Gradient (na, nrho) of hull_section's signed distance, per row: the
+    radial unit of disk 1 or disk 2, or the tangent's (sin, cos), on the
+    piece its k test picks; zero at the center of the piece's disk."""
+    sin, cos = _hull_frame(r1, axis_len, r2)
+    k = cos * a - sin * rho
+    on1 = k <= 0.0
+    on2 = ~on1 & (k >= cos * axis_len)
+    u = np.where(on1, a, a - axis_len)
+    d = np.hypot(u, rho)
+    d = np.where(d > 0.0, d, np.inf)
+    arc = on1 | on2
+    return np.where(arc, u / d, sin), np.where(arc, rho / d, cos)
 
 
 class TwoBallHullSet(ConvexSetOracle):
@@ -489,56 +504,9 @@ def _fibonacci_directions(n):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _signed_distance_gradient(signed_distance, pts):
-    """Central differences of a signed distance at PROBE_STEP, per row of
-    pts (n, d); all 2d probes go to signed_distance in one batched call."""
-    n, dim = pts.shape
-    off = PROBE_STEP * np.eye(dim)
-    probes = np.concatenate([pts[None] + off[:, None], pts[None] - off[:, None]])
-    s = np.asarray(signed_distance(probes.reshape(-1, dim)), dtype=float).reshape(2, dim, n)
-    return ((s[0] - s[1]) / (2 * PROBE_STEP)).T
-
-
-def outward_normals(oracle: ConvexSetOracle, points):
-    """Outward normals at boundary points, batched, as (normals, ok).
-
-    Seeds each direction from central differences of the signed distance,
-    pushes an exterior probe PROBE_STEP out and normalizes x - project(x). A
-    re-probe from a tilted direction must come back within 1e-3 in cosine;
-    rows where it does not are corners, and ok is False there.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    grad = _signed_distance_gradient(oracle.signed_boundary_distance, pts)
-    norms = np.linalg.norm(grad, axis=1)
-    bad_seed = norms < 1e-12
-    norms[bad_seed] = 1.0
-    seed_dir = grad / norms[:, None]
-
-    def refine(direction):
-        outside = pts + PROBE_STEP * direction
-        feet = oracle.project(outside)
-        delta = outside - feet
-        dist = np.linalg.norm(delta, axis=1)
-        ok = dist > PROBE_STEP * 1e-6
-        out = direction.copy()
-        out[ok] = delta[ok] / dist[ok][:, None]
-        return out, ok
-
-    n1, ok1 = refine(seed_dir)
-    n_ret, ok2 = refine(n1)
-    # At a corner the probe-projection is self-consistent for any direction
-    # inside the normal cone, so the agreement test must re-probe from a
-    # deliberately tilted direction: smooth points converge back, corners
-    # keep the tilt.
-    tangent = np.zeros_like(n_ret)
-    idx = np.argmin(np.abs(n_ret), axis=1)
-    tangent[np.arange(n), idx] = 1.0
-    tangent -= n_ret * np.einsum("ij,ij->i", tangent, n_ret)[:, None]
-    tangent /= np.maximum(np.linalg.norm(tangent, axis=1, keepdims=True), 1e-12)
-    tilted = n_ret + 0.1 * tangent
-    tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
-    n_tst, ok3 = refine(tilted)
-    agreement = np.einsum("ij,ij->i", n_ret, n_tst)
-    corner = bad_seed | ~ok1 | ~ok2 | ~ok3 | (agreement < 1.0 - 1e-3)
-    return n_ret, ~corner
+def outward_normals(oracle, points):
+    """Outward normals at boundary points of a LevelSet, batched, as
+    (normals, ok): its function's level_normals at its level, with ok False
+    at corners."""
+    normals, corner = oracle.f.level_normals(oracle.alpha, points)
+    return normals, ~corner

@@ -60,6 +60,12 @@ class RegularizedFunction(QuasiconvexFunction):
         hi = np.inf if self.level_hi is None else self.level_hi
         return self.base.level_signed_distance(np.minimum(alphas, hi), points) - self.eps
 
+    def level_normals(self, alphas, points):
+        """The base's normals, which every base takes at its clamped level.
+        A dilation's boundary is C^{1,1}: no row is a corner."""
+        normals, _ = self.base.level_normals(alphas, points)
+        return normals, np.zeros(len(normals), dtype=bool)
+
 
 def regularize(f: QuasiconvexFunction, eps: float) -> RegularizedFunction:
     """Wrap f so that every sublevel oracle is the eps-dilation of f's."""

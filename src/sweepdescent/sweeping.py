@@ -11,8 +11,9 @@ Forward and reverse runs share one catching-up loop over a batch of starts
 (n, d). A regularized function's reverse step is complement_projection; a
 plain function with a validated prox radius takes the closed-form inward
 step x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
-inside a convex set, with the gradient of the signed distance s from central
-differences, and raises DegenerateDirection where that gradient vanishes.
+inside a convex set, with the gradient of the signed distance s read exactly
+from the function's level_normals, and raises DegenerateDirection where that
+gradient vanishes.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from .errors import (DegenerateDirection, DomainError, LevelUnderflow,
                      MissingConstants, ReverseRefused, SweepDescentError,
                      ThetaGuard)
 from .functions import QuasiconvexFunction
-from .geometry import _atleast_2d, _signed_distance_gradient
+from .geometry import _atleast_2d
 from .regularization import RegularizedFunction, complement_projection
 
 BOUNDARY_RIDE_TOL = 1e-6
@@ -147,15 +148,14 @@ def _inward_step(f: QuasiconvexFunction, level: float, x):
 
     Inside a convex set the signed distance s is exact, so the nearest
     boundary point is x - s(x) * grad s / |grad s|, with the gradient from
-    central differences. Rows with s >= 0 stay where they are; a vanishing
+    level_normals. Rows with s >= 0 stay where they are; a vanishing
     gradient (norm below 1e-12) raises DegenerateDirection.
     """
     s = f.level_signed_distance(level, x)
     inside = np.flatnonzero(s < 0.0)
     out = x.copy()
     if len(inside):
-        grad = _signed_distance_gradient(
-            lambda p: f.level_signed_distance(level, p), x[inside])
+        grad, _ = f.level_normals(level, x[inside])
         norms = np.linalg.norm(grad, axis=1)
         if np.any(norms < 1e-12):
             raise DegenerateDirection(

@@ -67,6 +67,19 @@ def test_descend_plain_reverse_rides_the_boundary(tmp_path, capsys):
     assert max(residuals) <= 1e-12
 
 
+def test_descend_plain_reverse_rides_the_gauge_boundary(tmp_path, capsys):
+    # The run crosses level 1, where the gauge's boundary curvature jumps;
+    # the inward step's exact normals keep every row on the boundary.
+    code = run(tmp_path, "descend", "--function", "gauge", "--x0", "0.3,1.5",
+               "--T", "0.6", "--k", "200", "--reverse", "--prox-radius", "0.3",
+               "--map-lipschitz", "3")
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "reverse.csv").read_text().splitlines()
+    column = lines[1].split(",").index("dist_to_boundary")
+    assert max(float(line.split(",")[column]) for line in lines[2:]) <= 1e-12
+
+
 def test_descend_theta_guard_exit(tmp_path, capsys):
     code = run(tmp_path, "descend", "--function", "norm", "--epsilon", "0.5",
                "--x0", "2,0", "--T", "1", "--k", "1", "--reverse",
@@ -435,8 +448,9 @@ def test_verify_report_is_strict_json(tmp_path, capsys, args, encoded):
      {"eval-consistency", "steepest-descent-probe"}),
     # A window within 1e-9 of inf f leaves slope-transfer no sample. The
     # slope floor's h-balls reach the argmin there, so it stays positive
-    # and the moving-map checks run.
-    (["--function", "norm", "--epsilon", "1e-9", "--window", "2e-10:9e-10"], 0,
+    # and the moving-map checks run. H3 fails: the sublevel sets are balls
+    # of radius about 1e-9.
+    (["--function", "norm", "--epsilon", "1e-9", "--window", "2e-10:9e-10"], 1,
      {"eval-consistency", "slope-transfer", "steepest-descent-probe"}),
 ])
 def test_verify_skips_checks_without_samples(tmp_path, capsys, args, code, skipped):

@@ -464,6 +464,59 @@ def test_localized_signed_distance_outside_is_the_distance(eps):
     assert not h.sublevel(level).membership(x)
 
 
+LENSES = [("localized:tube:1.5,0:0.4", 2, None), ("localized:gauge:0,1.2:0.5", 2, None),
+          ("localized:norm:1,0,0:0.4", 3, None),
+          # a lens 0.01 wide, and a ball internally tangent at (1, 0) to the
+          # unit circle, the base's level-1 boundary (the top level)
+          ("localized:norm:1.99,0:1", 2, 1.0), ("localized:norm:0.5,0:0.5", 2, 1.0)]
+
+
+@pytest.mark.parametrize("name,dim,level,eps", [
+    (name, dim, level, eps) for name, dim, level in [
+        ("norm", 2, 1.0), ("norm", 3, 1.0), ("tube", 2, 1.2), ("gauge", 2, 0.7),
+        ("gauge", 2, 1.5)] for eps in (None, 0.2)] + [(*lens, None) for lens in LENSES])
+def test_level_normals_are_the_signed_distance_gradient(name, dim, level, eps):
+    # Brute force on seeded points of the set's box and around its boundary:
+    # outside, the normal is the unit vector from the projection; inside, a
+    # step of the signed distance s along it, x - s * n, lands on the
+    # boundary.
+    f = get_function(name, dim=dim)
+    f = f if eps is None else regularize(f, eps)
+    if level is None:
+        level = 0.5 * (f.inf_value + f.level_hi)
+    lo, hi = f.level_bbox(level)
+    rng = split_rng(0, "level-normals", name, dim, eps)
+    near = sample_boundary(f.sublevel(level), 0.002 if dim == 2 else 0.02).points
+    near = near[::len(near) // 2000 + 1]
+    pts = np.vstack([rng.uniform(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), size=(2000, dim)),
+                     near + rng.normal(0.0, 0.001, size=near.shape)])
+    normals, corner = f.level_normals(level, pts)
+    s = f.level_signed_distance(level, pts)
+    assert not np.any(corner)
+    assert np.max(np.abs(np.linalg.norm(normals, axis=1) - 1.0)) <= 1e-15
+    out, inside = s > 1e-3, s < 0.0
+    assert np.sum(out) > 100 and np.sum(inside) > 100
+    delta = pts[out] - f.level_project(level, pts[out])
+    want = delta / np.linalg.norm(delta, axis=1)[:, None]
+    assert np.max(np.abs(normals[out] - want)) <= 1e-12
+    landed = pts[inside] - s[inside, None] * normals[inside]
+    assert np.max(np.abs(f.level_signed_distance(level, landed))) <= 1e-15
+
+
+def test_level_normals_flag_the_lens_corners_only():
+    # The lens B(0, 1) cut by B((1.2, 0), 1) has corners (0.6, +-0.8).
+    f = get_function("localized:norm:1.2,0:1")
+    corner_y = np.sqrt(1.0 - 0.6**2)
+    normals, corner = f.level_normals(1.0, np.array([[0.6, corner_y], [0.6, -corner_y],
+                                                      [0.2, 0.0], [1.0, 0.0]]))
+    assert corner.tolist() == [True, True, False, False]
+    assert np.allclose(normals[2:], [[-1.0, 0.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
+    # Boundary samples away from the corners are smooth points.
+    pts = sample_boundary(f.sublevel(1.0), 0.01).points
+    gap = np.min([np.linalg.norm(pts - [0.6, y], axis=1) for y in (corner_y, -corner_y)], axis=0)
+    assert not np.any(f.level_normals(1.0, pts)[1][gap > 1e-9])
+
+
 def test_level_at_distance_terminates_at_large_levels():
     # Near level 40 neighbouring floats are 7.1e-15 apart, wider than an
     # absolute 2e-15 ITP tolerance; the search must still stop, on the

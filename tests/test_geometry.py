@@ -112,11 +112,12 @@ def test_hausdorff_tube_levels():
 
 
 def test_outward_normal_examples():
-    normals, ok = outward_normals(UNIT_DISK, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    normals, ok = outward_normals(get_function("norm").sublevel(1.0),
+                                  np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.all(ok)
     assert np.allclose(normals, [[0.0, 1.0], [1.0, 0.0]], atol=1e-6)
-    capsule = TwoBallHullSet([0, 0], 1.0, [1.0, 0.0], 1.0)
-    normals, ok = outward_normals(capsule, np.array([[2.0, 0.0]]))
+    # the capsule hull of the unit disk and its translate by (1, 0)
+    normals, ok = outward_normals(get_function("tube").sublevel(1.0), np.array([[2.0, 0.0]]))
     assert ok[0]
     assert np.allclose(normals[0], [1.0, 0.0], atol=1e-6)
     assert abs(np.linalg.norm(normals[0]) - 1.0) < 1e-9
@@ -124,7 +125,8 @@ def test_outward_normal_examples():
 
 def test_outward_normal_positive_alignment():
     rng = split_rng(1, "normals")
-    hull = TwoBallHullSet([0, 0], 1.5, [0, 2.0], 0.5)
+    # the hull of the disks of radius 1.5 at 0 and 0.5 at (0, 2)
+    hull = get_function("gauge").sublevel(1.5)
     pts = rng.uniform(-3, 4, size=(50, 2))
     outside = pts[np.asarray(hull.distance(pts)) > 0.1]
     feet = hull.project(outside)
@@ -135,8 +137,8 @@ def test_outward_normal_positive_alignment():
 
 
 def test_outward_normal_rejects_corner():
-    lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet([1.2, 0.0], 1.0),
-                           interior_point=[0.6, 0.0])
+    # the lens B(0, 1) cut by B((1.2, 0), 1)
+    lens = get_function("localized:norm:1.2,0:1").sublevel(1.0)
     # the two circles cross at x = 0.6, a genuine corner of the lens; the
     # second circle's arc is smooth at (0.2, 0)
     corner_y = np.sqrt(1.0 - 0.6**2)

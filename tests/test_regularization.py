@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
 from sweepdescent.functions import get_function, localize, slope_values
-from sweepdescent.geometry import TwoBallHullSet, outward_normals, sample_boundary
+from sweepdescent.geometry import outward_normals, sample_boundary
 from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_gaps, slope_deficits)
@@ -162,8 +162,29 @@ def test_prox_radius_norm_sphere_3d():
     assert abs(est.r_hat - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("name,dim,eps,level,radius", [
+    ("tube", 2, 0.25, 1.0, 1.25), ("gauge", 2, None, 1.05, 0.05), ("norm", 3, None, 0.5, 0.5),
+    ("localized:tube:1.5,0:0.4", 2, 0.2, 0.5, 0.2)])
+def test_prox_radius_exact_normals_give_the_exact_radius(name, dim, eps, level, radius):
+    # The smallest circular arcs: the capsule's caps dilated by 0.25, the
+    # gauge's small disk at s = 1.05, the sphere, and the dilated lens corners.
+    f = get_function(name, dim)
+    f = f if eps is None else regularize(f, eps)
+    est = prox_radius_estimate(f, level, seed=0)
+    assert est.r_hat == pytest.approx(radius, rel=1e-12)
+    assert est.skipped_corners == 0
+
+
+def test_prox_radius_of_a_ball_smaller_than_any_probe_step(norm):
+    # The level-5.5e-10 set of the norm regularized at 1e-9 is a ball of
+    # radius 1.55e-9; its ray exits are exact to about 1e-15 absolute.
+    est = prox_radius_estimate(regularize(norm, 1e-9), 5.5e-10)
+    assert est.sample_count > 0
+    assert est.r_hat == pytest.approx(1.55e-9, rel=1e-6)
+
+
 def test_secant_ratios_3d_match_sorted_pair_reference():
-    hull = TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.2, 0.3, 0.0], 0.6)
+    hull = regularize(get_function("norm", 3), 0.25).sublevel(1.0)
     resolution = 0.1
     pts = sample_boundary(hull, resolution, seed=4).points
     normals, ok = outward_normals(hull, pts)

@@ -98,3 +98,19 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                         or (index is not None and index < count)
                         for name in names for count, keywords in calls.get(name, ()))]
     assert not unset, unset
+
+
+def test_every_module_constant_is_read():
+    # A module-level ALL_CAPS name that nothing in the package reads is left
+    # over from a deletion. Reads match by name, loosely: a loaded bare name
+    # or an attribute of that name anywhere in the package.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    reads = {n.id if isinstance(n, ast.Name) else n.attr
+             for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)
+             or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+    unread = [target.id for tree in trees for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id.isupper()
+              and target.id not in reads]
+    assert not unread, unread

@@ -241,8 +241,8 @@ def test_inward_step_matches_exact_nearest_boundary_points(norm, tube):
     assert np.allclose(_inward_step(norm, 1.5, x),
                        x * (1.5 / np.linalg.norm(x, axis=1))[:, None], rtol=0.0, atol=1e-9)
     # Capsule: from its segment anchor, radially out to distance 1. Points
-    # within 1e-4 of the lines where the caps meet the sides are left out:
-    # there the central differences straddle a jump in curvature.
+    # within 1e-4 of the lines where the caps meet the sides are left out;
+    # test_level_normals_are_the_signed_distance_gradient covers them.
     a = 1.2
     x = np.stack([rng.uniform(-0.9, a + 0.9, 400), rng.uniform(-0.9, 0.9, 400)], axis=1)
     anchor = np.stack([np.clip(x[:, 0], 0.0, a), np.zeros(len(x))], axis=1)

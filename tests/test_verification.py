@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sweepdescent import verification
-from sweepdescent.errors import MissingConstants, NonConvergence
+from sweepdescent.errors import MissingConstants
 from sweepdescent.functions import get_function, limiting_slope, localize
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
@@ -53,20 +52,6 @@ def test_H1_H3_norm(norm):
     assert h2.details["slope_floor"] == pytest.approx(1.0, abs=1e-2)
     # complements of balls are prox-regular at the ball radius
     assert h3.details["r_hats"][0] == pytest.approx(1.0, rel=0.05)
-
-
-def test_H1_catches_library_errors_only(norm, monkeypatch):
-    def failing_sample(error):
-        def sample(*args, **kwargs):
-            raise error("no boundary sample")
-        return sample
-
-    monkeypatch.setattr(verification, "sample_boundary", failing_sample(NonConvergence))
-    h1, _, _ = verify_H1_H3(norm, (1.0, 2.0), n_levels=2)
-    assert h1.passed is False
-    monkeypatch.setattr(verification, "sample_boundary", failing_sample(TypeError))
-    with pytest.raises(TypeError):
-        verify_H1_H3(norm, (1.0, 2.0), n_levels=2)
 
 
 def test_H1_H3_gauge_degenerates(gauge):
