@@ -275,7 +275,9 @@ class GaugeFunction(QuasiconvexFunction):
 
 
 class LocalizedFunction(QuasiconvexFunction):
-    """Base function plus the indicator of a closed ball around a center."""
+    """Base function plus the indicator of a closed ball B(c, delta). Its level
+    search, the base's minimum over the lens B(x, r) cap B(c, delta), is a
+    closed form through the base's, assuming no plateau above inf f."""
 
     def __init__(self, base: QuasiconvexFunction, center, delta: float):
         center = np.asarray(center, dtype=float)
@@ -327,6 +329,37 @@ class LocalizedFunction(QuasiconvexFunction):
 
     def level_bbox(self, alpha: float):
         return self.center - self.delta, self.center + self.delta
+
+    def level_at_distance(self, x, r):
+        """Closed form of the generic search: +inf where the level-level_hi
+        set lies farther than r from x; else v = max(base.level_at_distance(x,
+        r), inf f) where the level-v set lies within r of x (1e-12 slack for
+        rounding); else the base's minimum where the spheres |p - x| = r and
+        |p - c| = delta cross: at the two crossing points in the plane, for the
+        norm in d >= 3 at the crossing circle's point nearest the origin. Half
+        chords are products of factors, as in geometry._lens_corners."""
+        x2, single = _atleast_2d(x)
+        v = np.maximum(self.base.level_at_distance(x2, r), self.inf_value)
+        inside = self.level_signed_distance(self.level_hi, x2) <= r
+        vals = np.where(inside, v, np.inf)
+        cross = np.flatnonzero(
+            inside & (self.level_signed_distance(np.minimum(v, self.level_hi), x2) > r + 1e-12))
+        if len(cross):
+            rel = self.center - x2[cross]
+            dist = np.linalg.norm(rel, axis=1)
+            e = rel / dist[:, None]
+            f1, f2, f3 = (np.maximum(f, 0.0) for f in (
+                r + self.delta - dist, dist + r - self.delta, dist - r + self.delta))
+            h = np.sqrt(f1 * f2 * f3 * (dist + r + self.delta)) / (2.0 * dist)
+            foot = x2[cross] + (r - f1 * f3 / (2.0 * dist))[:, None] * e
+            if self.dim == 2:
+                u = h[:, None] * np.stack([-e[:, 1], e[:, 0]], axis=1)
+                both = np.reshape(self.base.eval(np.vstack([foot + u, foot - u])), (2, -1))
+                vals[cross] = np.min(both, axis=0)
+            else:
+                along = np.einsum("ij,ij->i", foot, e)
+                vals[cross] = np.hypot(along, np.linalg.norm(foot - along[:, None] * e, axis=1) - h)
+        return float(vals[0]) if single else vals
 
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)

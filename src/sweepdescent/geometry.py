@@ -241,10 +241,9 @@ def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
     rows, about the origin along the unit vector axis; no oracle of the
     hull's function is called. The projection is x itself, the hull's
     projection of x (if inside the ball), the ball's projection (if inside the
-    hull), or else a corner of the lens (_lens_corners).
+    hull), or else a corner of the lens (_lens_corners). Only rows whose hull
+    projection leaves the ball take the ball's projection and the corners.
     """
-    r1, axis_len, r2 = (np.broadcast_to(np.asarray(p, dtype=float), (len(x2),))
-                        for p in (r1, axis_len, r2))
     # Complex coordinates in hull_section's frame, where the axis is real.
     turn = complex(*axis).conjugate()
     z = (x2[:, 0] + 1j * x2[:, 1]) * turn
@@ -256,13 +255,16 @@ def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
     pa, prho, signed = hull_section(z.real, np.abs(z.imag), r1, axis_len, r2)
     best = pa + 1j * np.copysign(prho, z.imag)
     va = np.abs(best - c) <= big_r
-    gap = np.abs(z - c)
-    pb = c + (z - c) * np.where(gap > big_r, big_r / np.maximum(gap, 1e-300), 1.0)
-    vb = ~va & (hull_section(pb.real, np.abs(pb.imag), r1, axis_len, r2)[2] <= 0.0)
-    best[vb] = pb[vb]
-    rows = np.flatnonzero(~(va | vb))
-    if len(rows):
-        best[rows] = _lens_corners(z[rows], c, big_r, r1[rows], axis_len[rows], r2[rows])
+    rest = np.flatnonzero(~va)
+    if len(rest):
+        hull = [np.broadcast_to(p, z.shape)[rest] for p in (r1, axis_len, r2)]
+        zr = z[rest]
+        gap = np.abs(zr - c)
+        pb = c + (zr - c) * np.where(gap > big_r, big_r / np.maximum(gap, 1e-300), 1.0)
+        vb = hull_section(pb.real, np.abs(pb.imag), *hull)[2] <= 0.0
+        best[rest[vb]] = pb[vb]
+        if not np.all(vb):
+            best[rest[~vb]] = _lens_corners(zr[~vb], c, big_r, *(p[~vb] for p in hull))
     best = best * turn.conjugate()
     return np.where(((signed <= 0.0) & va)[:, None], x2,
                     np.stack([best.real, best.imag], axis=1))

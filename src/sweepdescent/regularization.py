@@ -141,7 +141,10 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
     exactly on circular arcs; the minimum over close pairs estimates the
     prox-regularity radius of the complement. The first pass samples at
     spacing pi / 600 of the level box's diagonal; one refinement pass
-    re-samples at spacing r_hat / 20. Corner samples are skipped and counted.
+    re-samples at spacing r_hat / 20, floored at 1e-4 but never by the floor
+    above the first pass's spacing, so a set smaller than the floor is
+    sampled as its scaled-up copy would be. Corner samples are skipped and
+    counted.
     """
     oracle = f.sublevel(alpha)
     lo, hi = f.level_bbox(alpha)
@@ -157,7 +160,7 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
         ratios = _secant_ratios(pts, normals, oracle.dim, resolution)
         if len(ratios):
             r_hat = float(np.min(ratios))
-        next_res = max(r_hat / 20.0, 1e-4)
+        next_res = max(r_hat / 20.0, min(1e-4, resolution))
         if not np.isfinite(r_hat) or abs(next_res - resolution) < 0.25 * resolution:
             break
         resolution = next_res

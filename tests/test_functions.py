@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepdescent import functions
 from sweepdescent.errors import DomainError, EmptySample
 from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
@@ -11,9 +12,9 @@ from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
                                     localize, slope_values)
 from sweepdescent.geometry import (BallSet, ConvexSetOracle, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
-                                   sample_boundary)
+                                   ball_lens_project, sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
-from sweepdescent.rng import split_rng
+from sweepdescent.rng import split_rng, unit_directions
 from sweepdescent.verification import _annulus_sample
 
 from conftest import dense_boundary_nearest
@@ -531,24 +532,63 @@ def test_level_at_distance_terminates_at_large_levels():
     assert nested == pytest.approx(np.linalg.norm(x, axis=1) - 0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("r", [0.0, 0.1, 0.25, 0.5])
-@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2)])
+@pytest.mark.parametrize("r", [0.0, 1e-5, 1e-4, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 1.5])
+@pytest.mark.parametrize("name,dim", [
+    ("norm", 2), ("norm", 3), ("tube", 2), ("localized:tube:1.5,0:0.4", 2),
+    ("localized:gauge:0,0.5:0.5", 2), ("localized:norm:1,0,0:0.4", 3),
+    ("localized:norm:1.2,0:1", 2)])
 def test_level_at_distance_closed_forms_match_the_generic_search(name, dim, r):
     # The closed forms against the base class's ITP search on the signed
     # distance: seeded points inside and outside the domain, plus points at
-    # the bottom level (the origin, the tube's unit disk).
+    # the bottom level (the origin, the tube's unit disk, a localization's
+    # minimizer). A localization adds its center, points whose r-ball holds
+    # its ball (r > delta) and points on the rim |x - c| = r + delta.
     f = get_function(name, dim=dim)
-    lo, hi = f.level_bbox(f.level_hi if f.level_hi is not None else 2.0)
     rng = split_rng(0, "level-at-distance", name, dim)
-    pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, size=(2000, dim)),
-                     np.zeros((1, dim)), 0.5 * np.eye(dim), [1.0] + [0.0] * (dim - 1)])
-    closed = f.level_at_distance(pts, r)
-    generic = QuasiconvexFunction.level_at_distance(f, pts, r)
+    if isinstance(f, LocalizedFunction):
+        c, u = f.center, unit_directions(rng, 200, dim)
+        pts = np.vstack([c + (f.delta + r + 0.1) * rng.uniform(-1.0, 1.0, size=(2000, dim)),
+                         c, f.base.level_project(f.inf_value, c[None, :]),
+                         c + 0.5 * max(r - f.delta, 0.0) * u])
+        rim = c + (r + f.delta) * u
+    else:
+        lo, hi = f.level_bbox(f.level_hi if f.level_hi is not None else 2.0)
+        pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, size=(2000, dim)),
+                         np.zeros((1, dim)), 0.5 * np.eye(dim), [1.0] + [0.0] * (dim - 1)])
+        rim = np.zeros((0, dim))
+    closed = f.level_at_distance(np.vstack([pts, rim]), r)
+    generic = QuasiconvexFunction.level_at_distance(f, np.vstack([pts, rim]), r)
     finite = np.isfinite(closed)
     assert np.array_equal(finite, np.isfinite(generic))
-    assert 0 < np.sum(finite) and (name == "norm" or np.sum(finite) < len(pts))
+    assert 0 < np.sum(finite) and (name == "norm" or np.sum(finite) < len(finite))
     assert np.any(closed[finite] == f.inf_value)
-    assert np.max(np.abs(closed[finite] - generic[finite])) <= 1e-12
+    gap = np.zeros(len(closed))
+    gap[finite] = np.abs(closed[finite] - generic[finite])
+    assert np.max(gap[:len(pts)]) <= 1e-12
+    # On the rim the lens B(x, r) cap B(c, delta) shrinks to a point, and its
+    # half chord is the square root of the rounding of |x - c|: there both
+    # routes are exact only to about 1e-8 (checked in 50-digit arithmetic).
+    assert np.max(gap[len(pts):], initial=0.0) <= 1e-7
     # A regularization inherits the generic search, so semigroup-identity's
     # nested route never reuses the closed form of its base.
     assert "level_at_distance" not in RegularizedFunction.__dict__
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-5, 1e-4, 0.05, 0.2, 0.4])
+def test_localized_level_search_makes_at_most_two_lens_calls(monkeypatch, r):
+    # The generic search makes one lens call per ITP pass; the closed form
+    # makes two for all 400 rows, its domain test and its level-v test.
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return ball_lens_project(*args)
+
+    monkeypatch.setattr(functions, "ball_lens_project", counting)
+    f = get_function("localized:tube:1.5,0:0.4")
+    pts = f.center + split_rng(0, "lens-calls").uniform(-0.6, 0.6, size=(400, 2))
+    f.level_at_distance(pts, r)
+    assert 1 <= len(calls) <= 2
+    calls.clear()
+    QuasiconvexFunction.level_at_distance(f, pts, r)
+    assert len(calls) > 10

@@ -9,8 +9,8 @@ from sweepdescent.functions import get_function, localize
 from sweepdescent.geometry import (RAY_BLOCK, BallSet, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    _fibonacci_directions, _itp, _ray_block,
-                                   _ray_boundary_points, outward_normals,
-                                   sample_boundary)
+                                   _ray_boundary_points, ball_lens_project,
+                                   outward_normals, sample_boundary)
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 
@@ -554,3 +554,36 @@ def test_localized_projection_satisfies_the_projection_inequality(name, dim, fra
         x = f.center + rng.uniform(-1.5, 1.5, size=(300, dim))
         hull = _gallery_hull(name.split(":")[1], dim, level)
         _assert_is_lens_projection(x, f.level_project(level, x), hull, f.center, f.delta)
+
+
+def test_lens_kernel_batch_equals_one_row_calls():
+    # One ball_lens_project call on per-row hulls about the origin along x,
+    # cut by B((1.5, 0), 0.5): a disk of radius 1.5 (corners on its arc), a
+    # capsule of radius 0.3 (corners on its tangent segments), a thin lens
+    # (disk radius 1 + 2^-20) and a tangency (the unit disk, whose lens is
+    # the one point (1, 0)). The batch must equal the one-row calls bit for
+    # bit, and mix rows that stay with hull-projected, ball-projected and
+    # corner rows.
+    ball = BallSet([1.5, 0.0], 0.5)
+    hulls = [(1.5, 0.0, 1.5), (0.3, 1.5, 0.3), (1.0 + 2.0**-20, 0.0, 1.0 + 2.0**-20),
+             (1.0, 0.0, 1.0)]
+    rng = split_rng(0, "lens-batch")
+    x = ball.center + rng.uniform(-1.5, 1.5, size=(len(hulls) * 300, 2))
+    params = np.repeat(np.array(hulls), 300, axis=0).T
+    axis = np.array([1.0, 0.0])
+    p = ball_lens_project(x, ball, axis, *params)
+    one = np.vstack([ball_lens_project(x[i:i + 1], ball, axis, *params[:, i])
+                     for i in range(len(x))])
+    assert np.array_equal(p, one)
+    on_ball = np.abs(np.linalg.norm(p - ball.center, axis=1) - ball.radius) <= 1e-12
+    c2 = np.stack([params[1], np.zeros(len(x))], axis=1)
+    on_hull = np.abs(_two_disk_hull_gap(p, np.zeros(2), params[0], c2, params[2])) <= 1e-12
+    stay = np.all(p == x, axis=1)
+    kinds = [stay, ~stay & on_hull & ~on_ball, ~stay & on_ball & ~on_hull,
+             ~stay & on_ball & on_hull]
+    assert all(np.sum(k[:600]) >= 10 for k in kinds)
+    assert np.all(p[900:] == [1.0, 0.0])
+    for k, (r1, axis_len, r2) in enumerate(hulls[:3]):
+        rows = slice(300 * k, 300 * (k + 1))
+        _assert_is_lens_projection(x[rows], p[rows], ([0.0, 0.0], r1, [axis_len, 0.0], r2),
+                                   ball.center, ball.radius)

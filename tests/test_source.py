@@ -1,4 +1,5 @@
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -114,3 +115,22 @@ def test_every_module_constant_is_read():
               if isinstance(target, ast.Name) and target.id.isupper()
               and target.id not in reads]
     assert not unread, unread
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_scipy_spatial():
+    # Import time is part of every command; the benchmark preloads numpy and
+    # scipy.spatial before it times set-up, so any other import shows there.
+    allowed = {"numpy", "scipy.spatial"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name not in allowed
+                        and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign
