@@ -159,8 +159,7 @@ class NormFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
-        norms = np.linalg.norm(pts, axis=1)
+        norms = np.sqrt(np.add.reduce(pts * pts, axis=1))
         scale = np.where(norms > alphas, alphas / np.where(norms > 0, norms, 1.0), 1.0)
         return pts * scale[:, None]
 
@@ -201,14 +200,14 @@ class TubeFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        t = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
-                       self.level_hi)
-        anchor = np.stack([np.clip(pts[:, 0], 0.0, t), np.zeros(len(pts))], axis=1)
+        anchor = np.zeros(pts.shape)
+        anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
         delta = pts - anchor
-        dist = np.linalg.norm(delta, axis=1)
+        dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
         out = dist > 1.0
         res = pts.copy()
-        if np.any(out):
+        if out.any():
+            # Adding the anchor turns a -0.0 ordinate into 0.0.
             res[out] = anchor[out] + delta[out] / dist[out, None]
         return res
 
@@ -268,7 +267,9 @@ class GaugeFunction(QuasiconvexFunction):
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
         pa, prho, _ = self._section(alphas, pts)
-        return np.stack([np.copysign(prho, pts[:, 0]), pa], axis=1)
+        res = np.empty(pts.shape)
+        res[:, 0], res[:, 1] = np.copysign(prho, pts[:, 0]), pa
+        return res
 
     def level_signed_distance(self, alphas, points):
         return self._section(alphas, np.asarray(points, dtype=float))[2]

@@ -226,10 +226,10 @@ def dilated_projection(x2, z, eps):
     rows x2 onto the set: rows farther than eps from z move to distance eps
     along x2 - z, the others stay put."""
     delta = x2 - z
-    dist = np.linalg.norm(delta, axis=1)
+    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
     out = dist > eps
     res = x2.copy()
-    if np.any(out):
+    if out.any():
         res[out] = z[out] + delta[out] * (eps / dist[out])[:, None]
     return res
 
@@ -391,7 +391,9 @@ def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
     """Ray exits from the interior point: doubling, then ITP on the signed
     distance, which is convex and 1-Lipschitz along a ray from an interior
     point. Each exit is the inner end of its bracket, a point of the set
-    within 2e-15 relative of the boundary."""
+    within 2e-15 * hi of the boundary, hi >= 1 the doubled ray length: about
+    1e-15 relative on sets of unit size or more, about 1e-15 absolute on
+    smaller ones."""
     center = oracle.interior_point
     g0 = float(oracle.signed_boundary_distance(center))
     if g0 >= 0:
@@ -454,8 +456,10 @@ def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
     """Boundary sample of ray exits from the interior point.
 
     Each exit is the root of the signed boundary distance along its ray,
-    found by ITP root-finding to about 1e-15 relative; a set whose interior
-    point is not strictly inside (an empty interior) raises EmptySample.
+    found by ITP root-finding to about 1e-15 relative on sets of unit size
+    or more and about 1e-15 absolute on smaller ones (_ray_block); a set
+    whose interior point is not strictly inside (an empty interior) raises
+    EmptySample.
 
     d = 2 places one ray per resolution of arc length: a 64-ray pass gives a
     closed polygon of perimeter P, and max(ceil(P / resolution), 64) rays go

@@ -53,8 +53,7 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        z = self.base.level_project(np.asarray(alphas, dtype=float), pts)
-        return dilated_projection(pts, z, self.eps)
+        return dilated_projection(pts, self.base.level_project(alphas, pts), self.eps)
 
     def level_signed_distance(self, alphas, points):
         hi = np.inf if self.level_hi is None else self.level_hi
@@ -106,11 +105,10 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     points already outside the open dilated set are their own projection.
     """
     x2, single = _atleast_2d(x)
-    alphas = np.full(len(x2), freg.base.clamp_level(alpha))
-    z = freg.base.level_project(alphas, x2)
+    z = freg.base.level_project(freg.base.clamp_level(alpha), x2)
     delta = x2 - z
-    dist = np.linalg.norm(delta, axis=1)
-    if np.any(dist <= 1e-12):
+    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    if (dist <= 1e-12).any():
         bad = int(np.argmin(dist))
         if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
             raise OutOfReach(

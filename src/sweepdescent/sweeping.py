@@ -137,8 +137,7 @@ def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfi
 
     def step(level, x):
         # A start waits where it is until the moving level reaches its value.
-        moved = f.level_project(np.full(len(x0), level), x)
-        return np.where((level >= f_x0)[:, None], x0, moved)
+        return np.where((level >= f_x0)[:, None], x0, f.level_project(level, x))
 
     return _catching_up(f, x0, times, cfg.alpha2 - times, step, cfg)
 
@@ -255,15 +254,10 @@ def trajectory_to_csv(traj: Trajectory, f: QuasiconvexFunction, path,
     speeds = traj.speeds
     cols = ["step", "t", "level"] + [f"x{i}" for i in range(dim)] + [
         "f", "speed", "dist_to_boundary"]
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
+    table = np.column_stack([traj.times, traj.levels, traj.points, traj.values, speeds,
+                             residuals]).tolist()
+    lines = [f"# {comment}"] if comment else []
     lines.append(",".join(cols))
-    for j in range(len(traj.times)):
-        row = [str(j), repr(float(traj.times[j])), repr(float(traj.levels[j]))]
-        row += [repr(float(c)) for c in traj.points[j]]
-        row += [repr(float(traj.values[j])), repr(float(speeds[j])),
-                repr(float(residuals[j]))]
-        lines.append(",".join(row))
+    lines += [",".join([str(j), *map(repr, row)]) for j, row in enumerate(table)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

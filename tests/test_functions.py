@@ -434,6 +434,32 @@ def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
 
 
 @pytest.mark.parametrize("eps", [None, 0.2])
+@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2),
+                                      ("gauge", 2),
+                                      ("localized:tube:1.5,0:0.4", 2)])
+def test_scalar_level_projects_bit_equal_to_per_row_levels(name, dim, eps):
+    # A catching-up step passes its scalar level to level_project as is; it
+    # must give the bits of the same level repeated per row, signed zeros
+    # included, and a fresh array, since the step may write into it.
+    f = get_function(name, dim=dim)
+    if eps is not None:
+        f = regularize(f, eps)
+    top = f.level_hi if f.level_hi is not None else 2.0
+    lo, hi = f.level_bbox(top)
+    pts = split_rng(0, "scalar-level", name, dim).uniform(lo - 0.5, hi + 0.5, size=(200, dim))
+    pts[:4] = 0.0
+    pts[:4, 0] = -0.0
+    pts[:4, -1] = [-0.0, 0.5, -3.0, 2.0]
+    pts[4:8, 1:] = -0.0
+    for level in (f.inf_value, f.inf_value + 0.4 * (top - f.inf_value), top, top + 0.5):
+        got = f.level_project(level, pts)
+        want = f.level_project(np.full(len(pts), level), pts)
+        assert got.shape == want.shape == pts.shape
+        assert got.tobytes() == want.tobytes(), level
+        assert not np.shares_memory(got, pts) and not np.shares_memory(want, pts)
+
+
+@pytest.mark.parametrize("eps", [None, 0.2])
 def test_localized_signed_distance_outside_is_the_distance(eps):
     # Seeded points outside the ball, concentrated around the two lens
     # corners, where the larger of the two signed distances falls short of

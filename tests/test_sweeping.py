@@ -8,8 +8,9 @@ from sweepdescent.functions import get_function, slope_values
 from sweepdescent.geometry import sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
-from sweepdescent.sweeping import (SweepingConfig, _inward_step, flow_map,
-                                   forward_catching_up,
+from sweepdescent import sweeping
+from sweepdescent.sweeping import (SweepingConfig, Trajectory, _inward_step,
+                                   flow_map, forward_catching_up,
                                    forward_catching_up_batch,
                                    invert_flow_check, reverse_catching_up,
                                    trajectory_to_csv)
@@ -398,6 +399,68 @@ def test_trajectory_csv_format(tmp_path, norm):
     first = lines[2].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
     assert float(first[5]) == 2.0
+
+
+def test_trajectory_csv_bytes_match_the_per_row_formatter(tmp_path):
+    # The CSV table goes through one tolist(); its text must be that of
+    # repr(float(...)) per cell, for one run and for a run of a batch.
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 2.5e-310, 1.0 / 3.0,
+                         -1e300, 0.1, 7.0])
+
+    class Residuals:
+        def level_signed_distance(self, alphas, points):
+            return np.resize(specials[::-1], len(points))
+
+    times = np.array([-0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5])
+    levels = np.resize(specials[2:], len(times))
+    points = np.resize(specials, (len(times), 3, 2))
+    points[:, 1] = np.roll(points[:, 0], 3, axis=0)
+    cfg = SweepingConfig(alpha2=1.0, horizon=1.5, steps=7)
+    batch = Trajectory(times=times, levels=levels, points=points,
+                       values=np.resize(specials[1:], (len(times), 3)), config=cfg)
+    single = Trajectory(times=times, levels=levels, points=np.roll(points[:, 0], 1, axis=0),
+                        values=np.resize(specials[4:], len(times)), config=cfg)
+    for traj in (single, batch.trajectory(1)):
+        with np.errstate(invalid="ignore"):
+            residuals, speeds = traj.boundary_residuals(Residuals()), traj.speeds
+        rows = ["# stamp", "step,t,level,x0,x1,f,speed,dist_to_boundary"]
+        for j in range(len(traj.times)):
+            cells = [traj.times[j], traj.levels[j], *traj.points[j], traj.values[j],
+                     speeds[j], residuals[j]]
+            rows.append(",".join([str(j)] + [repr(float(c)) for c in cells]))
+        path = tmp_path / "traj.csv"
+        with np.errstate(invalid="ignore"):
+            trajectory_to_csv(traj, Residuals(), path, comment="stamp")
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+        cells = set(",".join(rows[2:]).split(","))
+        assert {"-0.0", "inf", "-inf", "nan", "5e-324"} <= cells
+
+
+def test_one_row_steps_call_no_python_level_numpy_wrappers(monkeypatch, gallery):
+    # numpy's Python-level wrappers cost several times a ufunc on one row, and
+    # a descend takes one one-row step per partition point. Each forward step
+    # (plain and regularized) and a regularized reverse step runs once with
+    # them patched to raise.
+    steps = []
+    monkeypatch.setattr(sweeping, "_catching_up",
+                        lambda f, x0, times, levels, step, cfg: steps.append((step, levels[1], x0)))
+    for name, x0 in (("norm", [[1.2, 0.5]]), ("tube", [[1.5, 0.6]]), ("gauge", [[0.3, 1.5]])):
+        for f in (gallery[name], regularize(gallery[name], 0.25)):
+            cfg = SweepingConfig(alpha2=float(f.eval(x0[0])), horizon=0.2, steps=4)
+            forward_catching_up_batch(f, x0, cfg)
+    reverse_catching_up(regularize(gallery["tube"], 0.25), cap_point(1.0, 0.7)[None, :], 0.5,
+                        SweepingConfig(alpha2=1.5, horizon=0.5, steps=50, map_lipschitz=1.0))
+    assert len(steps) == 7
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("a Python-level numpy wrapper on the one-row step path")
+
+    with monkeypatch.context() as m:
+        for name in ("broadcast_to", "stack", "clip", "full", "any"):
+            m.setattr(np, name, wrapper)
+        m.setattr(np.linalg, "norm", wrapper)
+        moved = [step(level, x0) for step, level, x0 in steps]
+    assert all(not np.array_equal(x, x0) for x, (_, _, x0) in zip(moved, steps))
 
 
 def test_config_validation():
