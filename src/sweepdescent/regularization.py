@@ -139,10 +139,10 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
     exactly on circular arcs; the minimum over close pairs estimates the
     prox-regularity radius of the complement. The first pass samples at
     spacing pi / 600 of the level box's diagonal; one refinement pass
-    re-samples at spacing r_hat / 20, floored at 1e-4 but never by the floor
-    above the first pass's spacing, so a set smaller than the floor is
-    sampled as its scaled-up copy would be. Corner samples are skipped and
-    counted.
+    re-samples at spacing max(r_hat / 20, 1e-4) when that is finer than the
+    first by at least a quarter, and never replaces a finer pass by a
+    coarser one, so a set smaller than the floor is sampled as its scaled-up
+    copy would be. Corner samples are skipped and counted.
     """
     oracle = f.sublevel(alpha)
     lo, hi = f.level_bbox(alpha)
@@ -158,8 +158,8 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
         ratios = _secant_ratios(pts, normals, oracle.dim, resolution)
         if len(ratios):
             r_hat = float(np.min(ratios))
-        next_res = max(r_hat / 20.0, min(1e-4, resolution))
-        if not np.isfinite(r_hat) or abs(next_res - resolution) < 0.25 * resolution:
+        next_res = max(r_hat / 20.0, 1e-4)
+        if not np.isfinite(r_hat) or next_res > 0.75 * resolution:
             break
         resolution = next_res
     return ProxRadiusEstimate(level=alpha, r_hat=float(r_hat),

@@ -186,6 +186,21 @@ def test_prox_radius_of_a_ball_smaller_than_any_probe_step(norm):
     assert est.sample_count > 64
 
 
+@pytest.mark.parametrize("name,level,refined", [("norm", 1.0, False), ("gauge", 1.05, True)])
+def test_prox_radius_refines_only_to_a_finer_pass(name, level, refined):
+    # The unit sphere's r_hat / 20 = 0.05 is coarser than the first pass's
+    # spacing, which then stands; the gauge's small disk at s = 1.05 asks for
+    # 0.0025, finer by more than a quarter, and gets the second pass.
+    f = get_function(name, 3 if name == "norm" else 2)
+    lo, hi = f.level_bbox(level)
+    first = sample_boundary(f.sublevel(level), float(np.linalg.norm(hi - lo)) * np.pi / 600)
+    est = prox_radius_estimate(f, level, seed=0)
+    if refined:
+        assert est.sample_count > len(first)
+    else:
+        assert est.sample_count == len(first) == 19099
+
+
 def test_secant_ratios_3d_match_sorted_pair_reference():
     hull = regularize(get_function("norm", 3), 0.25).sublevel(1.0)
     resolution = 0.1
