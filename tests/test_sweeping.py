@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sweepdescent import sweeping
 from sweepdescent.errors import (DegenerateDirection, DomainError,
                                  LevelUnderflow, MissingConstants,
                                  ReverseRefused, ThetaGuard)
@@ -8,7 +9,6 @@ from sweepdescent.functions import get_function, slope_values
 from sweepdescent.geometry import sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
-from sweepdescent import sweeping
 from sweepdescent.sweeping import (SweepingConfig, Trajectory, _inward_step,
                                    flow_map, forward_catching_up,
                                    forward_catching_up_batch,
