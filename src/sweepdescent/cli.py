@@ -177,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the diagnostics suite")
     common(p)
     p.add_argument("--window", type=_parse_window, help="level window lo:hi")
-    p.add_argument("--levels", help="a:b:n level sampling for prox diagnostics")
+    p.add_argument("--levels", help="a:b:n: the level window a:b (as --window) and the "
+                   "n levels of the moving-map Lipschitz checks; H1-H3 always take 5")
     p.add_argument("--n-points", type=int, dest="n_points")
     p.add_argument("--resolution", type=float)
     p.add_argument("--probe-starts", type=int, dest="probe_starts")
@@ -256,6 +257,10 @@ def cmd_descend(config: ExperimentConfig) -> int:
             "reverse sweeping requires prox-regularity evidence: pass "
             "--epsilon (regularized complements are prox-regular at the "
             "dilation radius) or a validated --prox-radius")
+    tbar = config.tbar if config.tbar is not None else config.T
+    if config.reverse and tbar > config.T:
+        raise ConfigError(f"reverse horizon tbar = {tbar!r} exceeds the forward horizon "
+                          f"T = {config.T!r}, whose levels the reverse run retraces")
     map_lip = config.map_lipschitz
     if config.reverse and map_lip is None:
         window = (max(alpha2 - config.T, f.inf_value + 1e-6), alpha2)
@@ -284,7 +289,6 @@ def cmd_descend(config: ExperimentConfig) -> int:
     print(f"max speed: {float(np.max(traj.speeds)):.6g}")
 
     if config.reverse:
-        tbar = config.tbar if config.tbar is not None else config.T
         # The reverse process climbs from the forward endpoint's level, so
         # its reference level is alpha2 - T + tbar.
         rcfg = dataclasses.replace(cfg, alpha2=alpha2 - config.T + tbar)

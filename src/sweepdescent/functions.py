@@ -2,9 +2,9 @@
 
 A function answers every geometric question through batched per-row level
 oracles, (alphas, points) -> projection / signed distance / normal (its
-exact gradient, with a corner flag), plus an interior point per level, a
-domain oracle, its infimum and one level search: level_at_distance(x, r),
-the minimum of f over the closed r-ball around x.
+exact gradient, with a corner flag), plus an interior point per level, its
+infimum, its domain [f <= level_hi] (np.inf for the norm) and one level
+search: level_at_distance(x, r), the minimum of f over the closed ball B(x, r).
 Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
 eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
 that forwards to those oracles at the fixed level alpha; no function builds
@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (BallSet, ConvexSetOracle, FullSpaceSet, _atleast_2d,
-                       _axial_section, _itp, _restore, ball_lens_project,
-                       hull_normals, hull_section, intersection_signed_distance)
+from .geometry import (BallSet, ConvexSetOracle, _atleast_2d, _axial_section,
+                       _itp, _restore, ball_lens_project, hull_normals,
+                       hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -54,13 +54,12 @@ class LevelSet(ConvexSetOracle):
 
 
 class QuasiconvexFunction:
-    """Base interface: eval, level oracles, domain, infimum, name."""
+    """Base interface: eval, level oracles, infimum, top level, name."""
 
     name: str
     dim: int
     inf_value: float
-    level_hi: float | None  # level at which sublevels saturate to the domain
-    domain: ConvexSetOracle
+    level_hi: float  # sublevels saturate here: [f <= level_hi] is the domain
 
     def eval(self, x):
         return self.level_at_distance(x, 0.0)
@@ -79,11 +78,6 @@ class QuasiconvexFunction:
     def level_bbox(self, alpha: float):
         """Axis-aligned box (lo, hi) containing the alpha-sublevel set."""
         raise NotImplementedError
-
-    def clamp_level(self, alpha: float) -> float:
-        if self.level_hi is not None:
-            return min(alpha, self.level_hi)
-        return alpha
 
     def level_project(self, alphas, points):
         """Projection of points[i] onto the alphas[i]-sublevel set, batched.
@@ -116,13 +110,13 @@ class QuasiconvexFunction:
         This is the minimum of f over the closed r-ball around x, +inf where
         that ball misses the domain. The signed distance is continuous and
         nonincreasing in the level, so one row-wise ITP root-find on it
-        brackets a between inf_value and the top level: level_hi, or f(x)
-        where level_hi is None.
+        brackets a between inf_value and the top level: level_hi where it is
+        finite, else f(x).
         """
         x2, single = _atleast_2d(x)
         n = len(x2)
-        top = (np.asarray(self.eval(x2), dtype=float) if self.level_hi is None
-               else np.full(n, self.level_hi))
+        top = (np.full(n, self.level_hi) if np.isfinite(self.level_hi)
+               else np.asarray(self.eval(x2), dtype=float))
         g_lo = r - self.level_signed_distance(np.full(n, self.inf_value), x2)
         g_hi = r - self.level_signed_distance(top, x2)
         vals = np.where(g_lo >= 0, self.inf_value, np.inf)
@@ -146,8 +140,7 @@ class NormFunction(QuasiconvexFunction):
         self.name = "norm" if dim == 2 else f"norm{dim}"
         self.dim = dim
         self.inf_value = 0.0
-        self.level_hi = None
-        self.domain = FullSpaceSet(dim)
+        self.level_hi = np.inf
         self.default_window = (0.5, 1.5)
         self.hull_axis = np.eye(dim)[0]
 
@@ -187,7 +180,6 @@ class TubeFunction(QuasiconvexFunction):
         self.dim = 2
         self.inf_value = 0.0
         self.level_hi = 3.0
-        self.domain = self.sublevel(self.level_hi)
         self.default_window = (0.3, 1.7)
         self.hull_axis = np.array([1.0, 0.0])
 
@@ -195,15 +187,18 @@ class TubeFunction(QuasiconvexFunction):
         return 1.0, np.minimum(alphas, self.level_hi), 1.0
 
     def level_bbox(self, alpha: float):
-        t = self.clamp_level(alpha)
-        return np.array([-1.0, -1.0]), np.array([t + 1.0, 1.0])
+        return np.array([-1.0, -1.0]), np.array([min(alpha, self.level_hi) + 1.0, 1.0])
 
-    def level_project(self, alphas, points):
-        pts = np.asarray(points, dtype=float)
+    def _anchor(self, alphas, pts):
+        """Per row: nearest point of the axis segment, offset and its length."""
         anchor = np.zeros(pts.shape)
         anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
         delta = pts - anchor
-        dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
+        return anchor, delta, np.sqrt(np.add.reduce(delta * delta, axis=1))
+
+    def level_project(self, alphas, points):
+        pts = np.asarray(points, dtype=float)
+        anchor, delta, dist = self._anchor(alphas, pts)
         out = dist > 1.0
         res = pts.copy()
         if out.any():
@@ -212,11 +207,7 @@ class TubeFunction(QuasiconvexFunction):
         return res
 
     def level_signed_distance(self, alphas, points):
-        pts = np.asarray(points, dtype=float)
-        t = np.minimum(np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),)),
-                       self.level_hi)
-        seg = np.stack([np.clip(pts[:, 0], 0.0, t), np.zeros(len(pts))], axis=1)
-        return np.linalg.norm(pts - seg, axis=1) - 1.0
+        return self._anchor(alphas, np.asarray(points, dtype=float))[2] - 1.0
 
     def level_at_distance(self, x, r):
         # The r-ball meets the capsule of level a where the distance to the
@@ -247,7 +238,6 @@ class GaugeFunction(QuasiconvexFunction):
         self.dim = 2
         self.inf_value = 0.0
         self.level_hi = 2.0
-        self.domain = self.sublevel(self.level_hi)
         self.default_window = (1.2, 1.8)
         self.hull_axis = np.array([0.0, 1.0])
 
@@ -260,7 +250,7 @@ class GaugeFunction(QuasiconvexFunction):
         return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas))
 
     def level_bbox(self, alpha: float):
-        s = self.clamp_level(alpha)
+        s = min(alpha, self.level_hi)
         top = max(s, 3.0 * s - 2.0)
         return np.array([-s, -s]), np.array([s, top])
 
@@ -288,7 +278,10 @@ class LocalizedFunction(QuasiconvexFunction):
         if center.shape != (base.dim,):
             raise ValueError(f"localization center {center.tolist()} needs {base.dim} "
                              f"coordinates for {base.name}")
-        if float(base.domain.signed_boundary_distance(center)) > -delta:
+        # The smallest level whose sublevel set contains the ball: the
+        # maximum of the base over the ball, +inf where it leaves the domain.
+        self.level_hi = float(base.level_at_distance(center, -float(delta)))
+        if not np.isfinite(self.level_hi):
             raise DomainError("localization ball must sit inside the base domain")
         self.base = base
         self.center = center
@@ -297,11 +290,7 @@ class LocalizedFunction(QuasiconvexFunction):
         self.name = f"localized:{base.name}:{coords}:{delta:g}"
         self.dim = base.dim
         self.ball = BallSet(center, delta)
-        self.domain = self.ball
         self.inf_value = float(base.level_at_distance(center, self.delta))
-        # The smallest level whose sublevel set contains the ball: the
-        # maximum of the base over the ball.
-        self.level_hi = float(base.level_at_distance(center, -self.delta))
         self.default_window = (
             self.inf_value + 0.25 * (self.level_hi - self.inf_value),
             self.inf_value + 0.75 * (self.level_hi - self.inf_value),

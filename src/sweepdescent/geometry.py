@@ -63,21 +63,6 @@ class ConvexSetOracle:
         return np.maximum(self.signed_boundary_distance(x), 0.0)
 
 
-class FullSpaceSet(ConvexSetOracle):
-    """The whole space; domain oracle for finite-valued functions."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.interior_point = np.zeros(dim)
-
-    def project(self, x):
-        return np.asarray(x, dtype=float)
-
-    def signed_boundary_distance(self, x):
-        x2, single = _atleast_2d(x)
-        return _restore(np.full(len(x2), -np.inf), single)
-
-
 class BallSet(ConvexSetOracle):
     """Closed ball; radius zero gives a single point."""
 
@@ -202,7 +187,7 @@ class TwoBallHullSet(ConvexSetOracle):
 
 
 class DilatedSet(ConvexSetOracle):
-    """Minkowski sum base + eps * unit ball, through the base oracle."""
+    """Minkowski sum base + eps * unit ball; a test reference no library path builds."""
 
     def __init__(self, base: ConvexSetOracle, eps: float):
         if eps <= 0:

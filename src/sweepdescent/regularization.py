@@ -14,8 +14,8 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
 from .functions import QuasiconvexFunction, slope_values
-from .geometry import (DilatedSet, _atleast_2d, dilated_projection,
-                       outward_normals, sample_boundary)
+from .geometry import (_atleast_2d, dilated_projection, outward_normals,
+                       sample_boundary)
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -30,7 +30,6 @@ class RegularizedFunction(QuasiconvexFunction):
         self.dim = base.dim
         self.inf_value = base.inf_value
         self.level_hi = base.level_hi
-        self.domain = DilatedSet(base.domain, eps)
         self.default_window = getattr(base, "default_window", (0.5, 1.5))
 
     # level_at_distance stays the generic search on the dilated sublevels.
@@ -41,14 +40,15 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_interior_point(self, alpha: float) -> np.ndarray:
         """The base's interior point, or where it has none (a localization's
-        bottom level) a point of the base set, the center of an eps-ball."""
+        bottom level) the base set's point nearest its top-level interior point."""
         try:
             return self.base.level_interior_point(alpha)
         except EmptySample:
-            return self.base.level_project(alpha, self.base.domain.interior_point[None, :])[0]
+            top = self.base.level_interior_point(self.base.level_hi)
+            return self.base.level_project(alpha, top[None, :])[0]
 
     def level_bbox(self, alpha: float):
-        lo, hi = self.base.level_bbox(self.base.clamp_level(alpha))
+        lo, hi = self.base.level_bbox(alpha)
         return lo - self.eps, hi + self.eps
 
     def level_project(self, alphas, points):
@@ -56,8 +56,7 @@ class RegularizedFunction(QuasiconvexFunction):
         return dilated_projection(pts, self.base.level_project(alphas, pts), self.eps)
 
     def level_signed_distance(self, alphas, points):
-        hi = np.inf if self.level_hi is None else self.level_hi
-        return self.base.level_signed_distance(np.minimum(alphas, hi), points) - self.eps
+        return self.base.level_signed_distance(alphas, points) - self.eps
 
     def level_normals(self, alphas, points):
         """The base's normals, which every base takes at its clamped level.
@@ -105,7 +104,7 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     points already outside the open dilated set are their own projection.
     """
     x2, single = _atleast_2d(x)
-    z = freg.base.level_project(freg.base.clamp_level(alpha), x2)
+    z = freg.base.level_project(alpha, x2)
     delta = x2 - z
     dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
     if (dist <= 1e-12).any():

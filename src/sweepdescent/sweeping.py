@@ -46,6 +46,9 @@ class SweepingConfig:
             raise ValueError("horizon must be nonnegative")
         if self.steps < 1:
             raise ValueError("partition needs at least one step")
+        for key in ("map_lipschitz", "prox_radius"):
+            if getattr(self, key) is not None and not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
 
     def theta(self, span: float | None = None) -> float:
         """Reverse step-size guard for a run over the given time span."""
@@ -54,8 +57,6 @@ class SweepingConfig:
                 "theta needs map_lipschitz and prox_radius estimates"
             )
         span = self.horizon if span is None else span
-        if span == 0:
-            return 0.0
         return self.map_lipschitz * (span / self.steps) / self.prox_radius
 
 
@@ -171,8 +172,10 @@ def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Traject
     are eps prox-regular by construction, stepped by complement_projection)
     or when the config carries a validated prox radius (stepped by the
     closed-form inward boundary step); refuses otherwise, and refuses when
-    theta >= 1.
+    theta >= 1. A negative tbar raises ValueError.
     """
+    if tbar < 0:
+        raise ValueError(f"reverse horizon tbar must be nonnegative, got {tbar!r}")
     if not isinstance(freg, RegularizedFunction) and cfg.prox_radius is None:
         raise ReverseRefused(
             "reverse sweeping needs prox-regularity evidence: pass a "

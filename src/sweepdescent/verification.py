@@ -353,7 +353,7 @@ def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:
             "reason": "polar grid oracle is two-dimensional", "n_points": 0})
     pts = _annulus_sample(freg, window, 3 * n_points, seed, "eval-consistency")
     vals = np.asarray(freg.eval(pts), dtype=float)
-    depth = np.asarray(freg.base.domain.signed_boundary_distance(pts))
+    depth = freg.base.level_signed_distance(freg.base.level_hi, pts)
     keep = (vals >= freg.inf_value + freg.eps) & (depth <= -(freg.eps + 0.02))
     pts, vals = pts[keep], vals[keep]
     coarse = grid_min_regularized(freg, pts, n=41)
@@ -444,7 +444,7 @@ def _check_lipschitz_transfer(freg, window, n_points, seed) -> CheckResult:
     anchor = "regularization preserves the local Lipschitz bound"
     rng = split_rng(seed, "lip-transfer")
     pts = _annulus_sample(freg, window, 3 * n_points, seed, "lip-transfer")
-    depth = np.asarray(freg.base.domain.signed_boundary_distance(pts))
+    depth = freg.base.level_signed_distance(freg.base.level_hi, pts)
     pts = pts[depth <= -(freg.eps + 0.02)][:n_points]
     if not len(pts):
         return CheckResult("lipschitz-transfer", anchor, passed=None, details={

@@ -88,6 +88,29 @@ def test_descend_theta_guard_exit(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--prox-radius", "0"), ("--prox-radius", "-1"),
+                                        ("--map-lipschitz", "0"), ("--map-lipschitz", "-1")])
+def test_descend_rejects_reverse_constants_that_are_not_positive(tmp_path, capsys, flag, value):
+    constants = {"--prox-radius": "1", "--map-lipschitz": "1", flag: value}
+    code = run(tmp_path, "descend", "--function", "tube", "--x0", "2.5,0.3",
+               "--alpha2", "2", "--T", "1", "--k", "200", "--reverse", "--tbar", "0.5",
+               *(token for item in constants.items() for token in item))
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "reverse.csv").exists()
+
+
+@pytest.mark.parametrize("tbar", ["-0.5", "3"])
+def test_descend_rejects_tbar_outside_the_forward_horizon(tmp_path, capsys, tbar):
+    # The reverse run retraces the levels of [alpha2 - T, alpha2].
+    code = run(tmp_path, "descend", "--function", "tube", "--epsilon", "0.25",
+               "--x0", "3.25,0", "--alpha2", "2", "--T", "1", "--k", "100",
+               "--reverse", "--tbar", tbar)
+    assert code == 2
+    assert "tbar" in capsys.readouterr().err
+    assert not (tmp_path / "reverse.csv").exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = {"function": "norm", "x0": [2.0, 0.0], "alpha2": 2.0, "T": 1.0,
            "k": 50, "command": "descend"}

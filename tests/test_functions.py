@@ -116,9 +116,31 @@ def test_localize_sublevel_projection(norm):
     assert np.allclose(proj, [1.8, 0.0], atol=1e-8)
 
 
-def test_localize_requires_ball_inside_domain(tube):
+def test_localize_requires_ball_inside_domain(tube, gauge):
     with pytest.raises(DomainError):
         localize(tube, [3.5, 0.0], 1.0)
+    # The gauge's domain S(2) meets the x-axis at |x| = 2.
+    with pytest.raises(DomainError):
+        localize(gauge, [1.9, 0.0], 0.2)
+
+
+@pytest.mark.parametrize("eps", [None, 0.25])
+@pytest.mark.parametrize("name,dim", [("norm", 2), ("norm", 3), ("tube", 2), ("gauge", 2),
+                                      ("localized:tube:1.5,0:0.4", 2),
+                                      ("localized:gauge:0,0.5:0.5", 2)])
+def test_domain_is_the_top_sublevel_set(name, dim, eps):
+    # f is finite exactly on [f <= level_hi], away from that set's boundary.
+    f = get_function(name, dim=dim)
+    if eps is not None:
+        f = regularize(f, eps)
+    lo, hi = f.level_bbox(min(f.level_hi, 2.0))
+    pts = split_rng(0, "domain", name, dim).uniform(lo - 1.0, hi + 1.0, size=(2000, dim))
+    depth = f.level_signed_distance(f.level_hi, pts)
+    keep = np.abs(depth) > 1e-9
+    assert np.sum(keep) > 1900
+    finite = np.isfinite(f.eval(pts[keep]))
+    assert np.array_equal(finite, depth[keep] <= 0)
+    assert np.any(finite) and (name.startswith("norm") or not np.all(finite))
 
 
 def test_localized_name_roundtrip(norm):
@@ -305,8 +327,7 @@ def test_boundary_points_carry_level_value(gallery):
             inward /= np.linalg.norm(inward, axis=1, keepdims=True)
             pts = pts + 1e-9 * inward
             vals = np.asarray(f.eval(pts))
-            on_dom_boundary = np.abs(
-                np.asarray(f.domain.signed_boundary_distance(pts))) <= 1e-6
+            on_dom_boundary = np.abs(f.level_signed_distance(f.level_hi, pts)) <= 1e-6
             interior = ~on_dom_boundary
             assert np.all(np.abs(vals[interior] - alpha) <= 1e-6)
             assert np.all(vals[on_dom_boundary] <= alpha + 1e-6)
@@ -389,7 +410,7 @@ def _reference_sublevel(f, alpha):
         # Projection and signed distance never read the interior point.
         return IntersectionSet(_reference_sublevel(f.base, min(alpha, f.level_hi)),
                                BallSet(f.center, f.delta), interior_point=f.center)
-    a = f.clamp_level(alpha)
+    a = min(alpha, f.level_hi)
     if isinstance(f, NormFunction):
         return BallSet(np.zeros(f.dim), a)
     if isinstance(f, TubeFunction):
@@ -408,7 +429,7 @@ def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
     f = get_function(name, dim=dim)
     if eps is not None:
         f = regularize(f, eps)
-    top = f.level_hi if f.level_hi is not None else 2.0
+    top = f.level_hi if np.isfinite(f.level_hi) else 2.0
     span = top - f.inf_value
     # The bottom level (for the localization one point), three inside the
     # window (for the gauge s = 0.6, 1 and 1.5: a ball, the transition and a
@@ -444,7 +465,7 @@ def test_scalar_level_projects_bit_equal_to_per_row_levels(name, dim, eps):
     f = get_function(name, dim=dim)
     if eps is not None:
         f = regularize(f, eps)
-    top = f.level_hi if f.level_hi is not None else 2.0
+    top = f.level_hi if np.isfinite(f.level_hi) else 2.0
     lo, hi = f.level_bbox(top)
     pts = split_rng(0, "scalar-level", name, dim).uniform(lo - 0.5, hi + 0.5, size=(200, dim))
     pts[:4] = 0.0
@@ -578,7 +599,7 @@ def test_level_at_distance_closed_forms_match_the_generic_search(name, dim, r):
                          c + 0.5 * max(r - f.delta, 0.0) * u])
         rim = c + (r + f.delta) * u
     else:
-        lo, hi = f.level_bbox(f.level_hi if f.level_hi is not None else 2.0)
+        lo, hi = f.level_bbox(f.level_hi if np.isfinite(f.level_hi) else 2.0)
         pts = np.vstack([rng.uniform(lo - 1.0, hi + 1.0, size=(2000, dim)),
                          np.zeros((1, dim)), 0.5 * np.eye(dim), [1.0] + [0.0] * (dim - 1)])
         rim = np.zeros((0, dim))

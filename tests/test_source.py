@@ -134,3 +134,19 @@ def test_the_package_imports_only_the_standard_library_numpy_and_scipy_spatial()
                         if name not in allowed
                         and name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign, foreign
+
+
+def test_every_class_is_used_in_the_package_or_traced():
+    # A module-level class that only __init__.py re-exports and the tests
+    # build is dead library code, unless the benchmark's tracer wraps it by
+    # name. Uses inside the class's own body do not count.
+    from test_perfbench import _tracer
+
+    traced = {target.split(".")[0] for _, target, _ in _tracer().TARGETS}
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    dead = [node.name for tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name not in traced
+            and uses[node.name] == _names(node).count(node.name)]
+    assert not dead, dead

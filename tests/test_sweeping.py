@@ -471,3 +471,21 @@ def test_config_validation():
     cfg = SweepingConfig(alpha2=1.0, horizon=1.0, steps=4)
     with pytest.raises(MissingConstants):
         cfg.theta()
+
+
+@pytest.mark.parametrize("key", ["map_lipschitz", "prox_radius"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+def test_config_rejects_constants_that_are_not_positive(key, value):
+    # theta divides by the prox radius and scales with the map constant: a
+    # zero radius raised ZeroDivisionError, and a theta of 0 or below passed
+    # the guard.
+    with pytest.raises(ValueError, match=key):
+        SweepingConfig(alpha2=1.5, horizon=1.0, steps=4, **{key: value})
+
+
+def test_reverse_rejects_a_negative_horizon(norm):
+    # [2.5, 0] lies on the boundary of the level-2 set that tbar = -0.5
+    # would start from, above the reference level alpha2.
+    cfg = SweepingConfig(alpha2=1.5, horizon=1.0, steps=4, map_lipschitz=1.0, prox_radius=0.5)
+    with pytest.raises(ValueError, match="tbar"):
+        reverse_catching_up(regularize(norm, 0.5), [2.5, 0.0], -0.5, cfg)
