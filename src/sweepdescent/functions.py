@@ -190,7 +190,7 @@ class TubeFunction(QuasiconvexFunction):
         return np.array([-1.0, -1.0]), np.array([min(alpha, self.level_hi) + 1.0, 1.0])
 
     def _anchor(self, alphas, pts):
-        """Per row: nearest point of the axis segment, offset and its length."""
+        """Nearest points of [0, min(alpha, level_hi)] x {0}, offsets and their lengths."""
         anchor = np.zeros(pts.shape)
         anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
         delta = pts - anchor

@@ -476,9 +476,8 @@ def test_config_validation():
 @pytest.mark.parametrize("key", ["map_lipschitz", "prox_radius"])
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
 def test_config_rejects_constants_that_are_not_positive(key, value):
-    # theta divides by the prox radius and scales with the map constant: a
-    # zero radius raised ZeroDivisionError, and a theta of 0 or below passed
-    # the guard.
+    # theta divides by the prox radius and scales with the map constant, and
+    # a theta of 0 or below would pass its guard.
     with pytest.raises(ValueError, match=key):
         SweepingConfig(alpha2=1.5, horizon=1.0, steps=4, **{key: value})
 
