@@ -16,9 +16,9 @@ from .functions import (GaugeFunction, LevelSet, LocalizedFunction,
                         NormFunction, QuasiconvexFunction, TubeFunction,
                         aze_corvellec_check, get_function, limiting_slope,
                         localize, slope_values)
-from .geometry import (BallSet, BoundarySample, ConvexSetOracle, DilatedSet,
-                       IntersectionSet, TwoBallHullSet, hull_section,
-                       outward_normals, sample_boundary)
+from .geometry import (BoundarySample, DilatedSet, IntersectionSet,
+                       TwoBallHullSet, hull_section, outward_normals,
+                       sample_boundary)
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
                              complement_projection, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)

@@ -276,6 +276,11 @@ def cmd_descend(config: ExperimentConfig) -> int:
     cfg = SweepingConfig(alpha2=alpha2, horizon=config.T, steps=config.k,
                          map_lipschitz=map_lip, prox_radius=config.prox_radius)
     traj = forward_catching_up(f, x0, cfg)
+    if config.reverse:
+        # The reverse run climbs from the forward endpoint's level, alpha2 - T
+        # + tbar, before any output: a refused reverse run writes nothing.
+        rcfg = dataclasses.replace(cfg, alpha2=alpha2 - config.T + tbar)
+        rev = reverse_catching_up(f, traj.endpoint, tbar, rcfg)
     _prepare_out(config)
     trajectory_to_csv(traj, f, os.path.join(config.output_dir, "forward.csv"),
                       comment=config.stamp())
@@ -289,10 +294,6 @@ def cmd_descend(config: ExperimentConfig) -> int:
     print(f"max speed: {float(np.max(traj.speeds)):.6g}")
 
     if config.reverse:
-        # The reverse process climbs from the forward endpoint's level, so
-        # its reference level is alpha2 - T + tbar.
-        rcfg = dataclasses.replace(cfg, alpha2=alpha2 - config.T + tbar)
-        rev = reverse_catching_up(f, traj.endpoint, tbar, rcfg)
         trajectory_to_csv(rev, f, os.path.join(config.output_dir, "reverse.csv"),
                           comment=config.stamp())
         reference = traj.interpolate(config.T - tbar)
@@ -437,6 +438,10 @@ def main(argv=None) -> int:
     except SweepDescentError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: {exc or 'out of memory'}; the size flags --k, --grid-size, "
+              "--n-points and --resolution set the run's memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -8,12 +8,13 @@ search: level_at_distance(x, r), the minimum of f over the closed ball B(x, r).
 Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
 eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
 that forwards to those oracles at the fixed level alpha; no function builds
-its sublevel sets a second time. The gallery carries three entries: the
-Euclidean norm in any dimension, a tube-shaped function whose sublevel sets
-are capsules, and a two-disk gauge whose level sets degenerate in curvature
-near the level 1. Each maps its levels to two-ball hulls, level_hull(alphas)
--> (r1, axis_len, r2) about the origin along hull_axis, which a localization
-cuts with its ball through geometry.ball_lens_project.
+its sublevel sets a second time, and membership and distance live on
+LevelSet. The gallery carries three entries: the Euclidean norm in any
+dimension, a tube-shaped function whose sublevel sets are capsules, and a
+two-disk gauge whose level sets degenerate in curvature near the level 1.
+Each maps its levels to two-ball hulls, level_hull(alphas) -> (r1, axis_len,
+r2) about the origin along hull_axis, which a localization cuts with its
+ball through geometry.ball_lens_project.
 """
 
 from functools import cached_property
@@ -21,9 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (BallSet, ConvexSetOracle, _atleast_2d, _axial_section,
-                       _itp, _restore, ball_lens_project, hull_normals,
-                       hull_section, intersection_signed_distance)
+from .geometry import (_atleast_2d, _axial_section, _itp, _restore,
+                       ball_lens_project, hull_normals, hull_section,
+                       intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -32,7 +33,7 @@ LIMITING_VALUE_GAP = 1e-2
 LIMITING_SAMPLES = 128
 
 
-class LevelSet(ConvexSetOracle):
+class LevelSet:
     """The sublevel set [f <= alpha] as a view on f's batched level oracles."""
 
     def __init__(self, f: "QuasiconvexFunction", alpha: float):
@@ -51,6 +52,12 @@ class LevelSet(ConvexSetOracle):
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         return _restore(self.f.level_signed_distance(self.alpha, x2), single)
+
+    def membership(self, x, tol: float = 0.0):
+        return self.signed_boundary_distance(x) <= tol
+
+    def distance(self, x):
+        return np.maximum(self.signed_boundary_distance(x), 0.0)
 
 
 class QuasiconvexFunction:
@@ -271,6 +278,8 @@ class LocalizedFunction(QuasiconvexFunction):
     closed form through the base's, assuming no plateau above inf f."""
 
     def __init__(self, base: QuasiconvexFunction, center, delta: float):
+        if not delta >= 0:
+            raise ValueError(f"localization radius must be nonnegative, got {delta:g}")
         center = np.asarray(center, dtype=float)
         if not hasattr(base, "level_hull"):
             raise ValueError(f"cannot localize {base.name}: its sublevel sets are not "
@@ -289,7 +298,6 @@ class LocalizedFunction(QuasiconvexFunction):
         coords = ",".join(f"{c:g}" for c in center)
         self.name = f"localized:{base.name}:{coords}:{delta:g}"
         self.dim = base.dim
-        self.ball = BallSet(center, delta)
         self.inf_value = float(base.level_at_distance(center, self.delta))
         self.default_window = (
             self.inf_value + 0.25 * (self.level_hi - self.inf_value),
@@ -300,7 +308,7 @@ class LocalizedFunction(QuasiconvexFunction):
         x2, single = _atleast_2d(x)
         vals = np.full(len(x2), np.inf)
         # Tolerance keeps points computed to lie on the ball circle feasible.
-        inside = np.asarray(self.ball.membership(x2, tol=1e-12))
+        inside = np.linalg.norm(x2 - self.center, axis=1) - self.delta <= 1e-12
         if np.any(inside):
             vals[inside] = np.asarray(self.base.eval(x2[inside]), dtype=float)
         return float(vals[0]) if single else vals
@@ -313,7 +321,7 @@ class LocalizedFunction(QuasiconvexFunction):
             return self.center.copy()
         mid = 0.5 * (alpha + self.inf_value)
         z = self.base.level_project(mid, self.center[None, :])[0]
-        if float(self.ball.signed_boundary_distance(z)) < -1e-9:
+        if float(np.linalg.norm(z[None, :] - self.center, axis=1)[0] - self.delta) < -1e-9:
             return z
         raise EmptySample(f"no interior point of the level-{alpha:.6g} set of {self.name}")
 
@@ -356,7 +364,7 @@ class LocalizedFunction(QuasiconvexFunction):
         alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
         return intersection_signed_distance(
             pts, self.base.level_signed_distance(alphas, pts),
-            self.ball.signed_boundary_distance(pts),
+            np.linalg.norm(pts - self.center, axis=1) - self.delta,
             lambda rows, p: self.level_project(alphas[rows], p))
 
     def level_normals(self, alphas, points):
@@ -383,7 +391,7 @@ class LocalizedFunction(QuasiconvexFunction):
         pts = np.asarray(points, dtype=float)
         hull = self.base.level_hull(np.minimum(np.asarray(alphas, dtype=float), self.level_hi))
         if self.dim == 2:
-            return ball_lens_project(pts, self.ball, self.base.hull_axis, *hull)
+            return ball_lens_project(pts, self.center, self.delta, self.base.hull_axis, *hull)
         # In d >= 3 the base is the norm: its balls about the origin make the
         # set symmetric about the line through the center, so each point is
         # projected in its (axial, radial) half-plane. Members stay put.
@@ -391,7 +399,7 @@ class LocalizedFunction(QuasiconvexFunction):
         axis = self.center / gap if gap > 0 else self.base.hull_axis
         a, rho, w = _axial_section(pts, 0.0, axis)
         sec = np.stack([a, rho], axis=1)
-        proj = ball_lens_project(sec, BallSet([gap, 0.0], self.delta), (1.0, 0.0), *hull)
+        proj = ball_lens_project(sec, (gap, 0.0), self.delta, (1.0, 0.0), *hull)
         return np.where(np.all(proj == sec, axis=1)[:, None], pts,
                         proj[:, :1] * axis + proj[:, 1:] * w)
 

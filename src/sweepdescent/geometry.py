@@ -2,16 +2,16 @@
 
 Every set is exposed through the same oracle surface: metric projection,
 signed boundary distance and a Slater (interior) point. Membership and
-distance derive from the signed distance, once, in ConvexSetOracle: a point
-is a member when its signed distance is at most the tolerance, and its
-distance is the positive part. Balls, dilations and hulls of two balls are
-exact in closed form; the hull math is one per-row kernel, hull_section
+distance derive from the signed distance, once, in functions.LevelSet, the
+set the library builds. Dilations and hulls of two balls are exact in
+closed form; the hull math is one per-row kernel, hull_section
 (its gradient is hull_normals), which the gallery functions also call with
 per-row parameters, and the dilation's push-out is one function,
 dilated_projection, which regularized functions also call. A plane hull cut
 by a ball (IntersectionSet, whose interior point the caller gives, and every
-localized sublevel set) is exact through ball_lens_project, which takes its
-corners in closed form from the hull parameters. The signed distance of an
+localized sublevel set) is exact through ball_lens_project, which takes the
+ball as a center and a radius and its corners in closed form from the hull
+parameters. The signed distance of an
 intersection is exact on both sides of its boundary. sample_boundary keeps
 the exit of every ray it shoots from the interior point, one ray per
 resolution of arc length in the plane, and outward_normals reads a sublevel
@@ -41,52 +41,6 @@ def _atleast_2d(x):
 
 def _restore(x, single):
     return x[0] if single else x
-
-
-class ConvexSetOracle:
-    """Closed convex set queried through projection and signed distance."""
-
-    dim: int
-    interior_point: np.ndarray
-
-    def project(self, x):
-        raise NotImplementedError
-
-    def signed_boundary_distance(self, x):
-        """Distance to the boundary, negative inside."""
-        raise NotImplementedError
-
-    def membership(self, x, tol: float = 0.0):
-        return self.signed_boundary_distance(x) <= tol
-
-    def distance(self, x):
-        return np.maximum(self.signed_boundary_distance(x), 0.0)
-
-
-class BallSet(ConvexSetOracle):
-    """Closed ball; radius zero gives a single point."""
-
-    def __init__(self, center, radius: float):
-        if radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.dim = self.center.shape[0]
-        self.interior_point = self.center.copy()
-        self.hull = (self.center, np.eye(self.dim)[0], self.radius, 0.0, self.radius)
-
-    def project(self, x):
-        x2, single = _atleast_2d(x)
-        delta = x2 - self.center
-        norms = np.linalg.norm(delta, axis=1)
-        out = norms > self.radius
-        scale = np.ones_like(norms)
-        scale[out] = self.radius / norms[out]
-        return _restore(self.center + delta * scale[:, None], single)
-
-    def signed_boundary_distance(self, x):
-        x2, single = _atleast_2d(x)
-        return _restore(np.linalg.norm(x2 - self.center, axis=1) - self.radius, single)
 
 
 def _hull_frame(r1, axis_len, r2):
@@ -149,7 +103,7 @@ def hull_normals(a, rho, r1, axis_len, r2):
     return np.where(arc, u / d, sin), np.where(arc, rho / d, cos)
 
 
-class TwoBallHullSet(ConvexSetOracle):
+class TwoBallHullSet:
     """Convex hull of two closed balls.
 
     Covers balls (one ball inside the other), capsules (equal radii) and the
@@ -186,10 +140,10 @@ class TwoBallHullSet(ConvexSetOracle):
         return _restore(hull_section(a, rho, self.r1, self.axis_len, self.r2)[2], single)
 
 
-class DilatedSet(ConvexSetOracle):
+class DilatedSet:
     """Minkowski sum base + eps * unit ball; a test reference no library path builds."""
 
-    def __init__(self, base: ConvexSetOracle, eps: float):
+    def __init__(self, base, eps: float):
         if eps <= 0:
             raise ValueError("dilation radius must be positive")
         self.base = base
@@ -219,8 +173,8 @@ def dilated_projection(x2, z, eps):
     return res
 
 
-def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
-    """Exact 2d projection onto (two-ball hull) intersect (ball), batched.
+def ball_lens_project(x2: np.ndarray, center, radius, axis, r1, axis_len, r2):
+    """Exact 2d projection onto (two-ball hull) intersect B(center, radius), batched.
 
     Row i's hull is hull_section's (r1, axis_len, r2)[i], broadcast over the
     rows, about the origin along the unit vector axis; no oracle of the
@@ -232,7 +186,7 @@ def ball_lens_project(x2: np.ndarray, ball: "BallSet", axis, r1, axis_len, r2):
     # Complex coordinates in hull_section's frame, where the axis is real.
     turn = complex(*axis).conjugate()
     z = (x2[:, 0] + 1j * x2[:, 1]) * turn
-    c, big_r = complex(*ball.center) * turn, ball.radius
+    c, big_r = complex(*center) * turn, radius
 
     # When one set's own projection is feasible for the other it is already
     # the metric projection of the intersection; only the remaining rows
@@ -315,32 +269,34 @@ def intersection_signed_distance(x2, sa, sb, project):
     return signed
 
 
-class IntersectionSet(ConvexSetOracle):
-    """A plane two-ball hull cut by a plane ball, projected by ball_lens_project
-    on the first set's hull = (origin, axis, r1, axis_len, r2), which BallSet
-    and TwoBallHullSet carry."""
+class IntersectionSet:
+    """A plane two-ball hull cut by the plane ball B(center, radius), projected
+    by ball_lens_project on the first set's hull = (origin, axis, r1,
+    axis_len, r2), which TwoBallHullSet carries."""
 
-    def __init__(self, first: ConvexSetOracle, second: ConvexSetOracle, interior_point):
-        if not (hasattr(first, "hull") and isinstance(second, BallSet)
-                and first.dim == second.dim == 2):
-            raise ValueError("an intersection is a plane two-ball hull cut by a plane BallSet")
+    def __init__(self, first, center, radius: float, interior_point):
+        center = np.asarray(center, dtype=float)
+        if not (hasattr(first, "hull") and first.dim == center.shape[0] == 2 and radius >= 0):
+            raise ValueError("an intersection is a plane two-ball hull cut by a plane ball "
+                             "of nonnegative radius")
         self.first = first
-        self.second = second
+        self.center = center
+        self.radius = float(radius)
         self.dim = first.dim
         self.interior_point = np.asarray(interior_point, dtype=float)
 
     def project(self, x):
         x2, single = _atleast_2d(x)
         origin, axis, r1, axis_len, r2 = self.first.hull
-        rel, ball = x2 - origin, BallSet(self.second.center - origin, self.second.radius)
-        p = ball_lens_project(rel, ball, axis, r1, axis_len, r2)
+        rel = x2 - origin
+        p = ball_lens_project(rel, self.center - origin, self.radius, axis, r1, axis_len, r2)
         return _restore(np.where(np.all(p == rel, axis=1)[:, None], x2, origin + p), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         signed = intersection_signed_distance(
             x2, self.first.signed_boundary_distance(x2),
-            self.second.signed_boundary_distance(x2),
+            np.linalg.norm(x2 - self.center, axis=1) - self.radius,
             lambda rows, pts: self.project(pts))
         return _restore(signed, single)
 
@@ -360,7 +316,7 @@ class BoundarySample:
         return len(self.points)
 
 
-def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
+def _ray_boundary_points(oracle, dirs: np.ndarray) -> np.ndarray:
     """Batched boundary points along rays from the interior point.
 
     Runs in row blocks of RAY_BLOCK, which keeps the arrays cache-sized; every
@@ -372,7 +328,7 @@ def _ray_boundary_points(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarra
     return out
 
 
-def _ray_block(oracle: ConvexSetOracle, dirs: np.ndarray) -> np.ndarray:
+def _ray_block(oracle, dirs: np.ndarray) -> np.ndarray:
     """Ray exits from the interior point: doubling, then ITP on the signed
     distance, which is convex and 1-Lipschitz along a ray from an interior
     point. Each exit is the inner end of its bracket, a point of the set
@@ -436,15 +392,16 @@ def _itp(g, lo, hi, g_lo, g_hi, tol):
     return lo, hi
 
 
-def sample_boundary(oracle: ConvexSetOracle, resolution: float, seed: int = 0,
+def sample_boundary(oracle, resolution: float, seed: int = 0,
                     max_points: int = 200_000) -> BoundarySample:
     """Boundary sample of ray exits from the interior point.
 
-    Each exit is the root of the signed boundary distance along its ray,
-    found by ITP root-finding to about 1e-15 relative on sets of unit size
-    or more and about 1e-15 absolute on smaller ones (_ray_block); a set
-    whose interior point is not strictly inside (an empty interior) raises
-    EmptySample.
+    The oracle is any set with dim, interior_point and
+    signed_boundary_distance: a LevelSet, or a set of this module. Each exit
+    is the root of the signed boundary distance along its ray, found by ITP
+    root-finding to about 1e-15 relative on sets of unit size or more and
+    about 1e-15 absolute on smaller ones (_ray_block); a set whose interior
+    point is not strictly inside (an empty interior) raises EmptySample.
 
     d = 2 places one ray per resolution of arc length: a 64-ray pass gives a
     closed polygon of perimeter P, and max(ceil(P / resolution), 64) rays go

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sweepdescent import cli
 from sweepdescent.cli import ExperimentConfig, main
 from sweepdescent.errors import ConfigError
 from sweepdescent.functions import get_function
@@ -86,6 +87,7 @@ def test_descend_theta_guard_exit(tmp_path, capsys):
                "--map-lipschitz", "1.0", "--prox-radius", "0.5")
     assert code == 2
     assert "theta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag,value", [("--prox-radius", "0"), ("--prox-radius", "-1"),
@@ -98,6 +100,7 @@ def test_descend_rejects_reverse_constants_that_are_not_positive(tmp_path, capsy
     assert code == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not (tmp_path / "reverse.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tbar", ["-0.5", "3"])
@@ -109,6 +112,7 @@ def test_descend_rejects_tbar_outside_the_forward_horizon(tmp_path, capsys, tbar
     assert code == 2
     assert "tbar" in capsys.readouterr().err
     assert not (tmp_path / "reverse.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -183,6 +187,22 @@ def test_foliate_writes_index_last(tmp_path, capsys):
 def test_foliate_requires_epsilon(tmp_path, capsys):
     code = run(tmp_path, "foliate", "--function", "norm", "--alpha2", "1.5")
     assert code == 2
+
+
+def test_a_size_the_host_cannot_allocate_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # The allocation fails inside flow_map, as numpy's does for a huge
+    # --grid-size; the run itself stays small.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(cli, "flow_map", refuse)
+    code = run(tmp_path, "foliate", "--function", "tube", "--epsilon", "0.25",
+               "--alpha2", "1.5", "--T", "0.8", "--k", "10", "--grid-size", "8")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: Unable to allocate 1.46 TiB")
+    assert all(flag in err for flag in ("--k", "--grid-size", "--n-points", "--resolution"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gallery_lists_entries(tmp_path, capsys):
@@ -359,6 +379,8 @@ def test_threads_key_and_flag_are_accepted_and_ignored(tmp_path):
      "localization center [1.0, 0.0, 0.0] needs 2 coordinates for norm"),
     (["verify", "--function", "localized:tube:1.5:0.4"],
      "localization center [1.5] needs 2 coordinates for tube"),
+    (["verify", "--function", "localized:tube:1.5,0:-0.4"],
+     "localization radius must be nonnegative, got -0.4"),
 ])
 def test_localized_center_must_match_dimension(tmp_path, capsys, args, message):
     code = run(tmp_path, *args)

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepdescent import functions
+from sweepdescent import functions, geometry, regularization, sweeping, verification
 from sweepdescent.errors import DomainError, EmptySample
-from sweepdescent.functions import (GaugeFunction, LocalizedFunction,
+from sweepdescent.functions import (GaugeFunction, LevelSet, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
                                     SLOPE_RADII, TubeFunction, aze_corvellec_check,
                                     get_function, level_slopes, limiting_slope,
                                     localize, slope_values)
-from sweepdescent.geometry import (BallSet, ConvexSetOracle, DilatedSet,
-                                   IntersectionSet, TwoBallHullSet,
+from sweepdescent.geometry import (DilatedSet, IntersectionSet, TwoBallHullSet,
                                    ball_lens_project, sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng, unit_directions
@@ -209,7 +208,7 @@ def test_localized_norm3_projection_is_feasible_near_the_bottom_level():
         level = h.inf_value + frac * (h.level_hi - h.inf_value)
         p = h.level_project(level, x)
         assert np.max(h.base.level_signed_distance(level, p)) <= 1e-12
-        assert np.max(h.ball.signed_boundary_distance(p)) <= 1e-12
+        assert np.max(np.linalg.norm(p - h.center, axis=1) - h.delta) <= 1e-12
 
 
 def test_lens_constructors_reject_other_sets():
@@ -218,28 +217,33 @@ def test_lens_constructors_reject_other_sets():
     with pytest.raises(ValueError):
         localize(regularize(get_function("tube"), 0.2), [1.5, 0.0], 0.4)
     with pytest.raises(ValueError):
-        IntersectionSet(DilatedSet(BallSet([0.0, 0.0], 1.0), 0.1), BallSet([1.0, 0.0], 0.5),
+        IntersectionSet(DilatedSet(NormFunction(2).sublevel(1.0), 0.1), [1.0, 0.0], 0.5,
                         [0.9, 0.0])
     with pytest.raises(ValueError):
-        IntersectionSet(BallSet([0.0, 0.0, 0.0], 1.0), BallSet([1.0, 0.0, 0.0], 0.5),
-                        [0.9, 0.0, 0.0])
+        IntersectionSet(TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [0.0, 0.0, 0.0], 1.0),
+                        [1.0, 0.0, 0.0], 0.5, [0.9, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        IntersectionSet(TwoBallHullSet([0.0, 0.0], 1.0, [0.0, 0.0], 1.0), [1.0, 0.0], -0.5,
+                        [0.9, 0.0])
 
 
 def test_one_sublevel_constructor_and_one_membership_rule():
-    # Every sublevel set is a view on its function's level oracles, and every
-    # set derives membership and distance from its signed distance.
+    # Every sublevel set is a view on its function's level oracles, and
+    # membership and distance derive from the signed distance once, on LevelSet.
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    functions = list(subclasses(QuasiconvexFunction))
-    sets = list(subclasses(ConvexSetOracle))
+    gallery = list(subclasses(QuasiconvexFunction))
     assert {NormFunction, TubeFunction, GaugeFunction, LocalizedFunction,
-            RegularizedFunction} <= set(functions)
-    assert {BallSet, TwoBallHullSet, DilatedSet, IntersectionSet} <= set(sets)
-    assert not [c for c in functions if "sublevel" in c.__dict__]
-    assert not [c for c in sets if {"membership", "distance"} & set(c.__dict__)]
+            RegularizedFunction} <= set(gallery)
+    assert not [c for c in gallery if "sublevel" in c.__dict__]
+    classes = [c for m in (functions, geometry, regularization, sweeping, verification)
+               for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    assert {LevelSet, TwoBallHullSet, DilatedSet, IntersectionSet} <= set(classes)
+    assert [c for c in classes if {"membership", "distance"} & set(c.__dict__)] == [LevelSet]
+    assert {"membership", "distance"} <= set(LevelSet.__dict__)
 
 
 def test_aze_corvellec_examples(norm, tube):
@@ -409,10 +413,10 @@ def _reference_sublevel(f, alpha):
     if isinstance(f, LocalizedFunction):
         # Projection and signed distance never read the interior point.
         return IntersectionSet(_reference_sublevel(f.base, min(alpha, f.level_hi)),
-                               BallSet(f.center, f.delta), interior_point=f.center)
+                               f.center, f.delta, interior_point=f.center)
     a = min(alpha, f.level_hi)
     if isinstance(f, NormFunction):
-        return BallSet(np.zeros(f.dim), a)
+        return TwoBallHullSet(np.zeros(f.dim), a, np.zeros(f.dim), a)
     if isinstance(f, TubeFunction):
         return TwoBallHullSet([0.0, 0.0], 1.0, [a, 0.0], 1.0)
     assert isinstance(f, GaugeFunction)
@@ -441,11 +445,14 @@ def test_level_signed_distance_matches_sublevel_oracle(name, dim, eps):
     lo, hi = f.level_bbox(top)
     alphas = np.repeat(levels, 30)
     pts = rng.uniform(lo - 0.5, hi + 0.5, size=(len(alphas), dim))
+    derived = {"distance": lambda ref, p: np.maximum(ref.signed_boundary_distance(p), 0.0),
+               "membership": lambda ref, p: ref.signed_boundary_distance(p) <= 0.0}
     for oracle, batched in (("signed_boundary_distance", f.level_signed_distance),
                             ("project", f.level_project),
                             ("distance", f.level_distance),
                             ("membership", None)):
-        want = np.array([getattr(_reference_sublevel(f, a), oracle)(p)
+        read = derived.get(oracle, lambda ref, p: getattr(ref, oracle)(p))
+        want = np.array([read(_reference_sublevel(f, a), p)
                          for a, p in zip(alphas, pts)], dtype=float)
         if batched is not None:
             assert np.max(np.abs(batched(alphas, pts) - want)) <= 1e-12, oracle

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import EmptySample
-from sweepdescent.functions import get_function, localize
-from sweepdescent.geometry import (RAY_BLOCK, BallSet, DilatedSet,
+from sweepdescent.functions import NormFunction, get_function, localize
+from sweepdescent.geometry import (RAY_BLOCK, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    _fibonacci_directions, _itp, _ray_block,
                                    _ray_boundary_points, ball_lens_project,
@@ -16,7 +16,7 @@ from sweepdescent.rng import split_rng, unit_directions
 
 from conftest import dense_boundary_nearest
 
-UNIT_DISK = BallSet([0.0, 0.0], 1.0)
+UNIT_DISK = NormFunction(2).sublevel(1.0)
 
 
 def test_project_ball_exterior():
@@ -48,8 +48,8 @@ def test_projection_idempotent_and_membership():
         p1 = oracle.project(pts)
         p2 = oracle.project(p1)
         assert np.max(np.linalg.norm(p1 - p2, axis=1)) < 1e-9
-        assert np.all(oracle.membership(p1, tol=1e-7))
-        d = np.asarray(oracle.distance(pts))
+        assert np.all(oracle.signed_boundary_distance(p1) <= 1e-7)
+        d = np.maximum(oracle.signed_boundary_distance(pts), 0.0)
         assert np.max(np.abs(d - np.linalg.norm(pts - p1, axis=1))) < 1e-9
 
 
@@ -76,12 +76,12 @@ def test_projection_nonexpansive_gallery_sublevels():
 
 def test_dilate_membership_and_projection():
     dil = DilatedSet(UNIT_DISK, 1.0)
-    assert dil.membership([0.0, 1.9])
-    assert not dil.membership([0.0, 2.1])
+    assert dil.signed_boundary_distance([0.0, 1.9]) <= 0.0
+    assert dil.signed_boundary_distance([0.0, 2.1]) > 0.0
     half = DilatedSet(UNIT_DISK, 0.5)
     assert np.allclose(half.project([3.0, 0.0]), [1.5, 0.0])
-    point_ball = DilatedSet(BallSet([0.0, 0.0], 0.0), 2.0)
-    assert np.isclose(point_ball.distance([3.0, 0.0]), 1.0)
+    point_ball = DilatedSet(NormFunction(2).sublevel(0.0), 2.0)
+    assert np.isclose(np.maximum(point_ball.signed_boundary_distance([3.0, 0.0]), 0.0), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,14 +89,14 @@ def test_dilate_membership_and_projection():
 def test_dilation_distance_identity(x, y, eps):
     base = TwoBallHullSet([0.0, 0.0], 1.0, [1.0, 0.0], 0.4)
     dil = DilatedSet(base, eps)
-    expected = max(float(base.distance([x, y])) - eps, 0.0)
-    assert abs(float(dil.distance([x, y])) - expected) < 1e-8
+    expected = max(max(float(base.signed_boundary_distance([x, y])), 0.0) - eps, 0.0)
+    assert abs(max(float(dil.signed_boundary_distance([x, y])), 0.0) - expected) < 1e-8
 
 
 def test_hausdorff_concentric_circles():
     # Directed distances as the moving-map checks measure them: boundary
     # samples of one set against the exact distance oracle of the other.
-    inner, outer = BallSet([0, 0], 1.0), BallSet([0, 0], 2.0)
+    inner, outer = NormFunction(2).sublevel(1.0), NormFunction(2).sublevel(2.0)
     a = sample_boundary(inner, 0.01)
     b = sample_boundary(outer, 0.01)
     assert abs(float(np.max(inner.distance(b.points))) - 1.0) < 1e-12
@@ -105,7 +105,7 @@ def test_hausdorff_concentric_circles():
 
 def test_hausdorff_tube_levels():
     # capsule hulls at levels 0 and 1 are one unit apart in Hausdorff distance
-    lvl0 = BallSet([0, 0], 1.0)
+    lvl0 = NormFunction(2).sublevel(1.0)
     lvl1 = TwoBallHullSet([0, 0], 1.0, [1.0, 0.0], 1.0)
     far = float(np.max(lvl0.distance(sample_boundary(lvl1, 0.01).points)))
     assert abs(far - 1.0) < 1e-12
@@ -171,7 +171,7 @@ def test_plane_samples_come_in_increasing_angle():
 
 
 def test_boundary_sample_dimension_3():
-    ball = BallSet([0.0, 0.0, 0.0], 1.0)
+    ball = NormFunction(3).sublevel(1.0)
     sample = sample_boundary(ball, 0.2, seed=5)
     radii = np.linalg.norm(sample.points, axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-7
@@ -267,21 +267,21 @@ def _bisection_ray_exits(oracle, dirs):
     center = oracle.interior_point
     hi = np.ones(len(dirs))
     for _ in range(64):
-        inside = np.asarray(oracle.membership(center + hi[:, None] * dirs))
+        inside = oracle.signed_boundary_distance(center + hi[:, None] * dirs) <= 0.0
         if not np.any(inside):
             break
         hi[inside] *= 2.0
     lo = np.zeros(len(dirs))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        inside = np.asarray(oracle.membership(center + mid[:, None] * dirs))
+        inside = oracle.signed_boundary_distance(center + mid[:, None] * dirs) <= 0.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return center + (0.5 * (lo + hi))[:, None] * dirs
 
 
 RAY_ORACLES_3D = [
-    BallSet([0.0, 0.0, 0.0], 1.0),
+    NormFunction(3).sublevel(1.0),
     TwoBallHullSet([0.0, 0.0, 0.0], 1.0, [1.5, 0.5, 0.0], 0.4),
     DilatedSet(TwoBallHullSet([0.0, 0.0, 0.0], 0.7, [0.0, 1.0, 1.0], 0.7), 0.25),
 ]
@@ -313,9 +313,9 @@ def test_ray_exits_match_bisection_reference(oracle):
 
 def test_ray_exits_need_an_interior():
     with pytest.raises(EmptySample):
-        sample_boundary(BallSet([0.0, 0.0], 0.0), 0.1)
+        sample_boundary(NormFunction(2).sublevel(0.0), 0.1)
     with pytest.raises(EmptySample):
-        _ray_boundary_points(BallSet([0.0, 0.0, 0.0], 0.0), np.eye(3))
+        _ray_boundary_points(NormFunction(3).sublevel(0.0), np.eye(3))
 
 
 _itp_row = st.tuples(
@@ -358,22 +358,22 @@ def test_itp_brackets_kinked_maps(rows_in):
 
 
 def test_intersection_projection_matches_brute_force():
-    lens = IntersectionSet(BallSet([0, 0], 1.8), BallSet([2.0, 0.0], 0.5),
+    lens = IntersectionSet(TwoBallHullSet([0, 0], 1.8, [0, 0], 1.8), [2.0, 0.0], 0.5,
                            interior_point=[1.65, 0.0])
     assert np.allclose(lens.project([3.0, 0.0]), [1.8, 0.0], atol=1e-8)
     # a case where plain alternating projections land at the wrong point
-    half = IntersectionSet(BallSet([0, 0], 1.0), BallSet([0.0, -100.0], 100.0),
+    half = IntersectionSet(TwoBallHullSet([0, 0], 1.0, [0, 0], 1.0), [0.0, -100.0], 100.0,
                            interior_point=[0.0, -0.5])
     p = half.project([0.5, 2.0])
     brute_x = 0.5 * 100.0 / np.hypot(0.5, 102.0)
     assert np.linalg.norm(p - [brute_x, -(brute_x**2) / 200]) < 1e-3
     # A point of the first disk 5e-11 outside the second (angle 0.3 off the
     # axis towards the origin) is 5e-11 from the lens, not on it.
-    lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet([1.2, 0.0], 1.0),
+    lens = IntersectionSet(TwoBallHullSet([0.0, 0.0], 1.0, [0.0, 0.0], 1.0), [1.2, 0.0], 1.0,
                            interior_point=[0.6, 0.0])
     x = np.array([1.2, 0.0]) + (1.0 + 5e-11) * np.array([-np.cos(0.3), np.sin(0.3)])
     assert float(lens.signed_boundary_distance(x)) == pytest.approx(5e-11, abs=1e-15)
-    assert not lens.membership(x)
+    assert lens.signed_boundary_distance(x) > 0.0
 
 
 def _unit_lens_projection(s, x):
@@ -409,15 +409,16 @@ def test_lens_projection_matches_closed_form(s, phi, points):
     # h >= 1e-6 and reaches the 1.5e-8 square root of the float spacing at
     # the tangency s = 2, where the lens is one point.
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    lens = IntersectionSet(BallSet([0.0, 0.0], 1.0), BallSet(rot @ [s, 0.0], 1.0),
-                           interior_point=[0.0, 0.0])
+    lens = IntersectionSet(TwoBallHullSet([0.0, 0.0], 1.0, [0.0, 0.0], 1.0), rot @ [s, 0.0],
+                           1.0, interior_point=[0.0, 0.0])
     x = np.array(points)
     want = np.array([_unit_lens_projection(s, p) for p in x]) @ rot.T
     got = lens.project(x @ rot.T)
     gate = 1e-9 if 1.0 - s * s / 4.0 >= 1e-12 else 5e-8
     assert np.max(np.linalg.norm(got - want, axis=1)) <= gate
     dist = np.linalg.norm(x @ rot.T - want, axis=1)
-    assert np.max(np.abs(lens.distance(x @ rot.T) - dist)) <= gate
+    assert np.max(np.abs(np.maximum(lens.signed_boundary_distance(x @ rot.T), 0.0) - dist)) \
+        <= gate
 
 
 @pytest.mark.parametrize("level", [0.3, 0.43])
@@ -529,8 +530,8 @@ LENS_CASES = {
 @pytest.mark.parametrize("case", sorted(LENS_CASES))
 def test_intersection_projection_satisfies_the_projection_inequality(case):
     (c1, r1, c2, r2), center, radius = LENS_CASES[case]
-    hull = TwoBallHullSet(c1, r1, c2, r2) if r2 > 0 else BallSet(c1, r1)
-    lens = IntersectionSet(hull, BallSet(center, radius), interior_point=center)
+    hull = TwoBallHullSet(c1, r1, c2, r2) if r2 > 0 else TwoBallHullSet(c1, r1, c1, r1)
+    lens = IntersectionSet(hull, center, radius, interior_point=center)
     rng = split_rng(0, "lens-projection", case)
     x = np.asarray(center) + rng.uniform(-1.5, 1.5, size=(300, 2))
     _assert_is_lens_projection(x, lens.project(x), (c1, r1, c2, r2), center, radius)
@@ -564,18 +565,18 @@ def test_lens_kernel_batch_equals_one_row_calls():
     # the one point (1, 0)). The batch must equal the one-row calls bit for
     # bit, and mix rows that stay with hull-projected, ball-projected and
     # corner rows.
-    ball = BallSet([1.5, 0.0], 0.5)
+    center, radius = np.array([1.5, 0.0]), 0.5
     hulls = [(1.5, 0.0, 1.5), (0.3, 1.5, 0.3), (1.0 + 2.0**-20, 0.0, 1.0 + 2.0**-20),
              (1.0, 0.0, 1.0)]
     rng = split_rng(0, "lens-batch")
-    x = ball.center + rng.uniform(-1.5, 1.5, size=(len(hulls) * 300, 2))
+    x = center + rng.uniform(-1.5, 1.5, size=(len(hulls) * 300, 2))
     params = np.repeat(np.array(hulls), 300, axis=0).T
     axis = np.array([1.0, 0.0])
-    p = ball_lens_project(x, ball, axis, *params)
-    one = np.vstack([ball_lens_project(x[i:i + 1], ball, axis, *params[:, i])
+    p = ball_lens_project(x, center, radius, axis, *params)
+    one = np.vstack([ball_lens_project(x[i:i + 1], center, radius, axis, *params[:, i])
                      for i in range(len(x))])
     assert np.array_equal(p, one)
-    on_ball = np.abs(np.linalg.norm(p - ball.center, axis=1) - ball.radius) <= 1e-12
+    on_ball = np.abs(np.linalg.norm(p - center, axis=1) - radius) <= 1e-12
     c2 = np.stack([params[1], np.zeros(len(x))], axis=1)
     on_hull = np.abs(_two_disk_hull_gap(p, np.zeros(2), params[0], c2, params[2])) <= 1e-12
     stay = np.all(p == x, axis=1)
@@ -586,4 +587,4 @@ def test_lens_kernel_batch_equals_one_row_calls():
     for k, (r1, axis_len, r2) in enumerate(hulls[:3]):
         rows = slice(300 * k, 300 * (k + 1))
         _assert_is_lens_projection(x[rows], p[rows], ([0.0, 0.0], r1, [axis_len, 0.0], r2),
-                                   ball.center, ball.radius)
+                                   center, radius)
