@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from sweepdescent.functions import get_function, localize
+from sweepdescent.functions import LocalizedFunction, get_function
 from sweepdescent.verification import run_verification_suite
 
 
@@ -29,7 +29,7 @@ def main():
         ("tube_eps25", get_function("tube"), 0.25, (0.3, 1.7)),
         ("gauge_eps25", get_function("gauge"), 0.25, (1.2, 1.8)),
         ("tube_localized_eps20",
-         localize(get_function("tube"), [1.5, 0.0], 0.4), 0.2, None),
+         LocalizedFunction(get_function("tube"), [1.5, 0.0], 0.4), 0.2, None),
     ]
     any_failed = False
     for tag, f, eps, window in jobs:

@@ -15,14 +15,14 @@ from .errors import (ConfigError, DegenerateDirection, DomainError,
 from .functions import (GaugeFunction, LevelSet, LocalizedFunction,
                         NormFunction, QuasiconvexFunction, TubeFunction,
                         aze_corvellec_check, get_function, limiting_slope,
-                        localize, slope_values)
+                        slope_values)
 from .geometry import (BoundarySample, DilatedSet, IntersectionSet,
                        TwoBallHullSet, hull_section, outward_normals,
                        sample_boundary)
 from .regularization import (ProxRadiusEstimate, RegularizedFunction,
                              complement_projection, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
-from .sweeping import (SweepingConfig, Trajectory, flow_map, forward_catching_up,
+from .sweeping import (SweepingConfig, Trajectory, flow_map,
                        forward_catching_up_batch, invert_flow_check,
                        reverse_catching_up, trajectory_to_csv)
 from .verification import (CheckResult, DiagnosticsReport,

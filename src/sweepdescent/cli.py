@@ -27,8 +27,8 @@ from .errors import (ConfigError, LevelUnderflow, ReverseRefused,
                      SweepDescentError, ThetaGuard)
 from .functions import get_function
 from .geometry import _ray_boundary_points
-from .regularization import RegularizedFunction, regularize
-from .sweeping import (SweepingConfig, flow_map, forward_catching_up,
+from .regularization import regularize
+from .sweeping import (SweepingConfig, flow_map, forward_catching_up_batch,
                        reverse_catching_up, trajectory_to_csv)
 from .verification import (_strict_json, estimate_slope_floor,
                            run_verification_suite)
@@ -221,13 +221,17 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _prepare_out(config: ExperimentConfig) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    echo_path = os.path.join(config.output_dir, "config.echo.json")
-    body = json.dumps(config.to_dict(), sort_keys=True, indent=2)
-    with open(echo_path, "w", encoding="utf-8") as fh:
+def _write(config: ExperimentConfig, name: str, body: str) -> str:
+    """Write one output file: the stamp comment line, then body."""
+    path = os.path.join(config.output_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {config.stamp()}\n{body}\n")
-    return echo_path
+    return path
+
+
+def _prepare_out(config: ExperimentConfig) -> None:
+    os.makedirs(config.output_dir, exist_ok=True)
+    _write(config, "config.echo.json", json.dumps(config.to_dict(), sort_keys=True, indent=2))
 
 
 def _resolve_function(config: ExperimentConfig):
@@ -251,12 +255,6 @@ def cmd_descend(config: ExperimentConfig) -> int:
     alpha2 = config.alpha2 if config.alpha2 is not None else float(f.eval(x0))
     if not np.isfinite(alpha2):
         raise ConfigError("start point lies outside the function domain")
-    if config.reverse and not isinstance(f, RegularizedFunction) \
-            and config.prox_radius is None:
-        raise ConfigError(
-            "reverse sweeping requires prox-regularity evidence: pass "
-            "--epsilon (regularized complements are prox-regular at the "
-            "dilation radius) or a validated --prox-radius")
     tbar = config.tbar if config.tbar is not None else config.T
     if config.reverse and tbar > config.T:
         raise ConfigError(f"reverse horizon tbar = {tbar!r} exceeds the forward horizon "
@@ -275,7 +273,7 @@ def cmd_descend(config: ExperimentConfig) -> int:
         map_lip = 1.0 / floor
     cfg = SweepingConfig(alpha2=alpha2, horizon=config.T, steps=config.k,
                          map_lipschitz=map_lip, prox_radius=config.prox_radius)
-    traj = forward_catching_up(f, x0, cfg)
+    traj = forward_catching_up_batch(f, x0, cfg)
     if config.reverse:
         # The reverse run climbs from the forward endpoint's level, alpha2 - T
         # + tbar, before any output: a refused reverse run writes nothing.
@@ -313,9 +311,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
         n_points=config.n_points, n_levels=config.n_levels,
         resolution=config.resolution, probe_starts=config.probe_starts)
     _prepare_out(config)
-    path = os.path.join(config.output_dir, "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {config.stamp()}\n{report.to_json_text()}\n")
+    path = _write(config, "report.json", report.to_json_text())
     for check in sorted(report.checks, key=lambda c: c.name):
         state = {True: "pass", False: "FAIL", None: "skip"}[check.passed]
         print(f"{state}  {check.name}")
@@ -340,27 +336,19 @@ def cmd_foliate(config: ExperimentConfig) -> int:
     cfg = SweepingConfig(alpha2=config.alpha2, horizon=config.T, steps=config.k)
     fm = flow_map(f, grid, cfg)
     _prepare_out(config)
-    names = []
-    for i in range(len(grid)):
-        name = f"trajectory_{i:03d}.csv"
-        trajectory_to_csv(fm.trajectory(i), f,
-                          os.path.join(config.output_dir, name),
+    names = [f"trajectory_{i:03d}.csv" for i in range(len(grid))]
+    for i, name in enumerate(names):
+        trajectory_to_csv(fm.trajectory(i), f, os.path.join(config.output_dir, name),
                           comment=config.stamp())
-        names.append(name)
     endpoints = fm.endpoint
     gaps = np.linalg.norm(endpoints[None, :, :] - endpoints[:, None, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     sep = gaps.min(axis=1)
-    index_lines = [f"# {config.stamp()}",
-                   "file,m0,m1,end0,end1,min_endpoint_gap"]
-    for i, name in enumerate(names):
-        row = [name] + [repr(float(v)) for v in grid[i]] \
-            + [repr(float(v)) for v in endpoints[i]] + [repr(float(sep[i]))]
-        index_lines.append(",".join(row))
+    table = np.column_stack([grid, endpoints, sep]).tolist()
+    index_lines = ["file,m0,m1,end0,end1,min_endpoint_gap"]
+    index_lines += [",".join([name, *map(repr, row)]) for name, row in zip(names, table)]
     # The index is written last so its presence marks a complete file set.
-    with open(os.path.join(config.output_dir, "index.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(index_lines) + "\n")
+    _write(config, "index.csv", "\n".join(index_lines))
     print(f"wrote {len(names)} trajectories, min endpoint gap "
           f"{float(np.min(sep)):.6g}")
     return 0
@@ -398,20 +386,13 @@ def cmd_regularize(config: ExperimentConfig) -> int:
     z[finite] = freg.base.level_project(vals[finite], pts[finite])
     reach = np.linalg.norm(pts - z, axis=1)
     _prepare_out(config)
-    lines = [f"# {config.stamp()}"]
     dim = pts.shape[1]
     head = [f"x{i}" for i in range(dim)] + ["f", "f_eps"] + \
         [f"z{i}" for i in range(dim)] + ["reach"]
-    lines.append(",".join(head))
-    for i, p in enumerate(pts):
-        row = [repr(float(c)) for c in p] + [repr(float(vals_base[i])),
-                                             repr(float(vals[i]))]
-        row += [repr(float(c)) for c in z[i]] + [repr(float(reach[i]))]
-        lines.append(",".join(row))
-    path = os.path.join(config.output_dir, "regularize.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines[1:]))
+    table = np.column_stack([pts, vals_base, vals, z, reach]).tolist()
+    body = "\n".join([",".join(head)] + [",".join(map(repr, row)) for row in table])
+    _write(config, "regularize.csv", body)
+    print(body)
     return 0
 
 

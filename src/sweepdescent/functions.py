@@ -506,11 +506,6 @@ def limiting_slope(f: QuasiconvexFunction, x, seed: int = 0):
     return float(out[0]) if single else out
 
 
-def localize(f: QuasiconvexFunction, center, delta: float) -> LocalizedFunction:
-    """Restriction of f to a closed ball via an added indicator."""
-    return LocalizedFunction(f, center, delta)
-
-
 def aze_corvellec_check(f: QuasiconvexFunction, region, alpha: float,
                         slope_floor: float, seed: int = 0):
     """Sampled error bound: d(x, [f <= alpha]) <= (f(x) - alpha)^+ / floor.
@@ -557,7 +552,7 @@ def get_function(name: str, dim: int = 2) -> QuasiconvexFunction:
         if not np.all(np.isfinite(center + [delta])):
             raise ValueError(f"function {name!r}: the localization center and radius "
                              "must be finite")
-        return localize(get_function(base_name, dim=dim), center, delta)
+        return LocalizedFunction(get_function(base_name, dim=dim), center, delta)
     if name.startswith("norm") and name[4:].isdigit():
         # The name NormFunction(d) gives itself in d >= 3; d must match dim.
         if int(name[4:]) != dim:
@@ -565,4 +560,7 @@ def get_function(name: str, dim: int = 2) -> QuasiconvexFunction:
         name = "norm"
     if name not in GALLERY:
         raise ValueError(f"unknown gallery function {name!r}")
-    return GALLERY[name](dim=dim)
+    f = GALLERY[name](dim=dim)
+    if f.dim != dim:
+        raise ValueError(f"function {name!r} is {f.dim}-dimensional, not {dim}")
+    return f

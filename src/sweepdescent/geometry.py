@@ -306,11 +306,7 @@ class BoundarySample:
     """Points lying on a set boundary at a target spacing."""
 
     points: np.ndarray
-    resolution: float
-    capped: bool = False  # max_points cut the ray count: spacing > resolution
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+    capped: bool  # max_points cut the ray count: spacing > resolution
 
     def __len__(self):
         return len(self.points)
@@ -439,7 +435,7 @@ def sample_boundary(oracle, resolution: float, seed: int = 0,
         capped, count = count > max_points, min(count, max_points)
         pts = _ray_boundary_points(oracle, directions(count))
 
-    return BoundarySample(points=pts, resolution=resolution, capped=capped)
+    return BoundarySample(points=pts, capped=capped)
 
 
 def _fibonacci_directions(n):

@@ -120,14 +120,10 @@ def _catching_up(f: QuasiconvexFunction, x0, times, levels, step,
                       values=values.reshape(len(times), len(x0)), config=cfg)
 
 
-def forward_catching_up(f: QuasiconvexFunction, x0, cfg: SweepingConfig) -> Trajectory:
-    """Forward catching-up run from x0 across the level window."""
-    return forward_catching_up_batch(f, np.asarray(x0, dtype=float)[None, :], cfg).trajectory(0)
-
-
 def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfig) -> Trajectory:
-    """Forward runs for a batch of starts; points get shape (k+1, n, d)."""
-    x0 = np.asarray(starts, dtype=float)
+    """Forward catching-up runs across the level window from one start (d,),
+    a one-run trajectory, or a batch (n, d), with points of shape (k+1, n, d)."""
+    x0, single = _atleast_2d(starts)
     if not np.all(f.sublevel(cfg.alpha2).membership(x0, tol=BOUNDARY_RIDE_TOL)):
         raise DomainError("a start point lies outside the initial sublevel set")
     if cfg.horizon > 0 and cfg.alpha2 - cfg.horizon <= f.inf_value:
@@ -140,7 +136,8 @@ def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfi
         # A start waits where it is until the moving level reaches its value.
         return np.where((level >= f_x0)[:, None], x0, f.level_project(level, x))
 
-    return _catching_up(f, x0, times, cfg.alpha2 - times, step, cfg)
+    traj = _catching_up(f, x0, times, cfg.alpha2 - times, step, cfg)
+    return traj.trajectory(0) if single else traj
 
 
 def _inward_step(f: QuasiconvexFunction, level: float, x):
@@ -217,13 +214,12 @@ def flow_map(f: QuasiconvexFunction, boundary_grid, cfg: SweepingConfig) -> Traj
 
 
 def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
-                      cfg: SweepingConfig, func_lipschitz: float,
-                      slack: float = 0.05) -> dict:
+                      cfg: SweepingConfig, func_lipschitz: float) -> dict:
     """Bi-Lipschitz bound and forward nonexpansiveness for one start pair.
 
     Compares the flow distance D = |t1 - t2| + ||m1 - m2|| against
-    (L + exp(K * T / r)) * ||u(t1, m1) - u(t2, m2)|| * (1 + slack), and the
-    pair's gap up to min(t1, t2) against its start gap plus 1e-8.
+    (L + exp(K * T / r)) * ||u(t1, m1) - u(t2, m2)|| * 1.05 (a fixed 5% slack),
+    and the pair's gap up to min(t1, t2) against its start gap plus 1e-8.
     """
     if cfg.map_lipschitz is None or cfg.prox_radius is None:
         raise MissingConstants("invert_flow_check needs map_lipschitz and prox_radius")
@@ -236,7 +232,7 @@ def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
     factor = func_lipschitz + np.exp(
         cfg.map_lipschitz * cfg.horizon / cfg.prox_radius
     )
-    bound = factor * dist_out * (1.0 + slack)
+    bound = factor * dist_out * 1.05
     gaps = np.linalg.norm(batch.points[:, 0, :] - batch.points[:, 1, :], axis=1)
     span = batch.times <= min(t1, t2) + 1e-12
     nonexpansive = bool(np.all(gaps[span] <= gaps[0] + 1e-8))

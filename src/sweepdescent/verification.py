@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, MissingConstants
 from .functions import (LocalizedFunction, QuasiconvexFunction, aze_corvellec_check,
-                        level_slopes, limiting_slope, localize, slope_values)
+                        level_slopes, limiting_slope, slope_values)
 from .geometry import _atleast_2d, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
@@ -32,6 +32,8 @@ from .rng import split_rng
 from .sweeping import SweepingConfig
 
 CRITICALITY_TOL = 1e-2
+PROBE_STEP_TOL = 5e-2
+PROBE_STEP_FRACTION = 0.95
 
 
 @dataclass
@@ -232,38 +234,37 @@ def verify_H1_H3(f: QuasiconvexFunction, window, n_levels: int = 5,
     return h1, h2, h3
 
 
-def membership_U_epsilon(f: QuasiconvexFunction, eps: float, x, seed: int = 0):
-    """Non-lower-criticality through the base point of the regularization:
-    a limiting slope there above CRITICALITY_TOL.
+def membership_U_epsilon(freg: RegularizedFunction, x, seed: int = 0):
+    """Non-lower-criticality through the base point of the regularization
+    freg: a limiting slope of freg.base there above CRITICALITY_TOL.
 
     Takes one point (returns a bool) or an (n, d) batch (returns a boolean
     array) and makes one limiting_slope call.
     """
     x2, single = _atleast_2d(x)
-    vals = np.asarray(regularize(f, eps).eval(x2), dtype=float)
+    vals = np.asarray(freg.eval(x2), dtype=float)
     out = np.isfinite(vals)
-    z = f.level_project(vals[out], x2[out])
-    out[out] = limiting_slope(f, z, seed=seed) > CRITICALITY_TOL
+    z = freg.base.level_project(vals[out], x2[out])
+    out[out] = limiting_slope(freg.base, z, seed=seed) > CRITICALITY_TOL
     return bool(out[0]) if single else out
 
 
 def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
                            cfg: SweepingConfig, window=None,
-                           step_tol: float = 5e-2, step_fraction: float = 0.95,
                            seed: int = 0) -> CheckResult:
     """Empirical speed-slope product test along seeded descent trajectories.
 
     Starts are sampled from the window annulus, filtered to non-lower
     critical points, and each runs a forward sweep from its own value level.
     A start passes when the discrete speed times the local slope stays within
-    step_tol of one on at least step_fraction of its steps. The reported
-    fraction of passing starts is an empirical probe of the almost-everywhere
-    statement, not a verdict on it.
+    PROBE_STEP_TOL of one on at least PROBE_STEP_FRACTION of its steps. The
+    reported fraction of passing starts is an empirical probe of the
+    almost-everywhere statement, not a verdict on it.
     """
     if window is None:
         window = freg.default_window
     starts = _annulus_sample(freg, window, 3 * n_starts, seed, "probe-starts")
-    keep = starts[membership_U_epsilon(freg.base, freg.eps, starts, seed=seed)]
+    keep = starts[membership_U_epsilon(freg, starts, seed=seed)]
     if len(keep) < n_starts:
         raise DomainError("not enough non-critical starts in the window")
     starts = keep[:n_starts]
@@ -279,9 +280,9 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
     speeds = np.linalg.norm(np.diff(pts, axis=0), axis=2) / (horizon / k)
     slopes = slope_values(freg, pts[1:].reshape(-1, freg.dim), seed=seed)
     products = speeds * slopes.reshape(k, len(starts))
-    step_ok = np.abs(products - 1.0) <= step_tol
+    step_ok = np.abs(products - 1.0) <= PROBE_STEP_TOL
     per_start = step_ok.mean(axis=0)
-    passing = per_start >= step_fraction
+    passing = per_start >= PROBE_STEP_FRACTION
     fraction = float(np.mean(passing))
     return CheckResult(
         name="steepest-descent-probe",
@@ -289,22 +290,21 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
         passed=None,  # thresholds belong to the caller; fraction is the result
         margin=fraction,
         details={"fraction": fraction, "n_starts": int(n_starts),
-                 "step_tol": step_tol, "step_fraction": step_fraction,
+                 "step_tol": PROBE_STEP_TOL, "step_fraction": PROBE_STEP_FRACTION,
                  "horizon": horizon, "steps": int(k),
                  "per_start_rate": per_start.tolist()})
 
 
-def hoffmann_localization_check(f: QuasiconvexFunction, center, delta: float,
-                                z, beta: float) -> CheckResult:
-    """Distance bound for the ball-localized function at one probe point.
+def hoffmann_localization_check(h: LocalizedFunction, z, beta: float) -> CheckResult:
+    """Distance bound for the ball-localized function h at one probe point.
 
+    With f = h.base, c = h.center and delta = h.delta:
     d(z, [h <= beta]) <= (delta + d(c, [f <= beta])) / (delta - d(c, [f <= beta]))
     * d(z, [f <= beta]) + 1e-6, skipped when the denominator is not positive.
     """
-    center = np.asarray(center, dtype=float)
+    f, delta = h.base, h.delta
     z = np.asarray(z, dtype=float)
-    h = localize(f, center, delta)
-    d_center = float(f.sublevel(beta).distance(center))
+    d_center = float(f.sublevel(beta).distance(h.center))
     denom = delta - d_center
     if denom <= 0:
         return CheckResult(
@@ -567,8 +567,7 @@ def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
         span = f.level_hi - f.inf_value
         beta = f.inf_value + 0.5 * span
         z = f.center + 0.5 * f.delta * rng.normal(size=f.dim)
-        checks.append(hoffmann_localization_check(
-            f.base, f.center, f.delta, z, beta))
+        checks.append(hoffmann_localization_check(f, z, beta))
 
     config = {
         "function": f.name,

@@ -40,6 +40,7 @@ def test_descend_reverse_requires_evidence(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "prox-regular" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_descend_reverse_roundtrip(tmp_path, capsys):
@@ -449,11 +450,19 @@ def test_localized_norm3_descend_to_near_the_bottom_level(tmp_path, capsys):
      "function 'norm3' is 3-dimensional, not 2"),
     (["descend", "--function", "norm2", "--dim", "3", "--x0", "1,0,0"],
      "function 'norm2' is 2-dimensional, not 3"),
+    # A fixed-dimension function refuses any other --dim.
+    (["descend", "--function", "tube", "--dim", "3", "--x0", "2.5,0.3", "--alpha2", "2",
+      "--T", "1", "--k", "10"], "function 'tube' is 2-dimensional, not 3"),
+    (["verify", "--function", "gauge", "--dim", "5"],
+     "function 'gauge' is 2-dimensional, not 5"),
+    (["verify", "--function", "localized:tube:1.5,0:0.4", "--dim", "3"],
+     "function 'tube' is 2-dimensional, not 3"),
 ])
 def test_dimensioned_norm_name_must_match_dim(tmp_path, capsys, args, message):
     # norm<d> is the name NormFunction(d) gives itself; it never overrides --dim.
     assert run(tmp_path, *args) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name,dim,expected", [

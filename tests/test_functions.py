@@ -9,7 +9,7 @@ from sweepdescent.functions import (GaugeFunction, LevelSet, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
                                     SLOPE_RADII, TubeFunction, aze_corvellec_check,
                                     get_function, level_slopes, limiting_slope,
-                                    localize, slope_values)
+                                    slope_values)
 from sweepdescent.geometry import (DilatedSet, IntersectionSet, TwoBallHullSet,
                                    ball_lens_project, sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
@@ -100,14 +100,14 @@ def test_is_critical(norm, tube):
 
 
 def test_localize_eval_and_min(norm):
-    h = localize(norm, [2.0, 0.0], 0.5)
+    h = LocalizedFunction(norm, [2.0, 0.0], 0.5)
     assert h.eval([2.4, 0.0]) == pytest.approx(2.4)
     assert h.eval([2.6, 0.0]) == np.inf
     assert h.inf_value == pytest.approx(1.5, abs=1e-9)
 
 
 def test_localize_sublevel_projection(norm):
-    h = localize(norm, [2.0, 0.0], 0.5)
+    h = LocalizedFunction(norm, [2.0, 0.0], 0.5)
     proj = h.sublevel(1.8).project([3.0, 0.0])
     sample = sample_boundary(h.sublevel(1.8), 0.002)
     brute = dense_boundary_nearest(sample.points, [3.0, 0.0])
@@ -117,10 +117,10 @@ def test_localize_sublevel_projection(norm):
 
 def test_localize_requires_ball_inside_domain(tube, gauge):
     with pytest.raises(DomainError):
-        localize(tube, [3.5, 0.0], 1.0)
+        LocalizedFunction(tube, [3.5, 0.0], 1.0)
     # The gauge's domain S(2) meets the x-axis at |x| = 2.
     with pytest.raises(DomainError):
-        localize(gauge, [1.9, 0.0], 0.2)
+        LocalizedFunction(gauge, [1.9, 0.0], 0.2)
 
 
 @pytest.mark.parametrize("eps", [None, 0.25])
@@ -162,7 +162,7 @@ def test_localized_bottom_level_set_is_one_point(tube):
     # that a tangency allows); it has no interior, so sampling its boundary
     # raises EmptySample. Its dilation is the eps-disk around that point,
     # whose center serves as the dilation's interior point.
-    h = localize(tube, [1.5, 0.0], 0.4)
+    h = LocalizedFunction(tube, [1.5, 0.0], 0.4)
     oracle = h.sublevel(h.inf_value)
     pts = np.array([[3.0, 0.0], [1.1, 2.0], [0.0, 0.0], [1.5, 0.3]])
     assert np.max(np.abs(oracle.project(pts) - [1.1, 0.0])) <= 1e-7
@@ -215,7 +215,7 @@ def test_lens_constructors_reject_other_sets():
     # A localization cuts its base's two-ball hull with its ball, and an
     # intersection is a plane two-ball hull cut by a plane ball.
     with pytest.raises(ValueError):
-        localize(regularize(get_function("tube"), 0.2), [1.5, 0.0], 0.4)
+        LocalizedFunction(regularize(get_function("tube"), 0.2), [1.5, 0.0], 0.4)
     with pytest.raises(ValueError):
         IntersectionSet(DilatedSet(NormFunction(2).sublevel(1.0), 0.1), [1.0, 0.0], 0.5,
                         [0.9, 0.0])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import EmptySample
-from sweepdescent.functions import NormFunction, get_function, localize
+from sweepdescent.functions import LocalizedFunction, NormFunction, get_function
 from sweepdescent.geometry import (RAY_BLOCK, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    _fibonacci_directions, _itp, _ray_block,
@@ -188,7 +188,7 @@ def test_fibonacci_directions_are_unit_and_spread():
 
 
 def test_boundary_sample_dimension_3_ignores_the_seed():
-    oracle = localize(get_function("norm", 3), [1.0, 0.0, 0.0], 0.4).sublevel(0.8)
+    oracle = LocalizedFunction(get_function("norm", 3), [1.0, 0.0, 0.0], 0.4).sublevel(0.8)
     a = sample_boundary(oracle, 0.02, seed=0)
     b = sample_boundary(oracle, 0.02, seed=41)
     assert a.points.tobytes() == b.points.tobytes()
@@ -210,7 +210,7 @@ def test_boundary_sample_dimension_4_seeded_directions():
 
 def _round_and_lens_sets():
     norm3 = get_function("norm", 3)
-    lens = localize(norm3, [1.0, 0.0, 0.0], 0.4)
+    lens = LocalizedFunction(norm3, [1.0, 0.0, 0.0], 0.4)
     yield "norm3@0.5", norm3.sublevel(0.5), True
     yield "norm3@1.5", norm3.sublevel(1.5), True
     yield "norm3~0.25@0.5", regularize(norm3, 0.25).sublevel(0.5), True

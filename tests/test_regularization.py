@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
-from sweepdescent.functions import get_function, localize, slope_values
+from sweepdescent.functions import LocalizedFunction, get_function, slope_values
 from sweepdescent.geometry import outward_normals, sample_boundary
 from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
@@ -231,7 +231,7 @@ def test_prox_radius_dilated_lower_bound(tube):
 
 def test_prox_radius_localized_regularized_sharp(tube):
     # dilated lens corners have curvature radius exactly eps
-    h = localize(tube, [1.5, 0.0], 0.4)
+    h = LocalizedFunction(tube, [1.5, 0.0], 0.4)
     he = regularize(h, 0.2)
     est = prox_radius_estimate(he, 0.5, seed=0)
     assert est.r_hat >= 0.9 * 0.2

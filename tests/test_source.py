@@ -44,9 +44,9 @@ def test_every_private_helper_is_used_in_the_package():
 
 
 def _calls(trees):
-    """Per called name: (positional count, keyword names) of every call; a
-    *args call has an unbounded positional count and a **kwargs call the
-    keyword None, which stands for every name."""
+    """Per called name: (positional arguments, keyword arguments by name) of
+    every call. A *args call passes every position and a **kwargs call every
+    name (the keyword None)."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -54,15 +54,40 @@ def _calls(trees):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(name, []).append((
-                float("inf") if starred else len(node.args),
-                {k.arg for k in node.keywords}))
+            calls.setdefault(name, []).append(
+                (node.args, {k.arg: k.value for k in node.keywords}))
     return calls
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
+def _passed(index, param, default, args, keywords) -> bool:
+    """Whether a call may override a defaulted parameter: it passes the
+    parameter (or *args / **kwargs that may hold it), and not as a literal
+    equal to the default's literal."""
+    if None in keywords or (index is not None
+                            and any(isinstance(a, ast.Starred) for a in args)):
+        return True
+    if index is not None and index < len(args):
+        arg = args[index]
+    elif param.arg in keywords:
+        arg = keywords[param.arg]
+    else:
+        return False
+    value = _literal(default)
+    return value is _NOT_LITERAL or _literal(arg) != value
+
+
 def _defaulted(tree):
-    """(function, names it is called by, index, parameter) for every
+    """(function, names it is called by, index, parameter, default) for every
     defaulted parameter of every function in the tree. An __init__ is also
     called by its class name. Calls of a method pass no self, so a
     positional index counts from the first parameter after self; a
@@ -77,16 +102,17 @@ def _defaulted(tree):
         positional = node.args.posonlyargs + node.args.args
         shift = int(id(node) in owner)
         first = len(positional) - len(node.args.defaults)
-        out += [(node.name, names, i - shift, p) for i, p in enumerate(positional)
-                if i >= first]
-        out += [(node.name, names, None, p)
+        out += [(node.name, names, i - shift, p, node.args.defaults[i - first])
+                for i, p in enumerate(positional) if i >= first]
+        out += [(node.name, names, None, p, d)
                 for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
     return out
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     # A default that no call in the package, the scripts or the tests ever
-    # overrides is a constant in disguise. Calls match by name, loosely: a
+    # overrides is a constant in disguise; a call that passes the default's
+    # own literal value overrides nothing. Calls match by name, loosely: a
     # method by its attribute name, an __init__ also by its class name.
     root = SRC.parents[1]
     calls = _calls(ast.parse(path.read_text(encoding="utf-8"))
@@ -94,10 +120,10 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                    for path in sorted((root / folder).rglob("*.py")))
     unset = [f"{path.name}: {func}({param.arg})"
              for path in sorted(SRC.glob("*.py"))
-             for func, names, index, param in _defaulted(ast.parse(path.read_text(encoding="utf-8")))
-             if not any(param.arg in keywords or None in keywords
-                        or (index is not None and index < count)
-                        for name in names for count, keywords in calls.get(name, ()))]
+             for func, names, index, param, default in _defaulted(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(_passed(index, param, default, args, keywords)
+                        for name in names for args, keywords in calls.get(name, ()))]
     assert not unset, unset
 
 

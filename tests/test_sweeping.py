@@ -10,8 +10,7 @@ from sweepdescent.geometry import sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 from sweepdescent.sweeping import (SweepingConfig, Trajectory, _inward_step,
-                                   flow_map, forward_catching_up,
-                                   forward_catching_up_batch,
+                                   flow_map, forward_catching_up_batch,
                                    invert_flow_check, reverse_catching_up,
                                    trajectory_to_csv)
 
@@ -26,7 +25,7 @@ def cap_point(level, angle, eps=0.25):
 
 def test_forward_norm_radial(norm):
     cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=1000)
-    traj = forward_catching_up(norm, [2.0, 0.0], cfg)
+    traj = forward_catching_up_batch(norm, [2.0, 0.0], cfg)
     assert np.linalg.norm(traj.endpoint - [1.0, 0.0]) <= 5e-3
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
@@ -34,7 +33,7 @@ def test_forward_norm_radial(norm):
 
 def test_forward_waiting_phase(norm):
     cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=1000)
-    traj = forward_catching_up(norm, [1.5, 0.0], cfg)
+    traj = forward_catching_up_batch(norm, [1.5, 0.0], cfg)
     waiting = traj.times <= 0.5
     assert np.all(traj.points[waiting] == np.array([1.5, 0.0]))
     riding = ~waiting
@@ -44,20 +43,20 @@ def test_forward_waiting_phase(norm):
 def test_forward_tube_regularized_axis(tube):
     freg = regularize(tube, 0.25)
     cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=1000)
-    traj = forward_catching_up(freg, [3.25, 0.0], cfg)
+    traj = forward_catching_up_batch(freg, [3.25, 0.0], cfg)
     assert np.linalg.norm(traj.endpoint - [2.25, 0.0]) <= 1e-2
 
 
 def test_forward_rejects_bad_start(norm):
     cfg = SweepingConfig(alpha2=1.0, horizon=0.5, steps=10)
     with pytest.raises(DomainError):
-        forward_catching_up(norm, [2.0, 0.0], cfg)
+        forward_catching_up_batch(norm, [2.0, 0.0], cfg)
 
 
 def test_forward_level_underflow(norm):
     cfg = SweepingConfig(alpha2=1.0, horizon=1.5, steps=10)
     with pytest.raises(LevelUnderflow):
-        forward_catching_up(norm, [1.0, 0.0], cfg)
+        forward_catching_up_batch(norm, [1.0, 0.0], cfg)
 
 
 def test_value_decay_all_gallery(gallery):
@@ -72,14 +71,14 @@ def test_value_decay_all_gallery(gallery):
         f = gallery[name]
         a2 = alpha2 if alpha2 is not None else float(f.eval(x0))
         cfg = SweepingConfig(alpha2=a2, horizon=horizon, steps=400)
-        traj = forward_catching_up(f, x0, cfg)
+        traj = forward_catching_up_batch(f, x0, cfg)
         assert np.max(np.abs(traj.values - traj.levels)) <= 2e-9
 
 
 def test_boundary_riding_residual(tube):
     freg = regularize(tube, 0.25)
     cfg = SweepingConfig(alpha2=1.5, horizon=0.5, steps=300)
-    traj = forward_catching_up(freg, cap_point(1.5, np.pi / 6), cfg)
+    traj = forward_catching_up_batch(freg, cap_point(1.5, np.pi / 6), cfg)
     assert np.max(traj.boundary_residuals(freg)) <= 1e-7
 
 
@@ -90,7 +89,7 @@ def test_step_length_bound(gallery):
     for name, f in gallery.items():
         a2 = float(f.eval(starts[name]))
         cfg = SweepingConfig(alpha2=a2, horizon=0.3, steps=200)
-        traj = forward_catching_up(f, starts[name], cfg)
+        traj = forward_catching_up_batch(f, starts[name], cfg)
         dt = cfg.horizon / cfg.steps
         step_len = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
         assert np.max(step_len) <= (1.0 / floors[name]) * dt * 1.1
@@ -103,7 +102,7 @@ def test_speed_slope_sandwich_shrinks(tube):
     gaps = []
     for k in (100, 200, 400):
         cfg = SweepingConfig(alpha2=1.5, horizon=0.4, steps=k)
-        traj = forward_catching_up(freg, x0, cfg)
+        traj = forward_catching_up_batch(freg, x0, cfg)
         slopes = slope_values(freg, traj.points[1:], seed=2)
         product = traj.speeds[1:] * slopes
         gaps.append(float(np.max(np.abs(product - 1.0))))
@@ -116,7 +115,7 @@ def test_speed_sandwich_two_sided(tube):
     from sweepdescent.functions import limiting_slope
     freg = regularize(tube, 0.25)
     cfg = SweepingConfig(alpha2=1.5, horizon=0.4, steps=200)
-    traj = forward_catching_up(freg, cap_point(1.5, np.pi / 4), cfg)
+    traj = forward_catching_up_batch(freg, cap_point(1.5, np.pi / 4), cfg)
     delta = 2e-2
     for j in (40, 100, 180):
         u = traj.points[j]
@@ -187,7 +186,7 @@ def test_reverse_recovery_error_shrinks(tube):
     errors = []
     for k in (250, 500, 1000, 2000):
         cfg = SweepingConfig(alpha2=1.5, horizon=0.5, steps=k, map_lipschitz=1.0)
-        fwd = forward_catching_up(freg, x0, cfg)
+        fwd = forward_catching_up_batch(freg, x0, cfg)
         rev = reverse_catching_up(freg, fwd.endpoint, 0.5, cfg)
         errors.append(float(np.linalg.norm(rev.endpoint - x0)))
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -306,7 +305,7 @@ def test_batch_speeds_and_residuals_match_single_runs(norm):
     speeds, residuals = batch.speeds, batch.boundary_residuals(norm)
     assert speeds.shape == residuals.shape == (11, 3)
     for i, x0 in enumerate(starts):
-        single = forward_catching_up(norm, x0, cfg)
+        single = forward_catching_up_batch(norm, x0, cfg)
         run = batch.trajectory(i)
         assert np.array_equal(run.points, single.points)
         assert np.allclose(speeds[:, i], single.speeds, rtol=0.0, atol=1e-14)
@@ -382,14 +381,14 @@ def test_invert_flow_needs_constants(norm):
 
 def test_trajectory_interpolation(norm):
     cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=10)
-    traj = forward_catching_up(norm, [2.0, 0.0], cfg)
+    traj = forward_catching_up_batch(norm, [2.0, 0.0], cfg)
     mid = traj.interpolate(0.55)
     assert np.allclose(mid, [1.45, 0.0], atol=1e-12)
 
 
 def test_trajectory_csv_format(tmp_path, norm):
     cfg = SweepingConfig(alpha2=2.0, horizon=0.5, steps=5)
-    traj = forward_catching_up(norm, [2.0, 0.0], cfg)
+    traj = forward_catching_up_batch(norm, [2.0, 0.0], cfg)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, norm, path, comment="toolstamp")
     lines = path.read_text().splitlines()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sweepdescent.errors import MissingConstants
-from sweepdescent.functions import get_function, limiting_slope, localize
+from sweepdescent.functions import LocalizedFunction, get_function, limiting_slope
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
 from sweepdescent.sweeping import SweepingConfig
@@ -62,7 +62,7 @@ def test_H1_H3_gauge_degenerates(gauge):
 
 def test_H1_H3_localized_regularized(tube):
     # the ball-localized tube regularized at 0.2 satisfies all three
-    h = localize(tube, [1.5, 0.0], 0.4)
+    h = LocalizedFunction(tube, [1.5, 0.0], 0.4)
     he = regularize(h, 0.2)
     h1, h2, h3 = verify_H1_H3(he, he.default_window, n_levels=3)
     assert h1.passed and h2.passed and h3.passed
@@ -70,10 +70,10 @@ def test_H1_H3_localized_regularized(tube):
 
 
 def test_membership_U_epsilon_examples(norm, tube):
-    assert membership_U_epsilon(norm, 0.5, [2.0, 0.0])
-    assert not membership_U_epsilon(norm, 0.5, [0.1, 0.0])
-    assert membership_U_epsilon(tube, 0.25, [2.5, 0.0])
-    assert not membership_U_epsilon(tube, 0.25, [5.0, 5.0])
+    assert membership_U_epsilon(regularize(norm, 0.5), [2.0, 0.0])
+    assert not membership_U_epsilon(regularize(norm, 0.5), [0.1, 0.0])
+    assert membership_U_epsilon(regularize(tube, 0.25), [2.5, 0.0])
+    assert not membership_U_epsilon(regularize(tube, 0.25), [5.0, 5.0])
 
 
 @pytest.mark.parametrize("name,dim", [("tube", 2), ("norm", 2), ("norm", 3)],
@@ -83,8 +83,8 @@ def test_membership_U_epsilon_batch_matches_points(name, dim):
     pts = split_rng(4, "criticality-batch").uniform(-1.0, 4.0, size=(40, dim))
     pts[:3] = 0.0
     pts[1, 0], pts[2] = 0.05, 9.0  # critical, critical, outside the tube
-    batch = membership_U_epsilon(f, 0.25, pts)
-    single = [membership_U_epsilon(f, 0.25, p) for p in pts]
+    batch = membership_U_epsilon(regularize(f, 0.25), pts)
+    single = [membership_U_epsilon(regularize(f, 0.25), p) for p in pts]
     assert batch.dtype == bool and all(isinstance(b, bool) for b in single)
     assert batch.tolist() == single
     assert 0 < batch.sum() < len(pts)
@@ -101,20 +101,20 @@ def test_probe_steepest_descent_norm(norm):
 
 def test_hoffmann_norm_example(norm):
     # center inside the level set makes the scaling factor exactly one
-    check = hoffmann_localization_check(norm, [0.5, 0.0], 1.0, [1.2, 0.0], 0.8)
+    check = hoffmann_localization_check(LocalizedFunction(norm, [0.5, 0.0], 1.0), [1.2, 0.0], 0.8)
     assert check.passed
     assert check.details["factor"] == pytest.approx(1.0)
     assert check.details["lhs"] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_hoffmann_tube_example(tube):
-    check = hoffmann_localization_check(tube, [1.5, 0.0], 0.4, [1.8, 0.0], 0.6)
+    check = hoffmann_localization_check(LocalizedFunction(tube, [1.5, 0.0], 0.4), [1.8, 0.0], 0.6)
     assert check.passed
 
 
 def test_hoffmann_skipped_outside_regime(norm):
     # denominator delta - d(center, [f <= beta]) <= 0: check must be skipped
-    check = hoffmann_localization_check(norm, [3.0, 0.0], 0.5, [3.2, 0.0], 1.0)
+    check = hoffmann_localization_check(LocalizedFunction(norm, [3.0, 0.0], 0.5), [3.2, 0.0], 1.0)
     assert check.passed is None
     assert "reason" in check.details
 
