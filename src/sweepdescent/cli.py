@@ -29,7 +29,8 @@ from .functions import get_function
 from .geometry import _ray_boundary_points
 from .regularization import regularize
 from .sweeping import (SweepingConfig, flow_map, forward_catching_up_batch,
-                       reverse_catching_up, trajectory_to_csv)
+                       require_reverse_evidence, reverse_catching_up,
+                       trajectory_to_csv)
 from .verification import (_strict_json, estimate_slope_floor,
                            run_verification_suite)
 
@@ -250,6 +251,8 @@ def cmd_descend(config: ExperimentConfig) -> int:
     if config.x0 is None:
         raise ConfigError("descend needs --x0")
     f = _resolve_function(config)
+    if config.reverse:
+        require_reverse_evidence(f, config.prox_radius)
     _check_dim(f, [config.x0], "x0")
     x0 = np.asarray(config.x0, dtype=float)
     alpha2 = config.alpha2 if config.alpha2 is not None else float(f.eval(x0))

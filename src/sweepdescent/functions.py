@@ -2,8 +2,8 @@
 
 A function answers every geometric question through batched per-row level
 oracles, (alphas, points) -> projection / signed distance / normal (its
-exact gradient, with a corner flag), plus an interior point per level, its
-infimum, its domain [f <= level_hi] (np.inf for the norm) and one level
+exact gradient, with a corner flag), plus an interior point per level and
+the exits of rays from it (level_ray_exits), its infimum, its domain [f <= level_hi] (np.inf for the norm) and one level
 search: level_at_distance(x, r), the minimum of f over the closed ball B(x, r).
 Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
 eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
@@ -12,19 +12,20 @@ its sublevel sets a second time, and membership and distance live on
 LevelSet. The gallery carries three entries: the Euclidean norm in any
 dimension, a tube-shaped function whose sublevel sets are capsules, and a
 two-disk gauge whose level sets degenerate in curvature near the level 1.
-Each maps its levels to two-ball hulls, level_hull(alphas) -> (r1, axis_len,
-r2) about the origin along hull_axis, which a localization cuts with its
-ball through geometry.ball_lens_project.
+Each is a HullFunction: it maps its levels to two-ball hulls,
+level_hull(alphas) -> (r1, axis_len, r2) about the origin along hull_axis,
+which a localization cuts with its ball through geometry.ball_lens_project,
+and takes its normals and ray exits from them in closed form.
 """
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (_atleast_2d, _axial_section, _itp, _restore,
-                       ball_lens_project, hull_normals, hull_section,
-                       intersection_signed_distance)
+from .geometry import (_atleast_2d, _axial_section, _itp, _ray_block, _restore,
+                       _step_inside, ball_lens_project, hull_normals,
+                       hull_ray_exit, hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -104,12 +105,15 @@ class QuasiconvexFunction:
     def level_normals(self, alphas, points):
         """Unit outward normal of the alphas[i]-sublevel boundary piece
         nearest points[i], the gradient of level_signed_distance on both
-        sides, and a corner flag, batched. This default reads level_hull's
-        hulls, which have no corners; it is zero at the norm's origin."""
-        pts = np.asarray(points, dtype=float)
-        a, rho, w = _axial_section(pts, 0.0, self.hull_axis)
-        na, nrho = hull_normals(a, rho, *self.level_hull(alphas))
-        return na[:, None] * self.hull_axis + nrho[:, None] * w, np.zeros(len(pts), dtype=bool)
+        sides, and a corner flag, batched."""
+        raise NotImplementedError
+
+    def level_ray_exits(self, alpha: float, origin, dirs):
+        """Where the rays origin + t * dirs[i], t >= 0, leave the
+        alpha-sublevel set, from an interior point origin, each a point of
+        the set. This default is doubling, then ITP on level_signed_distance
+        (geometry._ray_block)."""
+        return _ray_block(partial(self.level_signed_distance, alpha), origin, dirs)
 
     def level_at_distance(self, x, r):
         """Smallest level a with level_signed_distance(a, x) <= r, batched.
@@ -140,7 +144,25 @@ class QuasiconvexFunction:
         return float(vals[0]) if single else vals
 
 
-class NormFunction(QuasiconvexFunction):
+class HullFunction(QuasiconvexFunction):
+    """A function whose alpha-sublevel set is the two-ball hull
+    level_hull(alpha) -> (r1, axis_len, r2) about the origin along hull_axis."""
+
+    def level_normals(self, alphas, points):
+        """The hull's normals (geometry.hull_normals): no corners, and zero at
+        the norm's origin."""
+        pts = np.asarray(points, dtype=float)
+        a, rho, w = _axial_section(pts, 0.0, self.hull_axis)
+        na, nrho = hull_normals(a, rho, *self.level_hull(alphas))
+        return na[:, None] * self.hull_axis + nrho[:, None] * w, np.zeros(len(pts), dtype=bool)
+
+    def level_ray_exits(self, alpha: float, origin, dirs):
+        """The hull's exits in closed form (geometry.hull_ray_exit)."""
+        t = hull_ray_exit(origin, dirs, self.hull_axis, *self.level_hull(alpha))
+        return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
+
+
+class NormFunction(HullFunction):
     """Euclidean norm; sublevel sets are centered balls."""
 
     def __init__(self, dim: int = 2):
@@ -173,7 +195,7 @@ class NormFunction(QuasiconvexFunction):
         return float(v[0]) if single else v
 
 
-class TubeFunction(QuasiconvexFunction):
+class TubeFunction(HullFunction):
     """Distance-to-advancing-disk function on a capsule-shaped domain.
 
     f(x, y) = max(0, x - sqrt(1 - y^2)) on the hull of the unit disk and its
@@ -227,7 +249,7 @@ class TubeFunction(QuasiconvexFunction):
         return float(vals[0]) if single else vals
 
 
-class GaugeFunction(QuasiconvexFunction):
+class GaugeFunction(HullFunction):
     """Gauge of the moving two-disk family S(s).
 
     S(s) is the hull of the disk of radius s about the origin and the disk of
@@ -385,6 +407,16 @@ class LocalizedFunction(QuasiconvexFunction):
         dist = np.linalg.norm(delta, axis=1)
         normals[out[dist > 0]] = delta[dist > 0] / dist[dist > 0, None]
         return normals, np.maximum(np.abs(sa), np.abs(sb)) <= 1e-12
+
+    def level_ray_exits(self, alpha: float, origin, dirs):
+        """The nearer of the base sublevel's exit at min(alpha, level_hi) and
+        the ball's, both in closed form (geometry.hull_ray_exit): exact from
+        an interior point of the intersection."""
+        axis = self.base.hull_axis
+        t = np.minimum(
+            hull_ray_exit(origin, dirs, axis, *self.base.level_hull(min(alpha, self.level_hi))),
+            hull_ray_exit(origin - self.center, dirs, axis, self.delta, 0.0, self.delta))
+        return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
 
     def level_project(self, alphas, points):
         """Projection onto per-row base sublevels cut by the indicator ball."""

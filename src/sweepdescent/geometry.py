@@ -14,8 +14,11 @@ ball as a center and a radius and its corners in closed form from the hull
 parameters. The signed distance of an
 intersection is exact on both sides of its boundary. sample_boundary keeps
 the exit of every ray it shoots from the interior point, one ray per
-resolution of arc length in the plane, and outward_normals reads a sublevel
-set's normals from level_normals.
+resolution of arc length in the plane: a LevelSet's from its function's
+level_ray_exits, which takes a two-ball hull's exits in closed form
+(hull_ray_exit) and otherwise, as for the sets of this module, runs
+doubling plus ITP (_ray_block). outward_normals reads a sublevel set's
+normals from level_normals.
 
 All point-valued operations accept a single point of shape (d,) or a batch of
 shape (n, d) and return the matching shape.
@@ -313,31 +316,36 @@ class BoundarySample:
 
 
 def _ray_boundary_points(oracle, dirs: np.ndarray) -> np.ndarray:
-    """Batched boundary points along rays from the interior point.
+    """Batched boundary points along rays from the interior point: a
+    LevelSet's through its function's level_ray_exits, a set of this module
+    through _ray_block's ITP search. A set whose interior point is not
+    strictly inside (an empty interior) raises EmptySample.
 
     Runs in row blocks of RAY_BLOCK, which keeps the arrays cache-sized; every
     step is row-wise, so the block size never changes a result.
     """
+    origin = np.asarray(oracle.interior_point, dtype=float)
+    if float(oracle.signed_boundary_distance(origin)) >= 0:
+        raise EmptySample("set has an empty interior: no boundary rays")
+    exits = (partial(oracle.f.level_ray_exits, oracle.alpha) if hasattr(oracle, "f")
+             else partial(_ray_block, oracle.signed_boundary_distance))
     out = np.empty(np.shape(dirs))
     for start in range(0, len(dirs), RAY_BLOCK):
-        out[start:start + RAY_BLOCK] = _ray_block(oracle, dirs[start:start + RAY_BLOCK])
+        out[start:start + RAY_BLOCK] = exits(origin, dirs[start:start + RAY_BLOCK])
     return out
 
 
-def _ray_block(oracle, dirs: np.ndarray) -> np.ndarray:
-    """Ray exits from the interior point: doubling, then ITP on the signed
-    distance, which is convex and 1-Lipschitz along a ray from an interior
-    point. Each exit is the inner end of its bracket, a point of the set
-    within 2e-15 * hi of the boundary, hi >= 1 the doubled ray length: about
-    1e-15 relative on sets of unit size or more, about 1e-15 absolute on
-    smaller ones."""
-    center = oracle.interior_point
-    g0 = float(oracle.signed_boundary_distance(center))
-    if g0 >= 0:
-        raise EmptySample("set has an empty interior: no boundary rays")
+def _ray_block(signed_distance, origin, dirs: np.ndarray) -> np.ndarray:
+    """Ray exits from an interior point origin: doubling, then ITP on the
+    signed distance, which is convex and 1-Lipschitz along a ray from an
+    interior point. Each exit is the inner end of its bracket, a point of the
+    set within 2e-15 * hi of the boundary, hi >= 1 the doubled ray length:
+    about 1e-15 relative on sets of unit size or more, about 1e-15 absolute
+    on smaller ones."""
+    g0 = signed_distance(origin[None, :])[0]
 
     def g(rows, t):
-        return np.asarray(oracle.signed_boundary_distance(center + t[:, None] * dirs[rows]))
+        return np.asarray(signed_distance(origin + t[:, None] * dirs[rows]))
 
     lo, g_lo = np.zeros(len(dirs)), np.full(len(dirs), g0)
     hi = np.ones(len(dirs))
@@ -352,7 +360,73 @@ def _ray_block(oracle, dirs: np.ndarray) -> np.ndarray:
     else:
         raise NonConvergence("set appears unbounded along a ray")
     lo, hi = _itp(g, lo, hi, g_lo, g_hi, 1e-15 * hi)
-    return center + lo[:, None] * dirs
+    return origin + lo[:, None] * dirs
+
+
+def _quadratic_roots(a, b, c):
+    """Both roots of a t^2 + 2 b t + c, as q / a and c / q with q = -(b +
+    sign(b) sqrt(b^2 - a c)), which cancels nothing; nan where there is no
+    real root, and where a = 0 the linear root c / q."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+        return q / a, c / q
+
+
+def hull_ray_exit(origin, dirs, axis, r1, axis_len, r2):
+    """Lengths t of the rays origin + t * dirs[i] out of the hull of two
+    balls, from a point origin inside it, in any dimension.
+
+    Ball 1 has center 0 and radius r1, ball 2 center axis_len * axis and
+    radius r2 <= r1, as in hull_section. Every root on sphere 1, on sphere 2
+    or on the lateral cone cos^2 rho^2 = (r1 - sin a)^2 (axial and radial
+    coordinates (a, rho)) between the tangent circles, where hull_section's
+    k = (a - r1 sin) / cos is in [0, cos * axis_len], is a point of the
+    hull, and the exit is one of them: the largest. A nested hull has no
+    cone. A second pass from the first exits, where each constant term is a
+    small residual times a sum, restores the roots that rounding moved where
+    two roots lie close (a short chord, a ray near the cone's apex).
+    """
+    sin, cos = _hull_frame(r1, axis_len, r2)
+    ua, ou = dirs @ axis, dirs @ origin
+    t, p = 0.0, origin
+    for _ in range(2):
+        a = p @ axis
+        gap = np.sqrt(np.add.reduce(p * p, axis=-1))
+        roots = list(_quadratic_roots(1.0, ou, (gap - r1) * (gap + r1)))
+        if np.any(cos > 0):
+            radial = p - np.multiply.outer(a, axis)
+            rho = np.sqrt(np.add.reduce(radial * radial, axis=-1))
+            off = a - r1 * sin  # cos * k on the cone
+            for root in _quadratic_roots(cos * cos - ua * ua, cos * cos * ou - off * ua,
+                                         (sin * a + cos * rho - r1) * (cos * rho + r1 - sin * a)):
+                with np.errstate(invalid="ignore"):
+                    k = off + root * ua
+                roots.append(np.where((cos > 0) & (k >= 0.0) & (k <= cos * cos * axis_len),
+                                      root, -np.inf))
+            rel = p - axis_len * axis
+            gap = np.sqrt(np.add.reduce(rel * rel, axis=-1))
+            roots += _quadratic_roots(1.0, ou - axis_len * ua, (gap - r2) * (gap + r2))
+        step = np.fmax.reduce(roots)
+        t = t + step
+        p, ou = origin + t[:, None] * dirs, ou + step
+    return t
+
+
+def _step_inside(signed_distance, origin, dirs, t):
+    """The points origin + t[i] * dirs[i], each a point of the set: a row
+    whose signed distance is positive steps back along its ray by the larger
+    of that distance and a step that starts at one ulp of t and doubles each
+    round."""
+    t, step = t.copy(), np.spacing(t)
+    rows = np.arange(len(t))
+    for _ in range(64):
+        s = signed_distance(origin + t[rows, None] * dirs[rows])
+        rows, s = rows[s > 0], s[s > 0]
+        if not len(rows):
+            return origin + t[:, None] * dirs
+        t[rows] -= np.maximum(s, step[rows])
+        step[rows] *= 2.0
+    raise NonConvergence("a ray exit does not step back into the set")
 
 
 def _itp(g, lo, hi, g_lo, g_hi, tol):
@@ -394,10 +468,13 @@ def sample_boundary(oracle, resolution: float, seed: int = 0,
 
     The oracle is any set with dim, interior_point and
     signed_boundary_distance: a LevelSet, or a set of this module. Each exit
-    is the root of the signed boundary distance along its ray, found by ITP
-    root-finding to about 1e-15 relative on sets of unit size or more and
-    about 1e-15 absolute on smaller ones (_ray_block); a set whose interior
-    point is not strictly inside (an empty interior) raises EmptySample.
+    is a point of the set where its ray leaves it (_ray_boundary_points):
+    exact to rounding where the function's level_ray_exits has a closed
+    form (two-ball hulls, their regularizations and plain localizations),
+    else found by ITP root-finding to about 1e-15 relative on sets of unit
+    size or more and about 1e-15 absolute on smaller ones (_ray_block); a
+    set whose interior point is not strictly inside (an empty interior)
+    raises EmptySample.
 
     d = 2 places one ray per resolution of arc length: a 64-ray pass gives a
     closed polygon of perimeter P, and max(ceil(P / resolution), 64) rays go

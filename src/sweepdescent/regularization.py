@@ -8,14 +8,15 @@ z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
-from .functions import QuasiconvexFunction, slope_values
-from .geometry import (_atleast_2d, dilated_projection, outward_normals,
-                       sample_boundary)
+from .functions import HullFunction, QuasiconvexFunction, slope_values
+from .geometry import (_atleast_2d, _step_inside, dilated_projection,
+                       hull_ray_exit, outward_normals, sample_boundary)
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -57,6 +58,17 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_signed_distance(self, alphas, points):
         return self.base.level_signed_distance(alphas, points) - self.eps
+
+    def level_ray_exits(self, alpha: float, origin, dirs):
+        """A two-ball hull dilated by eps is the hull of the two balls
+        dilated by eps, so a hull base takes the closed form with both radii
+        grown by eps; other bases (a localization's lens) keep the default."""
+        if not isinstance(self.base, HullFunction):
+            return super().level_ray_exits(alpha, origin, dirs)
+        r1, axis_len, r2 = self.base.level_hull(alpha)
+        t = hull_ray_exit(origin, dirs, self.base.hull_axis, r1 + self.eps, axis_len,
+                          r2 + self.eps)
+        return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
 
     def level_normals(self, alphas, points):
         """The base's normals, which every base takes at its clamped level.

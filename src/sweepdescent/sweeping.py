@@ -161,6 +161,17 @@ def _inward_step(f: QuasiconvexFunction, level: float, x):
     return out
 
 
+def require_reverse_evidence(f: QuasiconvexFunction, prox_radius) -> None:
+    """Refuse a reverse run without prox-regularity evidence: a regularized
+    function or a validated prox radius. No computation supplies it, so a
+    caller can check before doing any."""
+    if not isinstance(f, RegularizedFunction) and prox_radius is None:
+        raise ReverseRefused(
+            "reverse sweeping needs prox-regularity evidence: pass a "
+            "regularized function or a validated prox_radius"
+        )
+
+
 def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Trajectory:
     """Reverse runs on the complement process from level alpha2 - tbar up to alpha2.
 
@@ -173,11 +184,7 @@ def reverse_catching_up(freg, ubar, tbar: float, cfg: SweepingConfig) -> Traject
     """
     if tbar < 0:
         raise ValueError(f"reverse horizon tbar must be nonnegative, got {tbar!r}")
-    if not isinstance(freg, RegularizedFunction) and cfg.prox_radius is None:
-        raise ReverseRefused(
-            "reverse sweeping needs prox-regularity evidence: pass a "
-            "regularized function or a validated prox_radius"
-        )
+    require_reverse_evidence(freg, cfg.prox_radius)
     if cfg.map_lipschitz is None:
         raise MissingConstants("reverse sweeping needs a map_lipschitz estimate")
     r_hat = cfg.prox_radius if cfg.prox_radius is not None else freg.eps

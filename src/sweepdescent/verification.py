@@ -356,12 +356,18 @@ def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:
     depth = freg.base.level_signed_distance(freg.base.level_hi, pts)
     keep = (vals >= freg.inf_value + freg.eps) & (depth <= -(freg.eps + 0.02))
     pts, vals = pts[keep], vals[keep]
-    coarse = grid_min_regularized(freg, pts, n=41)
-    fine = grid_min_regularized(freg, pts, n=81)
-    certified = np.abs(coarse - fine) <= 5e-4
-    pts = pts[certified][:n_points]
-    coarse = coarse[certified][:n_points]
-    vals = vals[certified][:n_points]
+    # The grids are row-wise, so gridding the candidates in order, each
+    # chunk as large as the count still missing, keeps the same first
+    # n_points certified rows as gridding them all.
+    rows, coarse, start = [], [], 0
+    while start < len(pts) and len(rows) < n_points:
+        chunk = np.arange(start, min(start + n_points - len(rows), len(pts)))
+        c = grid_min_regularized(freg, pts[chunk], n=41)
+        certified = np.abs(c - grid_min_regularized(freg, pts[chunk], n=81)) <= 5e-4
+        rows += chunk[certified].tolist()
+        coarse += c[certified].tolist()
+        start = chunk[-1] + 1
+    pts, coarse, vals = pts[rows], np.array(coarse), vals[rows]
     if not len(pts):
         return CheckResult("eval-consistency", anchor, passed=None, details={
             "reason": "no sample survived the filters", "n_points": 0})

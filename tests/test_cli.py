@@ -34,12 +34,23 @@ def test_descend_zero_horizon_single_row(tmp_path):
     assert len(lines) == 3  # comment, header, one sample
 
 
-def test_descend_reverse_requires_evidence(tmp_path, capsys):
-    code = run(tmp_path, "descend", "--function", "norm", "--x0", "2,0",
-               "--T", "0.5", "--k", "100", "--reverse")
+@pytest.mark.parametrize("argv", [
+    "--function norm --x0 2,0 --T 0.5 --k 100",
+    "--function localized:tube:1.5,0:0.4 --x0 1.1,0 --T 0.3 --k 10",
+])
+def test_descend_reverse_requires_evidence(tmp_path, capsys, monkeypatch, argv):
+    # No work can supply the evidence, so the run is refused before any: no
+    # slope floor, no forward pass, no output. The localized start sits at
+    # the bottom level, where a slope window would be empty.
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimated a slope floor for a refused reverse run")
+
+    monkeypatch.setattr(cli, "estimate_slope_floor", refuse)
+    monkeypatch.setattr(cli, "forward_catching_up_batch", refuse)
+    code = run(tmp_path, "descend", *argv.split(), "--reverse")
     err = capsys.readouterr().err
     assert code == 2
-    assert "prox-regular" in err
+    assert "reverse sweeping needs prox-regularity evidence" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import EmptySample
-from sweepdescent.functions import LocalizedFunction, NormFunction, get_function
+from sweepdescent.functions import (LevelSet, LocalizedFunction, NormFunction,
+                                    QuasiconvexFunction, get_function)
+from sweepdescent import geometry
 from sweepdescent.geometry import (RAY_BLOCK, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    _fibonacci_directions, _itp, _ray_block,
                                    _ray_boundary_points, ball_lens_project,
-                                   outward_normals, sample_boundary)
+                                   hull_ray_exit, outward_normals, sample_boundary)
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 
@@ -289,10 +291,15 @@ RAY_ORACLES_3D = [
 
 @pytest.mark.parametrize("oracle", RAY_ORACLES_3D)
 def test_ray_boundary_points_blocked_matches_unblocked(oracle):
+    # The norm's LevelSet takes the closed form, the module sets the ITP search.
     dirs = unit_directions(split_rng(0, "ray-blocks"), 20_000, 3)
     assert len(dirs) > 2 * RAY_BLOCK
     got = _ray_boundary_points(oracle, dirs)
-    want = _ray_block(oracle, dirs)
+    origin = oracle.interior_point
+    if isinstance(oracle, LevelSet):
+        want = oracle.f.level_ray_exits(oracle.alpha, origin, dirs)
+    else:
+        want = _ray_block(oracle.signed_boundary_distance, origin, dirs)
     assert np.array_equal(got, want)
 
 
@@ -309,6 +316,106 @@ def test_ray_exits_match_bisection_reference(oracle):
     t = np.linalg.norm(want - oracle.interior_point, axis=1)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * (1.0 + t))
     assert np.max(np.abs(oracle.signed_boundary_distance(got))) <= 1e-14
+
+
+def _closed_form_sets():
+    """(name, function, level) of every set whose ray exits are closed form:
+    norm, tube and gauge hulls (the gauge across level 1), their
+    eps-regularizations and plain localizations of tube and norm3, at levels
+    whose sets are at least 0.2 across, where the ITP reference is exact to
+    about 1e-15 relative."""
+    tube, gauge = get_function("tube"), get_function("gauge")
+    for dim in (2, 3, 4):
+        for level in (0.2, 1.0, 2.5):
+            yield f"norm{dim}@{level}", get_function("norm", dim), level
+    for level in (0.2, 1.5, 3.5):
+        yield f"tube@{level}", tube, level
+    for level in (0.5, 0.95, 1.0, 1.05, 1.1, 1.7, 2.0):
+        yield f"gauge@{level}", gauge, level
+    for name, dim, level in (("tube", 2, 1.7), ("gauge", 2, 1.05), ("gauge", 2, 1.7),
+                             ("norm", 3, 0.5)):
+        yield f"{name}{dim}~0.25@{level}", regularize(get_function(name, dim), 0.25), level
+    yield "localized-tube@0.43", get_function("localized:tube:1.5,0:0.4"), 0.43
+    yield "localized-tube@0.6", get_function("localized:tube:1.5,0:0.4"), 0.6
+    yield "localized-norm3@1.2", get_function("localized:norm:1,0,0:0.4", 3), 1.2
+
+
+CLOSED_FORM_SETS = list(_closed_form_sets())
+
+
+def _assert_matches_itp(f, level, origin, dirs):
+    """The closed-form exits against the default ITP routine as a reference:
+    within 1e-14 relative, and every exit a point of the set. The reference
+    rays move 16 times slower, so that ITP's stop at 1e-15 of the doubled
+    ray length (at least 1) is relative on sets down to 1/16 across."""
+    got = f.level_ray_exits(level, origin, dirs)
+    want = QuasiconvexFunction.level_ray_exits(f, level, origin, dirs / 16.0)
+    t = np.linalg.norm(want - origin, axis=1)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * t)
+    assert np.all(f.sublevel(level).signed_boundary_distance(got) <= 0.0)
+
+
+@pytest.mark.parametrize("name,f,level", CLOSED_FORM_SETS,
+                         ids=[case[0] for case in CLOSED_FORM_SETS])
+def test_closed_form_ray_exits_match_the_itp_routine(name, f, level):
+    oracle = f.sublevel(level)
+    dirs = unit_directions(split_rng(2, "closed-form-exits"), 4000, f.dim)
+    _assert_matches_itp(f, level, oracle.interior_point, dirs)
+    # From other interior points too: the sample's own exits pulled halfway in.
+    inner = 0.5 * (oracle.interior_point + _ray_boundary_points(oracle, dirs[:50]))
+    for origin in inner[:10]:
+        _assert_matches_itp(f, level, origin, dirs[:500])
+
+
+def _fan(angle, widths=np.logspace(-12, -2, 11)):
+    """Plane directions at angle and at angle +- each width."""
+    phi = np.concatenate([[angle], angle + widths, angle - widths])
+    return np.stack([np.cos(phi), np.sin(phi)], axis=1)
+
+
+def test_closed_form_ray_exits_on_near_tangent_rays():
+    # The gauge's hull at s = 1.7 is disk 1 (radius 1.7 about 0) and disk 2
+    # (radius 0.7 about (0, 2.4)) along the y axis, with tangent normal (sin,
+    # cos) in (axial, radial) coordinates. Rays fan out around the points
+    # where the tangent segments meet the circles, around the rays from the
+    # origin that graze circle 2, and around the axis; where they meet the
+    # boundary two roots lie close. The tube's rays run along its axis,
+    # parallel to the cylinder, and towards its tangent circles.
+    gauge, tube = get_function("gauge"), get_function("tube")
+    r1, axis_len, r2 = gauge.level_hull(1.7)
+    sin = (r1 - r2) / axis_len
+    cos = np.sqrt(1.0 - sin**2)
+    # Plane angles, x > 0, and their mirror images in the y axis.
+    right = [np.arctan2(r1 * sin, r1 * cos), np.arctan2(axis_len + r2 * sin, r2 * cos),
+             np.pi / 2 - np.arcsin(r2 / axis_len), np.pi / 2]
+    dirs = np.vstack([_fan(a) for b in right for a in (b, np.pi - b)] + [_fan(-np.pi / 2)])
+    _assert_matches_itp(gauge, 1.7, np.zeros(2), dirs)
+    _assert_matches_itp(gauge, 1.7, np.array([0.3, 1.1]), dirs)
+    for level in (0.5, 2.0):
+        along = np.vstack([_fan(a) for a in (0.0, np.pi, np.pi / 2, np.arctan2(1.0, level))])
+        _assert_matches_itp(tube, level, np.zeros(2), along)
+        _assert_matches_itp(tube, level, np.array([0.4, 0.5]), along)
+        _assert_matches_itp(regularize(tube, 0.25), level, np.zeros(2), along)
+    # Exactly along the axis the cylinder has no root; the caps give the exit.
+    t = hull_ray_exit(np.zeros(2), np.array([[1.0, 0.0], [-1.0, 0.0]]), tube.hull_axis,
+                      *tube.level_hull(2.0))
+    assert t.tolist() == [3.0, 1.0]
+
+
+def test_closed_form_sample_boundary_never_runs_itp(monkeypatch):
+    # Every hull level set, hull regularization and plain localization takes
+    # the closed form: with ITP disabled, sampling still succeeds.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form ray exit fell back to ITP")
+
+    monkeypatch.setattr(geometry, "_itp", refuse)
+    for name, f, level in CLOSED_FORM_SETS:
+        oracle = f.sublevel(level)
+        sample = sample_boundary(oracle, 0.05 if f.dim == 2 else 0.2)
+        assert np.all(oracle.signed_boundary_distance(sample.points) <= 0.0), name
+    lens = regularize(get_function("localized:tube:1.5,0:0.4"), 0.2).sublevel(0.43)
+    with pytest.raises(AssertionError, match="fell back to ITP"):
+        sample_boundary(lens, 0.05)
 
 
 def test_ray_exits_need_an_interior():

@@ -177,11 +177,11 @@ def test_prox_radius_exact_normals_give_the_exact_radius(name, dim, eps, level, 
 
 def test_prox_radius_of_a_ball_smaller_than_any_probe_step(norm):
     # The level-5.5e-10 set of the norm regularized at 1e-9 is a ball of
-    # radius 1.55e-9; its ray exits are exact to about 1e-15 absolute. The
+    # radius 1.55e-9; its ray exits are closed form, exact to rounding. The
     # 1e-4 floor of the refinement spacing must not coarsen its sample to
     # the 64-ray floor: it is sampled as its copy scaled by 1e9 is.
     est = prox_radius_estimate(regularize(norm, 1e-9), 5.5e-10)
-    assert est.r_hat == pytest.approx(1.55e-9, rel=1e-6)
+    assert est.r_hat == pytest.approx(1.55e-9, rel=1e-14)
     assert est.sample_count == prox_radius_estimate(regularize(norm, 1.0), 0.55).sample_count
     assert est.sample_count > 64
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sweepdescent import verification
 from sweepdescent.errors import MissingConstants
 from sweepdescent.functions import LocalizedFunction, get_function, limiting_slope
 from sweepdescent.regularization import regularize
@@ -171,3 +172,35 @@ def test_lipschitz_transfer_skipped_without_samples():
     assert check.passed is None
     assert check.details["n_points"] == 0
     assert "reason" in check.details
+
+
+@pytest.mark.parametrize("name,window,n_points", [("gauge", (1.2, 1.8), 12),
+                                                  ("tube", (0.3, 1.7), 12)])
+def test_eval_consistency_grids_only_until_n_points_certify(monkeypatch, name, window,
+                                                            n_points):
+    # Gridding every filtered candidate and keeping the first n_points that
+    # certify gives the same report as gridding in order until n_points have
+    # certified; the check grids fewer candidates.
+    freg = regularize(get_function(name), 0.25)
+    pts = verification._annulus_sample(freg, window, 3 * n_points, 7, "eval-consistency")
+    vals = freg.eval(pts)
+    depth = freg.base.level_signed_distance(freg.base.level_hi, pts)
+    keep = (vals >= freg.inf_value + freg.eps) & (depth <= -(freg.eps + 0.02))
+    pts, vals = pts[keep], vals[keep]
+    coarse = verification.grid_min_regularized(freg, pts, n=41)
+    fine = verification.grid_min_regularized(freg, pts, n=81)
+    certified = np.flatnonzero(np.abs(coarse - fine) <= 5e-4)[:n_points]
+    want = np.max(np.abs(coarse[certified] - vals[certified]))
+
+    gridded = []
+    grid = verification.grid_min_regularized
+
+    def counted(f, points, n):
+        gridded.append(len(points))
+        return grid(f, points, n=n)
+
+    monkeypatch.setattr(verification, "grid_min_regularized", counted)
+    check = _check_eval_consistency(freg, window, n_points, 7)
+    assert check.details == {"worst_gap": want, "n_points": len(certified)}
+    assert len(certified) == n_points
+    assert n_points <= sum(gridded) / 2 < len(pts)
