@@ -23,8 +23,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (_atleast_2d, _axial_section, _itp, _ray_block, _restore,
-                       _step_inside, ball_lens_project, hull_normals,
+from .geometry import (_atleast_2d, _axial_section, _itp, _norms, _ray_block,
+                       _restore, _step_inside, ball_lens_project, hull_normals,
                        hull_ray_exit, hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
@@ -181,17 +181,17 @@ class NormFunction(HullFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        norms = np.sqrt(np.add.reduce(pts * pts, axis=1))
+        norms = _norms(pts)
         scale = np.where(norms > alphas, alphas / np.where(norms > 0, norms, 1.0), 1.0)
         return pts * scale[:, None]
 
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        return np.linalg.norm(pts, axis=1) - np.asarray(alphas, dtype=float)
+        return _norms(pts) - np.asarray(alphas, dtype=float)
 
     def level_at_distance(self, x, r):
         x2, single = _atleast_2d(x)
-        v = np.maximum(np.linalg.norm(x2, axis=1) - r, 0.0)
+        v = np.maximum(_norms(x2) - r, 0.0)
         return float(v[0]) if single else v
 
 
@@ -218,16 +218,16 @@ class TubeFunction(HullFunction):
     def level_bbox(self, alpha: float):
         return np.array([-1.0, -1.0]), np.array([min(alpha, self.level_hi) + 1.0, 1.0])
 
-    def _anchor(self, alphas, pts):
-        """Nearest points of [0, min(alpha, level_hi)] x {0}, offsets and their lengths."""
-        anchor = np.zeros(pts.shape)
-        anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
-        delta = pts - anchor
-        return anchor, delta, np.sqrt(np.add.reduce(delta * delta, axis=1))
+    def _clamp(self, alphas, x):
+        """Nearest points of the segment [0, min(alpha, level_hi)] to the abscissae x."""
+        return np.minimum(np.maximum(x, 0.0), np.minimum(alphas, self.level_hi))
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        anchor, delta, dist = self._anchor(alphas, pts)
+        anchor = np.zeros(pts.shape)
+        anchor[:, 0] = self._clamp(alphas, pts[:, 0])
+        delta = pts - anchor
+        dist = _norms(delta)
         out = dist > 1.0
         res = pts.copy()
         if out.any():
@@ -236,16 +236,18 @@ class TubeFunction(HullFunction):
         return res
 
     def level_signed_distance(self, alphas, points):
-        return self._anchor(alphas, np.asarray(points, dtype=float))[2] - 1.0
+        pts = np.asarray(points, dtype=float)
+        dx, y = pts[:, 0] - self._clamp(alphas, pts[:, 0]), pts[:, 1]
+        return np.sqrt(dx * dx + y * y) - 1.0
 
     def level_at_distance(self, x, r):
         # The r-ball meets the capsule of level a where the distance to the
         # segment [0, a] x {0} is at most 1 + r.
         x2, single = _atleast_2d(x)
-        reach = self.level_signed_distance(self.level_hi, x2) <= r
-        vals = np.full(len(x2), np.inf)
-        px, py = x2[reach, 0], x2[reach, 1]
-        vals[reach] = np.maximum(px - np.sqrt(np.maximum((1.0 + r)**2 - py**2, 0.0)), 0.0)
+        px, py = x2[:, 0], x2[:, 1]
+        vals = np.where(self.level_signed_distance(self.level_hi, x2) <= r,
+                        np.maximum(px - np.sqrt(np.maximum((1.0 + r)**2 - py**2, 0.0)), 0.0),
+                        np.inf)
         return float(vals[0]) if single else vals
 
 

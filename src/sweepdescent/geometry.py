@@ -25,14 +25,16 @@ shape (n, d) and return the matching shape.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from .errors import EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-RAY_BLOCK = 8192
+# Rows per cache-sized block of the batched kernels (ray exits, secant pairs,
+# grid probes); every step in them is row-wise, so it never changes a result.
+BLOCK_ROWS = 8192
 
 
 def _atleast_2d(x):
@@ -44,6 +46,16 @@ def _atleast_2d(x):
 
 def _restore(x, single):
     return x[0] if single else x
+
+
+def _norms(x):
+    """Row norms of a 1-d or 2-d array, bit for bit np.linalg.norm(x, axis=-1):
+    below eight columns numpy adds a row's squares in column order, one short
+    sum per row, and from 64 rows on adding whole columns is faster."""
+    sq = x * x
+    if sq.ndim == 2 and len(sq) >= 64 and sq.shape[1] < 8:
+        return np.sqrt(sum(sq.T))
+    return np.sqrt(np.add.reduce(sq, axis=-1))
 
 
 def _hull_frame(r1, axis_len, r2):
@@ -59,7 +71,7 @@ def _axial_section(x2, origin, axis):
     rel = x2 - origin
     a = rel @ axis
     radial_vec = rel - a[:, None] * axis
-    rho = np.linalg.norm(radial_vec, axis=1)
+    rho = _norms(radial_vec)
     return a, rho, radial_vec / np.where(rho > 0, rho, 1.0)[:, None]
 
 
@@ -168,7 +180,7 @@ def dilated_projection(x2, z, eps):
     rows x2 onto the set: rows farther than eps from z move to distance eps
     along x2 - z, the others stay put."""
     delta = x2 - z
-    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    dist = _norms(delta)
     out = dist > eps
     res = x2.copy()
     if out.any():
@@ -319,10 +331,8 @@ def _ray_boundary_points(oracle, dirs: np.ndarray) -> np.ndarray:
     """Batched boundary points along rays from the interior point: a
     LevelSet's through its function's level_ray_exits, a set of this module
     through _ray_block's ITP search. A set whose interior point is not
-    strictly inside (an empty interior) raises EmptySample.
-
-    Runs in row blocks of RAY_BLOCK, which keeps the arrays cache-sized; every
-    step is row-wise, so the block size never changes a result.
+    strictly inside (an empty interior) raises EmptySample. Runs in blocks
+    of BLOCK_ROWS rays.
     """
     origin = np.asarray(oracle.interior_point, dtype=float)
     if float(oracle.signed_boundary_distance(origin)) >= 0:
@@ -330,8 +340,8 @@ def _ray_boundary_points(oracle, dirs: np.ndarray) -> np.ndarray:
     exits = (partial(oracle.f.level_ray_exits, oracle.alpha) if hasattr(oracle, "f")
              else partial(_ray_block, oracle.signed_boundary_distance))
     out = np.empty(np.shape(dirs))
-    for start in range(0, len(dirs), RAY_BLOCK):
-        out[start:start + RAY_BLOCK] = exits(origin, dirs[start:start + RAY_BLOCK])
+    for start in range(0, len(dirs), BLOCK_ROWS):
+        out[start:start + BLOCK_ROWS] = exits(origin, dirs[start:start + BLOCK_ROWS])
     return out
 
 
@@ -389,13 +399,15 @@ def hull_ray_exit(origin, dirs, axis, r1, axis_len, r2):
     sin, cos = _hull_frame(r1, axis_len, r2)
     ua, ou = dirs @ axis, dirs @ origin
     t, p = 0.0, origin
-    for _ in range(2):
-        a = p @ axis
-        gap = np.sqrt(np.add.reduce(p * p, axis=-1))
+    for i in range(2):
+        if i:
+            p, ou = origin + t[:, None] * dirs, ou + step
+        gap = _norms(p)
         roots = list(_quadratic_roots(1.0, ou, (gap - r1) * (gap + r1)))
         if np.any(cos > 0):
+            a = p @ axis
             radial = p - np.multiply.outer(a, axis)
-            rho = np.sqrt(np.add.reduce(radial * radial, axis=-1))
+            rho = _norms(radial)
             off = a - r1 * sin  # cos * k on the cone
             for root in _quadratic_roots(cos * cos - ua * ua, cos * cos * ou - off * ua,
                                          (sin * a + cos * rho - r1) * (cos * rho + r1 - sin * a)):
@@ -404,11 +416,10 @@ def hull_ray_exit(origin, dirs, axis, r1, axis_len, r2):
                 roots.append(np.where((cos > 0) & (k >= 0.0) & (k <= cos * cos * axis_len),
                                       root, -np.inf))
             rel = p - axis_len * axis
-            gap = np.sqrt(np.add.reduce(rel * rel, axis=-1))
+            gap = _norms(rel)
             roots += _quadratic_roots(1.0, ou - axis_len * ua, (gap - r2) * (gap + r2))
-        step = np.fmax.reduce(roots)
+        step = reduce(np.fmax, roots)
         t = t + step
-        p, ou = origin + t[:, None] * dirs, ou + step
     return t
 
 
@@ -418,14 +429,16 @@ def _step_inside(signed_distance, origin, dirs, t):
     of that distance and a step that starts at one ulp of t and doubles each
     round."""
     t, step = t.copy(), np.spacing(t)
-    rows = np.arange(len(t))
+    pts = origin + t[:, None] * dirs
+    rows, s = np.arange(len(t)), signed_distance(pts)
     for _ in range(64):
-        s = signed_distance(origin + t[rows, None] * dirs[rows])
         rows, s = rows[s > 0], s[s > 0]
         if not len(rows):
-            return origin + t[:, None] * dirs
+            return pts
         t[rows] -= np.maximum(s, step[rows])
         step[rows] *= 2.0
+        pts[rows] = origin + t[rows, None] * dirs[rows]
+        s = signed_distance(pts[rows])
     raise NonConvergence("a ray exit does not step back into the set")
 
 

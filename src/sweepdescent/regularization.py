@@ -15,8 +15,9 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
 from .functions import HullFunction, QuasiconvexFunction, slope_values
-from .geometry import (_atleast_2d, _step_inside, dilated_projection,
-                       hull_ray_exit, outward_normals, sample_boundary)
+from .geometry import (BLOCK_ROWS, _atleast_2d, _norms, _step_inside,
+                       dilated_projection, hull_ray_exit, outward_normals,
+                       sample_boundary)
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -118,7 +119,7 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     x2, single = _atleast_2d(x)
     z = freg.base.level_project(alpha, x2)
     delta = x2 - z
-    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
+    dist = _norms(delta)
     if (dist <= 1e-12).any():
         bad = int(np.argmin(dist))
         if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
@@ -145,13 +146,12 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
                          seed: int = 0) -> ProxRadiusEstimate:
     """Minimal internal curvature radius of the sublevel boundary.
 
-    Pairs of nearby boundary samples (b, b') with outward normals n, n' give
-    the secant ratio ||b - b'||^2 / <b - b', n - n'>, which equals the radius
-    exactly on circular arcs; the minimum over close pairs estimates the
-    prox-regularity radius of the complement. The first pass samples at
-    spacing pi / 600 of the level box's diagonal; one refinement pass
-    re-samples at spacing max(r_hat / 20, 1e-4) when that is finer than the
-    first by at least a quarter, and never replaces a finer pass by a
+    The secant ratios of close boundary samples and their outward normals
+    (_secant_ratios) equal the radius on circular arcs; their minimum
+    estimates the prox-regularity radius of the complement. The first pass
+    samples at spacing pi / 600 of the level box's diagonal; one refinement
+    pass re-samples at spacing max(r_hat / 20, 1e-4) when that is finer than
+    the first by at least a quarter, and never replaces a finer pass by a
     coarser one, so a set smaller than the floor is sampled as its scaled-up
     copy would be. Corner samples are skipped and counted.
     """
@@ -178,20 +178,28 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
 
 
 def _secant_ratios(pts, normals, dim, resolution):
-    if len(pts) < 2:
-        return np.zeros(0)
+    """Secant ratios |db|^2 / <db, dn> of close sample pairs (db, dn: the
+    pair's differences of points and of normals): ring neighbours in
+    counter-clockwise order in 2-d, all pairs at most 3 * resolution apart in
+    d >= 3, in blocks of BLOCK_ROWS. Only pairs with <db, dn> > 1e-9 |db|
+    give a ratio, so flat pairs, pairs bending the wrong way and zero
+    denominators give none. A ratio ignores its pair's orientation, so the
+    minimum depends neither on the order nor on the orientation of the pairs."""
+    both = np.hstack([pts, normals])
     if dim == 2:
         # Plane samples come in counter-clockwise order (sample_boundary), so
         # neighbours in the array are neighbours on the boundary.
-        db = np.roll(pts, -1, axis=0) - pts
-        dn = np.roll(normals, -1, axis=0) - normals
+        blocks = [np.roll(both, -1, axis=0) - both]
     else:
-        pairs = cKDTree(pts).query_pairs(3.0 * resolution, output_type="ndarray")
-        if len(pairs) == 0:
-            return np.zeros(0)
-        db = pts[pairs[:, 1]] - pts[pairs[:, 0]]
-        dn = normals[pairs[:, 1]] - normals[pairs[:, 0]]
-    num = np.einsum("ij,ij->i", db, db)
-    den = np.einsum("ij,ij->i", db, dn)
-    good = den > 1e-9 * np.sqrt(num)
-    return num[good] / den[good]
+        pairs = cKDTree(pts, balanced_tree=False).query_pairs(3.0 * resolution,
+                                                              output_type="ndarray")
+        blocks = (np.take(both, p[:, 1], axis=0) - np.take(both, p[:, 0], axis=0)
+                  for p in np.split(pairs, range(BLOCK_ROWS, len(pairs), BLOCK_ROWS)))
+    ratios = []
+    for diff in blocks:
+        db, dn = diff[:, :dim], diff[:, dim:]
+        num = np.einsum("ij,ij->i", db, db)
+        den = np.einsum("ij,ij->i", db, dn)
+        good = den > 1e-9 * np.sqrt(num)
+        ratios.append(num[good] / den[good])
+    return np.concatenate(ratios)

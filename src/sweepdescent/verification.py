@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, MissingConstants
 from .functions import (LocalizedFunction, QuasiconvexFunction, aze_corvellec_check,
                         level_slopes, limiting_slope, slope_values)
-from .geometry import _atleast_2d, sample_boundary
+from .geometry import BLOCK_ROWS, _atleast_2d, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
 from .rng import split_rng
@@ -327,7 +327,8 @@ def grid_min_regularized(freg: RegularizedFunction, points, n: int = 41):
     """Brute-force min of the base over a polar grid of the dilation ball.
 
     Independent of the level search: evaluates the base function on an
-    n x n (radius x angle) grid of the eps-ball and takes the minimum.
+    n x n (radius x angle) grid of the eps-ball and takes the minimum, in
+    blocks of whole points of at most BLOCK_ROWS probes (or one point).
     """
     if freg.dim != 2:
         raise DomainError("polar grid oracle is two-dimensional")
@@ -336,9 +337,12 @@ def grid_min_regularized(freg: RegularizedFunction, points, n: int = 41):
     angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
     offsets = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1).reshape(-1, 2)
-    probes = pts[:, None, :] - offsets[None, :, :]
-    vals = np.asarray(freg.base.eval(probes.reshape(-1, 2))).reshape(probes.shape[:2])
-    return np.min(vals, axis=1)
+    out, step = np.empty(len(pts)), max(BLOCK_ROWS // len(offsets), 1)
+    for start in range(0, len(pts), step):
+        probes = pts[start:start + step, None, :] - offsets
+        vals = np.asarray(freg.base.eval(probes.reshape(-1, 2)))
+        out[start:start + step] = np.min(vals.reshape(probes.shape[:2]), axis=1)
+    return out
 
 
 def _check_eval_consistency(freg, window, n_points, seed) -> CheckResult:

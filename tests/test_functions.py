@@ -34,6 +34,38 @@ def test_tube_outside_domain(tube):
     assert tube.eval([1.0, 1.5]) == np.inf
 
 
+def _tube_offsets_reference(tube, alphas, pts):
+    """The tube's offsets from the segment [0, min(alpha, level_hi)] x {0} as
+    they were computed before the one-pass form: an anchor array, subtracted
+    from the points, squares summed along the rows."""
+    anchor = np.zeros(pts.shape)
+    anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, tube.level_hi))
+    delta = pts - anchor
+    return np.sqrt(np.add.reduce(delta * delta, axis=1))
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25])
+def test_tube_level_search_matches_its_earlier_expression_bit_for_bit(tube, r):
+    # Edge rows: x = 0 and x = level_hi, y = +-0.0 and |y| = 1 + r, rows
+    # outside the domain; the earlier search scattered into the rows in reach.
+    xs = [-2.5, -1.0 - r, -0.3, -0.0, 0.0, 0.7, 1.5, 3.0, 3.6, 4.0 + r, 5.0]
+    ys = [0.0, -0.0, 0.4, -0.9, 1.0 + r, -1.0 - r, 1.0 + r + 1e-15, 1.9]
+    pts = np.array([[x, y] for x in xs for y in ys])
+    reach = _tube_offsets_reference(tube, tube.level_hi, pts) - 1.0 <= r
+    want = np.full(len(pts), np.inf)
+    px, py = pts[reach, 0], pts[reach, 1]
+    want[reach] = np.maximum(px - np.sqrt(np.maximum((1.0 + r)**2 - py**2, 0.0)), 0.0)
+    got = tube.level_at_distance(pts, r)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(np.isinf(got)) and np.any(got == 0.0) and np.any(got > 0.0)
+    for k in (0, 4 * len(ys) + 1, 7 * len(ys) + 4, len(pts) - 1):
+        one = tube.level_at_distance(pts[k], r)
+        assert type(one) is float and one == want[k]
+    alphas = np.linspace(-0.5, 3.5, len(pts))
+    signed = tube.level_signed_distance(alphas, pts)
+    assert signed.tobytes() == (_tube_offsets_reference(tube, alphas, pts) - 1.0).tobytes()
+
+
 def test_gauge_eval_top(gauge):
     # top of the small disk sits at height 3s - 2, so f(0, 2) solves 3s-2 = 2
     assert gauge.eval([0.0, 2.0]) == pytest.approx(4.0 / 3.0, abs=1e-9)

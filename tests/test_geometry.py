@@ -1,17 +1,19 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from sweepdescent.errors import EmptySample
+from sweepdescent.errors import EmptySample, NonConvergence
 from sweepdescent.functions import (LevelSet, LocalizedFunction, NormFunction,
                                     QuasiconvexFunction, get_function)
 from sweepdescent import geometry
-from sweepdescent.geometry import (RAY_BLOCK, DilatedSet,
+from sweepdescent.geometry import (BLOCK_ROWS, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
-                                   _fibonacci_directions, _itp, _ray_block,
-                                   _ray_boundary_points, ball_lens_project,
+                                   _fibonacci_directions, _itp, _norms, _ray_block,
+                                   _ray_boundary_points, _step_inside, ball_lens_project,
                                    hull_ray_exit, outward_normals, sample_boundary)
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
@@ -293,7 +295,7 @@ RAY_ORACLES_3D = [
 def test_ray_boundary_points_blocked_matches_unblocked(oracle):
     # The norm's LevelSet takes the closed form, the module sets the ITP search.
     dirs = unit_directions(split_rng(0, "ray-blocks"), 20_000, 3)
-    assert len(dirs) > 2 * RAY_BLOCK
+    assert len(dirs) > 2 * BLOCK_ROWS
     got = _ray_boundary_points(oracle, dirs)
     origin = oracle.interior_point
     if isinstance(oracle, LevelSet):
@@ -423,6 +425,37 @@ def test_ray_exits_need_an_interior():
         sample_boundary(NormFunction(2).sublevel(0.0), 0.1)
     with pytest.raises(EmptySample):
         _ray_boundary_points(NormFunction(3).sublevel(0.0), np.eye(3))
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_norms_equal_linalg_norm_bit_for_bit(dim):
+    # Fewer than 64 rows, and eight columns or more (where numpy pairs the
+    # terms), take numpy's own sum.
+    rng = split_rng(0, "norms", dim)
+    x = rng.normal(size=(400, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(400, dim))
+    x[:3] = [0.0], [-0.0], [np.inf]
+    for rows in (x, x[:63], x[:64]):
+        assert _norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+    for v in x[3:20]:
+        assert _norms(v) == np.sqrt(np.add.reduce(v * v))
+    assert _norms(x[:0]).shape == (0,)
+
+
+def test_step_inside_keeps_members_and_steps_rows_outside_back():
+    # Rays from the center of the unit ball: lengths 0.5 stay, lengths a few
+    # ulps past 1 end inside, close to the sphere.
+    signed = partial(NormFunction(3).level_signed_distance, 1.0)
+    origin = np.zeros(3)
+    dirs = unit_directions(split_rng(0, "step-inside"), 300, 3)
+    ulps = np.repeat([0, 2, 5, 40], [150, 50, 50, 50])
+    t = np.where(ulps == 0, 0.5, 1.0 + ulps * np.spacing(1.0))
+    assert np.all(signed(origin + t[ulps > 0, None] * dirs[ulps > 0]) > 0)
+    got = _step_inside(signed, origin, dirs, t)
+    assert got[:150].tobytes() == (origin + t[:150, None] * dirs[:150]).tobytes()
+    assert np.all(signed(got) <= 0.0)
+    assert np.all(np.linalg.norm(got[150:], axis=1) >= 1.0 - 1e-13)
+    with pytest.raises(NonConvergence):
+        _step_inside(lambda p: np.ones(len(p)), origin, dirs[:3], np.ones(3))
 
 
 _itp_row = st.tuples(

@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
 from sweepdescent.functions import LocalizedFunction, get_function, slope_values
-from sweepdescent.geometry import outward_normals, sample_boundary
+from sweepdescent.geometry import BLOCK_ROWS, outward_normals, sample_boundary
 from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_gaps, slope_deficits)
@@ -219,6 +219,32 @@ def test_secant_ratios_3d_match_sorted_pair_reference():
     assert len(got) == len(want) > 1000
     assert np.min(got) == np.min(want)
     assert np.array_equal(np.sort(got), np.sort(want))
+
+
+def test_secant_ratios_3d_match_brute_force_pairs():
+    # Every pair i < j of a lens sample (not round, so the ratios spread),
+    # kept where its squared distance, summed in coordinate order, is at most
+    # (3 * resolution)^2: no tree builds the reference pair set. The sample's
+    # pairs fill more than one block of BLOCK_ROWS.
+    lens = LocalizedFunction(get_function("norm", 3), [1.0, 0.0, 0.0], 0.4).sublevel(0.9)
+    resolution = 0.037
+    pts = sample_boundary(lens, resolution).points
+    normals, ok = outward_normals(lens, pts)
+    pts, normals = pts[ok], normals[ok]
+    assert 500 <= len(pts) <= 700
+    got = _secant_ratios(pts, normals, 3, resolution)
+    i, j = np.triu_indices(len(pts), k=1)
+    d = pts[j] - pts[i]
+    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= (3.0 * resolution) ** 2
+    i, j = i[near], j[near]
+    db, dn = pts[j] - pts[i], normals[j] - normals[i]
+    num = np.einsum("ij,ij->i", db, db)
+    den = np.einsum("ij,ij->i", db, dn)
+    good = den > 1e-9 * np.sqrt(num)
+    want = num[good] / den[good]
+    assert len(i) > BLOCK_ROWS and len(got) == len(want)
+    assert np.min(got) == np.min(want) < 0.5
+    assert np.sort(got).tobytes() == np.sort(want).tobytes()
 
 
 def test_prox_radius_dilated_lower_bound(tube):

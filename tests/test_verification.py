@@ -4,6 +4,7 @@ import pytest
 from sweepdescent import verification
 from sweepdescent.errors import MissingConstants
 from sweepdescent.functions import LocalizedFunction, get_function, limiting_slope
+from sweepdescent.geometry import BLOCK_ROWS
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng
 from sweepdescent.sweeping import SweepingConfig
@@ -204,3 +205,24 @@ def test_eval_consistency_grids_only_until_n_points_certify(monkeypatch, name, w
     assert check.details == {"worst_gap": want, "n_points": len(certified)}
     assert len(certified) == n_points
     assert n_points <= sum(gridded) / 2 < len(pts)
+
+
+@pytest.mark.parametrize("name", ["tube", "gauge"])
+def test_blocked_polar_grid_equals_the_one_shot_grid(name):
+    # The grid as one (points x probes) batch, before it ran in blocks of at
+    # most BLOCK_ROWS probes: 7 points are no whole number of blocks at
+    # n = 41, and take one block each at n = 81.
+    freg = regularize(get_function(name), 0.25)
+    pts = verification._annulus_sample(freg, freg.default_window, 7, 3, "blocked-grid")
+    assert len(pts) % (BLOCK_ROWS // 41**2) != 0 and BLOCK_ROWS < 2 * 81**2
+    for n in (41, 81):
+        radii = np.linspace(0.0, freg.eps, n)
+        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        rr, aa = np.meshgrid(radii, angles, indexing="ij")
+        offsets = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1).reshape(-1, 2)
+        probes = pts[:, None, :] - offsets[None, :, :]
+        want = np.min(freg.base.eval(probes.reshape(-1, 2)).reshape(probes.shape[:2]), axis=1)
+        got = verification.grid_min_regularized(freg, pts, n=n)
+        assert got.tobytes() == want.tobytes()
+        one = verification.grid_min_regularized(freg, pts[2:3], n=n)
+        assert one.shape == (1,) and one[0] == want[2]
