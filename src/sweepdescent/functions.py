@@ -218,14 +218,10 @@ class TubeFunction(HullFunction):
     def level_bbox(self, alpha: float):
         return np.array([-1.0, -1.0]), np.array([min(alpha, self.level_hi) + 1.0, 1.0])
 
-    def _clamp(self, alphas, x):
-        """Nearest points of the segment [0, min(alpha, level_hi)] to the abscissae x."""
-        return np.minimum(np.maximum(x, 0.0), np.minimum(alphas, self.level_hi))
-
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
         anchor = np.zeros(pts.shape)
-        anchor[:, 0] = self._clamp(alphas, pts[:, 0])
+        anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
         delta = pts - anchor
         dist = _norms(delta)
         out = dist > 1.0
@@ -236,8 +232,8 @@ class TubeFunction(HullFunction):
         return res
 
     def level_signed_distance(self, alphas, points):
-        pts = np.asarray(points, dtype=float)
-        dx, y = pts[:, 0] - self._clamp(alphas, pts[:, 0]), pts[:, 1]
+        x, y = np.asarray(points, dtype=float).T
+        dx = x - np.minimum(np.maximum(x, 0.0), np.minimum(alphas, self.level_hi))
         return np.sqrt(dx * dx + y * y) - 1.0
 
     def level_at_distance(self, x, r):
@@ -332,7 +328,7 @@ class LocalizedFunction(QuasiconvexFunction):
         x2, single = _atleast_2d(x)
         vals = np.full(len(x2), np.inf)
         # Tolerance keeps points computed to lie on the ball circle feasible.
-        inside = np.linalg.norm(x2 - self.center, axis=1) - self.delta <= 1e-12
+        inside = _norms(x2 - self.center) - self.delta <= 1e-12
         if np.any(inside):
             vals[inside] = np.asarray(self.base.eval(x2[inside]), dtype=float)
         return float(vals[0]) if single else vals
@@ -345,7 +341,7 @@ class LocalizedFunction(QuasiconvexFunction):
             return self.center.copy()
         mid = 0.5 * (alpha + self.inf_value)
         z = self.base.level_project(mid, self.center[None, :])[0]
-        if float(np.linalg.norm(z[None, :] - self.center, axis=1)[0] - self.delta) < -1e-9:
+        if float(_norms(z - self.center) - self.delta) < -1e-9:
             return z
         raise EmptySample(f"no interior point of the level-{alpha:.6g} set of {self.name}")
 
@@ -368,7 +364,7 @@ class LocalizedFunction(QuasiconvexFunction):
             inside & (self.level_signed_distance(np.minimum(v, self.level_hi), x2) > r + 1e-12))
         if len(cross):
             rel = self.center - x2[cross]
-            dist = np.linalg.norm(rel, axis=1)
+            dist = _norms(rel)
             e = rel / dist[:, None]
             f1, f2, f3 = (np.maximum(f, 0.0) for f in (
                 r + self.delta - dist, dist + r - self.delta, dist - r + self.delta))
@@ -380,7 +376,7 @@ class LocalizedFunction(QuasiconvexFunction):
                 vals[cross] = np.min(both, axis=0)
             else:
                 along = np.einsum("ij,ij->i", foot, e)
-                vals[cross] = np.hypot(along, np.linalg.norm(foot - along[:, None] * e, axis=1) - h)
+                vals[cross] = np.hypot(along, _norms(foot - along[:, None] * e) - h)
         return float(vals[0]) if single else vals
 
     def level_signed_distance(self, alphas, points):
@@ -388,7 +384,7 @@ class LocalizedFunction(QuasiconvexFunction):
         alphas = np.broadcast_to(np.asarray(alphas, dtype=float), (len(pts),))
         return intersection_signed_distance(
             pts, self.base.level_signed_distance(alphas, pts),
-            np.linalg.norm(pts - self.center, axis=1) - self.delta,
+            _norms(pts - self.center) - self.delta,
             lambda rows, p: self.level_project(alphas[rows], p))
 
     def level_normals(self, alphas, points):
@@ -400,13 +396,13 @@ class LocalizedFunction(QuasiconvexFunction):
         alphas = np.full(len(pts), np.minimum(alphas, self.level_hi))
         sa = self.base.level_signed_distance(alphas, pts)
         rel = pts - self.center
-        gap = np.linalg.norm(rel, axis=1)
+        gap = _norms(rel)
         sb = gap - self.delta
         normals = np.where((sb > sa)[:, None], rel / np.where(gap > 0, gap, np.inf)[:, None],
                            self.base.level_normals(alphas, pts)[0])
         out = np.flatnonzero(np.maximum(sa, sb) > 0.0)
         delta = pts[out] - self.level_project(alphas[out], pts[out])
-        dist = np.linalg.norm(delta, axis=1)
+        dist = _norms(delta)
         normals[out[dist > 0]] = delta[dist > 0] / dist[dist > 0, None]
         return normals, np.maximum(np.abs(sa), np.abs(sb)) <= 1e-12
 

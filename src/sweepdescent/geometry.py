@@ -25,15 +25,14 @@ shape (n, d) and return the matching shape.
 """
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
 from .errors import EmptySample, NonConvergence
 from .rng import split_rng, unit_directions
 
-# Rows per cache-sized block of the batched kernels (ray exits, secant pairs,
-# grid probes); every step in them is row-wise, so it never changes a result.
+# Rows per cache-sized block of the ray, pair and grid loops; a row-wise step never sees it.
 BLOCK_ROWS = 8192
 
 
@@ -49,9 +48,9 @@ def _restore(x, single):
 
 
 def _norms(x):
-    """Row norms of a 1-d or 2-d array, bit for bit np.linalg.norm(x, axis=-1):
-    below eight columns numpy adds a row's squares in column order, one short
-    sum per row, and from 64 rows on adding whole columns is faster."""
+    """Row norms of a 1-d or 2-d array, bit for bit np.linalg.norm(x, axis=-1): below eight
+    columns numpy adds a row's squares in column order. Adding whole columns instead is
+    faster from about 64 rows (2 columns; about 100 for 3) and slower below, per call."""
     sq = x * x
     if sq.ndim == 2 and len(sq) >= 64 and sq.shape[1] < 8:
         return np.sqrt(sum(sq.T))
@@ -280,7 +279,7 @@ def intersection_signed_distance(x2, sa, sb, project):
     out = np.flatnonzero(signed > 0)
     if len(out):
         signed[out] = np.maximum(
-            signed[out], np.linalg.norm(x2[out] - project(out, x2[out]), axis=1))
+            signed[out], _norms(x2[out] - project(out, x2[out])))
     return signed
 
 
@@ -311,7 +310,7 @@ class IntersectionSet:
         x2, single = _atleast_2d(x)
         signed = intersection_signed_distance(
             x2, self.first.signed_boundary_distance(x2),
-            np.linalg.norm(x2 - self.center, axis=1) - self.radius,
+            _norms(x2 - self.center) - self.radius,
             lambda rows, pts: self.project(pts))
         return _restore(signed, single)
 
@@ -399,9 +398,7 @@ def hull_ray_exit(origin, dirs, axis, r1, axis_len, r2):
     sin, cos = _hull_frame(r1, axis_len, r2)
     ua, ou = dirs @ axis, dirs @ origin
     t, p = 0.0, origin
-    for i in range(2):
-        if i:
-            p, ou = origin + t[:, None] * dirs, ou + step
+    for _ in range(2):
         gap = _norms(p)
         roots = list(_quadratic_roots(1.0, ou, (gap - r1) * (gap + r1)))
         if np.any(cos > 0):
@@ -418,8 +415,9 @@ def hull_ray_exit(origin, dirs, axis, r1, axis_len, r2):
             rel = p - axis_len * axis
             gap = _norms(rel)
             roots += _quadratic_roots(1.0, ou - axis_len * ua, (gap - r2) * (gap + r2))
-        step = reduce(np.fmax, roots)
+        step = np.fmax.reduce(roots)
         t = t + step
+        p, ou = origin + t[:, None] * dirs, ou + step
     return t
 
 
@@ -505,7 +503,7 @@ def sample_boundary(oracle, resolution: float, seed: int = 0,
     if dim == 2:
         t = np.linspace(0.0, 2 * np.pi, 65)
         coarse = _ray_boundary_points(oracle, np.stack([np.cos(t), np.sin(t)], axis=1)[:-1])
-        chords = np.linalg.norm(np.roll(coarse, -1, axis=0) - coarse, axis=1)
+        chords = _norms(np.roll(coarse, -1, axis=0) - coarse)
         arc = np.concatenate([[0.0], np.cumsum(chords)])
         count = max(int(np.ceil(arc[-1] / resolution)), 64)
         capped, count = count > max_points, min(count, max_points)
@@ -515,7 +513,7 @@ def sample_boundary(oracle, resolution: float, seed: int = 0,
         directions = (_fibonacci_directions if dim == 3 else
                       partial(unit_directions, split_rng(seed, "boundary", dim), dim=dim))
         coarse = _ray_boundary_points(oracle, directions(128))
-        r_max = float(np.max(np.linalg.norm(coarse - oracle.interior_point, axis=1)))
+        r_max = float(np.max(_norms(coarse - oracle.interior_point)))
         # Shave 1e-12 relative before the ceiling, so a count that sits on an
         # integer does not move with the last bit of r_max.
         if dim == 3:

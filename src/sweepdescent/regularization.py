@@ -15,9 +15,8 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
 from .functions import HullFunction, QuasiconvexFunction, slope_values
-from .geometry import (BLOCK_ROWS, _atleast_2d, _norms, _step_inside,
-                       dilated_projection, hull_ray_exit, outward_normals,
-                       sample_boundary)
+from .geometry import (BLOCK_ROWS, _atleast_2d, _norms, _step_inside, dilated_projection,
+                       hull_ray_exit, outward_normals, sample_boundary)
 
 
 class RegularizedFunction(QuasiconvexFunction):
@@ -178,13 +177,11 @@ def prox_radius_estimate(f: QuasiconvexFunction, alpha: float,
 
 
 def _secant_ratios(pts, normals, dim, resolution):
-    """Secant ratios |db|^2 / <db, dn> of close sample pairs (db, dn: the
-    pair's differences of points and of normals): ring neighbours in
-    counter-clockwise order in 2-d, all pairs at most 3 * resolution apart in
-    d >= 3, in blocks of BLOCK_ROWS. Only pairs with <db, dn> > 1e-9 |db|
-    give a ratio, so flat pairs, pairs bending the wrong way and zero
-    denominators give none. A ratio ignores its pair's orientation, so the
-    minimum depends neither on the order nor on the orientation of the pairs."""
+    """Secant ratios |db|^2 / <db, dn> (db, dn: a pair's differences of points and of
+    normals) of ring neighbours in counter-clockwise order in 2-d, of all pairs at most
+    3 * resolution apart in d >= 3. Only pairs with <db, dn> > 1e-9 |db| give a ratio, so
+    flat, wrongly bent and zero-denominator pairs give none. A ratio ignores its pair's
+    orientation, so the minimum depends neither on the order nor the orientation of pairs."""
     both = np.hstack([pts, normals])
     if dim == 2:
         # Plane samples come in counter-clockwise order (sample_boundary), so

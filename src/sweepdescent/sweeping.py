@@ -25,7 +25,7 @@ from .errors import (DegenerateDirection, DomainError, LevelUnderflow,
                      MissingConstants, ReverseRefused, SweepDescentError,
                      ThetaGuard)
 from .functions import QuasiconvexFunction
-from .geometry import _atleast_2d
+from .geometry import _atleast_2d, _norms
 from .regularization import RegularizedFunction, complement_projection
 
 BOUNDARY_RIDE_TOL = 1e-6
@@ -153,7 +153,7 @@ def _inward_step(f: QuasiconvexFunction, level: float, x):
     out = x.copy()
     if len(inside):
         grad, _ = f.level_normals(level, x[inside])
-        norms = np.linalg.norm(grad, axis=1)
+        norms = _norms(grad)
         if np.any(norms < 1e-12):
             raise DegenerateDirection(
                 "the signed distance has no gradient: no nearest boundary direction")
@@ -240,7 +240,7 @@ def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
         cfg.map_lipschitz * cfg.horizon / cfg.prox_radius
     )
     bound = factor * dist_out * 1.05
-    gaps = np.linalg.norm(batch.points[:, 0, :] - batch.points[:, 1, :], axis=1)
+    gaps = _norms(batch.points[:, 0, :] - batch.points[:, 1, :])
     span = batch.times <= min(t1, t2) + 1e-12
     nonexpansive = bool(np.all(gaps[span] <= gaps[0] + 1e-8))
     return {

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, MissingConstants
 from .functions import (LocalizedFunction, QuasiconvexFunction, aze_corvellec_check,
                         level_slopes, limiting_slope, slope_values)
-from .geometry import BLOCK_ROWS, _atleast_2d, sample_boundary
+from .geometry import BLOCK_ROWS, _atleast_2d, _norms, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
 from .rng import split_rng
@@ -389,7 +389,7 @@ def _check_base_point(freg, window, n_points, seed) -> CheckResult:
     vals = np.asarray(freg.eval(pts), dtype=float)
     z = freg.base.level_project(vals, pts)
     value_gap = np.abs(np.asarray(freg.base.eval(z), dtype=float) - vals)
-    reach = np.linalg.norm(pts - z, axis=1)
+    reach = _norms(pts - z)
     ok = bool(np.max(value_gap) <= 1e-6 and np.max(reach) <= freg.eps + 1e-6)
     worst = int(np.argmax(value_gap))
     return CheckResult(
@@ -465,7 +465,7 @@ def _check_lipschitz_transfer(freg, window, n_points, seed) -> CheckResult:
     fe_m = np.asarray(freg.eval(mates))
     finite = np.isfinite(fe_p) & np.isfinite(fe_m)
     pts, mates, fe_p, fe_m = pts[finite], mates[finite], fe_p[finite], fe_m[finite]
-    gaps = np.linalg.norm(pts - mates, axis=1)
+    gaps = _norms(pts - mates)
     emp_reg = float(np.max(np.abs(fe_p - fe_m) / gaps))
     # Translate each pair by the dilation offset of its smaller endpoint: with
     # w such that f(y - w) = f_eps(y) at the smaller endpoint y, the larger
