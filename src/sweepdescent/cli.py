@@ -28,9 +28,9 @@ from .errors import (ConfigError, LevelUnderflow, ReverseRefused,
 from .functions import get_function
 from .geometry import _ray_boundary_points
 from .regularization import regularize
-from .sweeping import (SweepingConfig, flow_map, forward_catching_up_batch,
-                       require_reverse_evidence, reverse_catching_up,
-                       trajectory_to_csv)
+from .sweeping import (SweepingConfig, flow_map, format_rows,
+                       forward_catching_up_batch, require_reverse_evidence,
+                       reverse_catching_up, trajectory_to_csv)
 from .verification import (_strict_json, estimate_slope_floor,
                            run_verification_suite)
 
@@ -347,9 +347,8 @@ def cmd_foliate(config: ExperimentConfig) -> int:
     gaps = np.linalg.norm(endpoints[None, :, :] - endpoints[:, None, :], axis=2)
     np.fill_diagonal(gaps, np.inf)
     sep = gaps.min(axis=1)
-    table = np.column_stack([grid, endpoints, sep]).tolist()
     index_lines = ["file,m0,m1,end0,end1,min_endpoint_gap"]
-    index_lines += [",".join([name, *map(repr, row)]) for name, row in zip(names, table)]
+    index_lines += format_rows(np.column_stack([grid, endpoints, sep]), names)
     # The index is written last so its presence marks a complete file set.
     _write(config, "index.csv", "\n".join(index_lines))
     print(f"wrote {len(names)} trajectories, min endpoint gap "
@@ -392,8 +391,8 @@ def cmd_regularize(config: ExperimentConfig) -> int:
     dim = pts.shape[1]
     head = [f"x{i}" for i in range(dim)] + ["f", "f_eps"] + \
         [f"z{i}" for i in range(dim)] + ["reach"]
-    table = np.column_stack([pts, vals_base, vals, z, reach]).tolist()
-    body = "\n".join([",".join(head)] + [",".join(map(repr, row)) for row in table])
+    rows = format_rows(np.column_stack([pts, vals_base, vals, z, reach]))
+    body = "\n".join([",".join(head)] + rows)
     _write(config, "regularize.csv", body)
     print(body)
     return 0

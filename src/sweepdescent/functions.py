@@ -226,7 +226,7 @@ class TubeFunction(HullFunction):
         dist = _norms(delta)
         out = dist > 1.0
         res = pts.copy()
-        if out.any():
+        if np.count_nonzero(out):
             # Adding the anchor turns a -0.0 ordinate into 0.0.
             res[out] = anchor[out] + delta[out] / dist[out, None]
         return res

@@ -182,7 +182,7 @@ def dilated_projection(x2, z, eps):
     dist = _norms(delta)
     out = dist > eps
     res = x2.copy()
-    if out.any():
+    if np.count_nonzero(out):
         res[out] = z[out] + delta[out] * (eps / dist[out])[:, None]
     return res
 
@@ -208,7 +208,7 @@ def ball_lens_project(x2: np.ndarray, center, radius, axis, r1, axis_len, r2):
     pa, prho, signed = hull_section(z.real, np.abs(z.imag), r1, axis_len, r2)
     best = pa + 1j * np.copysign(prho, z.imag)
     va = np.abs(best - c) <= big_r
-    rest = np.flatnonzero(~va)
+    rest = (~va).nonzero()[0]
     if len(rest):
         hull = [np.broadcast_to(p, z.shape)[rest] for p in (r1, axis_len, r2)]
         zr = z[rest]
@@ -219,8 +219,7 @@ def ball_lens_project(x2: np.ndarray, center, radius, axis, r1, axis_len, r2):
         if not np.all(vb):
             best[rest[~vb]] = _lens_corners(zr[~vb], c, big_r, *(p[~vb] for p in hull))
     best = best * turn.conjugate()
-    return np.where(((signed <= 0.0) & va)[:, None], x2,
-                    np.stack([best.real, best.imag], axis=1))
+    return np.where(((signed <= 0.0) & va)[:, None], x2, best.view(float).reshape(-1, 2))
 
 
 def _lens_corners(z, c, big_r, r1, axis_len, r2):
@@ -528,12 +527,17 @@ def sample_boundary(oracle, resolution: float, seed: int = 0,
 
 def _fibonacci_directions(n):
     """n unit vectors of the spherical Fibonacci lattice: z_i = 1 - (2i+1)/n,
-    longitude i * pi * (3 - sqrt(5))."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    rho = np.sqrt(1.0 - z * z)
-    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    longitude i * pi * (3 - sqrt(5)). Built in blocks of BLOCK_ROWS rows,
+    each row from its own index alone."""
+    out = np.empty((n, 3))
+    for start in range(0, n, BLOCK_ROWS):
+        i = np.arange(start, min(start + BLOCK_ROWS, n))
+        z = 1.0 - (2.0 * i + 1.0) / n
+        rho = np.sqrt(1.0 - z * z)
+        phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+        block = out[start:start + len(i)]
+        block[:, 0], block[:, 1], block[:, 2] = rho * np.cos(phi), rho * np.sin(phi), z
+    return out
 
 
 def outward_normals(oracle, points):

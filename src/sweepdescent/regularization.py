@@ -119,7 +119,7 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     z = freg.base.level_project(alpha, x2)
     delta = x2 - z
     dist = _norms(delta)
-    if (dist <= 1e-12).any():
+    if np.count_nonzero(dist <= 1e-12):
         bad = int(np.argmin(dist))
         if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
             raise OutOfReach(

@@ -14,10 +14,15 @@ step x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
 inside a convex set, with the gradient of the signed distance s read exactly
 from the function's level_normals, and raises DegenerateDirection where that
 gradient vanishes.
+
+trajectory_to_csv writes one run per file, each cell the repr of its float.
+format_rows, the package's one float-to-text path, formats each distinct
+value of a file once, and a flow map's shared step,t,level cells once for
+all its runs, so the files are byte-identical to a per-cell repr writer.
 """
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -252,18 +257,38 @@ def invert_flow_check(f: QuasiconvexFunction, m1, m2, t1: float, t2: float,
     }
 
 
+def format_rows(table, *lead) -> list:
+    """The rows of a 2-d float table as comma-separated text, each after its
+    cells from the columns of lead (strings). A cell's text is the repr of
+    its value, and repr runs once per distinct value: values are told apart
+    by their bits, so -0.0 and 0.0 keep their own text, and each row is
+    byte for byte the join of its cells' reprs."""
+    table = np.ascontiguousarray(table, dtype=float)
+    bits, inverse = np.unique(table.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return list(map(",".join, zip(*lead, *texts[inverse.reshape(table.shape)].T.tolist())))
+
+
+@lru_cache(maxsize=1)
+def _partition_cells(times: bytes, levels: bytes) -> tuple:
+    """The step,t,level cells of each row of a partition, given as the raw
+    bytes of its times and levels: the runs of a flow map share one
+    partition, so it is formatted once for all of them."""
+    times, levels = np.frombuffer(times), np.frombuffer(levels)
+    return tuple(format_rows(np.column_stack([times, levels]), map(str, range(len(times)))))
+
+
 def trajectory_to_csv(traj: Trajectory, f: QuasiconvexFunction, path,
                       comment: str = "") -> None:
-    """Write one trajectory in the column layout shared by all runs."""
+    """Write one trajectory in the column layout shared by all runs, one
+    call per file; its cells are formatted by format_rows."""
     dim = traj.points.shape[1]
-    residuals = traj.boundary_residuals(f)
-    speeds = traj.speeds
     cols = ["step", "t", "level"] + [f"x{i}" for i in range(dim)] + [
         "f", "speed", "dist_to_boundary"]
-    table = np.column_stack([traj.times, traj.levels, traj.points, traj.values, speeds,
-                             residuals]).tolist()
     lines = [f"# {comment}"] if comment else []
     lines.append(",".join(cols))
-    lines += [",".join([str(j), *map(repr, row)]) for j, row in enumerate(table)]
+    lines += format_rows(
+        np.column_stack([traj.points, traj.values, traj.speeds, traj.boundary_residuals(f)]),
+        _partition_cells(traj.times.tobytes(), traj.levels.tobytes()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -191,6 +191,19 @@ def test_fibonacci_directions_are_unit_and_spread():
     assert np.linalg.norm(np.mean(dirs, axis=0)) < 1e-3
 
 
+@pytest.mark.parametrize("n", [0, 1, 128, BLOCK_ROWS, BLOCK_ROWS + 1, 19_099, 141_372])
+def test_blocked_fibonacci_directions_equal_the_one_shot_lattice(n):
+    # The one-shot lattice the blocks replaced; 141,372 rays is the top level
+    # of the moving-map check of verify --function norm --dim 3.
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    rho = np.sqrt(1.0 - z * z)
+    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
+    want = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    got = _fibonacci_directions(n)
+    assert got.shape == (n, 3) and got.tobytes() == want.tobytes()
+
+
 def test_boundary_sample_dimension_3_ignores_the_seed():
     oracle = LocalizedFunction(get_function("norm", 3), [1.0, 0.0, 0.0], 0.4).sublevel(0.8)
     a = sample_boundary(oracle, 0.02, seed=0)

@@ -176,3 +176,22 @@ def test_every_class_is_used_in_the_package_or_traced():
             if isinstance(node, ast.ClassDef) and node.name not in traced
             and uses[node.name] == _names(node).count(node.name)]
     assert not dead, dead
+
+
+def test_floats_become_text_only_through_format_rows():
+    # Output files hold the repr of each float, formatted once per distinct
+    # value by sweeping.format_rows; another repr path would bypass that.
+    # Error messages (a repr inside a raise) are text for people, not data.
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)
+                  or (isinstance(node, ast.FunctionDef) and node.name == "format_rows")
+                  for n in ast.walk(node)}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in exempt
+                  and ((isinstance(node, ast.Name) and node.id == "repr")
+                       or (isinstance(node, ast.Attribute) and node.attr == "__repr__")
+                       or (isinstance(node, ast.FormattedValue) and node.conversion == ord("r")))]
+    assert not stray, stray

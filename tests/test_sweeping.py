@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,13 @@ from sweepdescent.errors import (DegenerateDirection, DomainError,
                                  LevelUnderflow, MissingConstants,
                                  ReverseRefused, ThetaGuard)
 from sweepdescent.functions import get_function, slope_values
-from sweepdescent.geometry import sample_boundary
+from sweepdescent.geometry import _ray_boundary_points, sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 from sweepdescent.sweeping import (SweepingConfig, Trajectory, _inward_step,
-                                   flow_map, forward_catching_up_batch,
-                                   invert_flow_check, reverse_catching_up,
-                                   trajectory_to_csv)
+                                   flow_map, format_rows,
+                                   forward_catching_up_batch, invert_flow_check,
+                                   reverse_catching_up, trajectory_to_csv)
 
 from conftest import dense_boundary_nearest
 
@@ -400,9 +402,22 @@ def test_trajectory_csv_format(tmp_path, norm):
     assert float(first[5]) == 2.0
 
 
+def _per_cell_repr_csv(traj, f, comment=""):
+    """The writer that format_rows replaced, kept as the reference: one repr
+    per cell of one tolist() table."""
+    dim = traj.points.shape[1]
+    cols = ["step", "t", "level"] + [f"x{i}" for i in range(dim)] + [
+        "f", "speed", "dist_to_boundary"]
+    table = np.column_stack([traj.times, traj.levels, traj.points, traj.values, traj.speeds,
+                             traj.boundary_residuals(f)]).tolist()
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(cols))
+    lines += [",".join([str(j), *map(repr, row)]) for j, row in enumerate(table)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def test_trajectory_csv_bytes_match_the_per_row_formatter(tmp_path):
-    # The CSV table goes through one tolist(); its text must be that of
-    # repr(float(...)) per cell, for one run and for a run of a batch.
+    # Each cell's text must be its repr, for one run and for a run of a batch.
     specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 2.5e-310, 1.0 / 3.0,
                          -1e300, 0.1, 7.0])
 
@@ -420,26 +435,69 @@ def test_trajectory_csv_bytes_match_the_per_row_formatter(tmp_path):
     single = Trajectory(times=times, levels=levels, points=np.roll(points[:, 0], 1, axis=0),
                         values=np.resize(specials[4:], len(times)), config=cfg)
     for traj in (single, batch.trajectory(1)):
-        with np.errstate(invalid="ignore"):
-            residuals, speeds = traj.boundary_residuals(Residuals()), traj.speeds
-        rows = ["# stamp", "step,t,level,x0,x1,f,speed,dist_to_boundary"]
-        for j in range(len(traj.times)):
-            cells = [traj.times[j], traj.levels[j], *traj.points[j], traj.values[j],
-                     speeds[j], residuals[j]]
-            rows.append(",".join([str(j)] + [repr(float(c)) for c in cells]))
         path = tmp_path / "traj.csv"
         with np.errstate(invalid="ignore"):
             trajectory_to_csv(traj, Residuals(), path, comment="stamp")
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
-        cells = set(",".join(rows[2:]).split(","))
+            want = _per_cell_repr_csv(traj, Residuals(), "stamp")
+        assert path.read_bytes() == want
+        cells = set(",".join(want.decode().splitlines()[2:]).split(","))
         assert {"-0.0", "inf", "-inf", "nan", "5e-324"} <= cells
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 9])
+def test_format_rows_matches_per_cell_repr(rows):
+    # Both zeros sit in every table: a formatter that tells values apart by
+    # == instead of by bits gives one of them the other's text. Two rows is
+    # where single-index and itemgetter shortcuts go wrong.
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0 / 3.0, 0.1]
+    table = np.resize(np.array(specials), (rows, 4))
+    table[-1:, 3] = table[:1, 0]
+    names = [f"r{j}" for j in range(rows)]
+    want = [",".join(map(repr, row)) for row in table.tolist()]
+    assert format_rows(table) == want
+    assert format_rows(table, names, map(str, range(rows))) == [
+        f"{name},{j},{row}" for j, (name, row) in enumerate(zip(names, want))]
+    assert format_rows(table[:, :1]) == [repr(row[0]) for row in table.tolist()]
+
+
+def test_flow_map_runs_written_in_turn_match_the_per_cell_repr_writer(tmp_path, tube):
+    # The runs of a flow map share one partition, whose cells are formatted
+    # once for all of them.
+    f = regularize(tube, 0.25)
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    grid = _ray_boundary_points(f.sublevel(1.5), np.stack([np.cos(angles), np.sin(angles)], 1))
+    fm = flow_map(f, grid, SweepingConfig(alpha2=1.5, horizon=0.8, steps=40))
+    for i in range(len(grid)):
+        path = tmp_path / f"trajectory_{i:03d}.csv"
+        trajectory_to_csv(fm.trajectory(i), f, path, comment="stamp")
+        assert path.read_bytes() == _per_cell_repr_csv(fm.trajectory(i), f, "stamp")
+
+
+def test_partitions_sharing_times_or_levels_written_alternately(tmp_path, norm):
+    # Each pair shares one of the two partition columns, so a partition
+    # cache keyed on the other alone hands one run the other's cells.
+    cfg = SweepingConfig(alpha2=2.0, horizon=0.5, steps=8)
+    base = forward_catching_up_batch(norm, [2.0, 0.0], cfg)
+    same_times = forward_catching_up_batch(norm, [1.5, 0.5], replace(cfg, alpha2=1.9))
+    same_levels = replace(base, times=0.5 * base.times)
+    assert np.array_equal(same_times.times, base.times)
+    assert not np.array_equal(same_times.levels, base.levels)
+    assert np.array_equal(same_levels.levels, base.levels)
+    assert not np.array_equal(same_levels.times, base.times)
+    path = tmp_path / "traj.csv"
+    for traj in (base, same_times, base, same_levels, base, same_levels):
+        trajectory_to_csv(traj, norm, path)
+        assert path.read_bytes() == _per_cell_repr_csv(traj, norm)
 
 
 def test_one_row_steps_call_no_python_level_numpy_wrappers(monkeypatch, gallery):
     # numpy's Python-level wrappers cost several times a ufunc on one row, and
     # a descend takes one one-row step per partition point. Each forward step
-    # (plain and regularized) and a regularized reverse step runs once with
+    # (plain and regularized), a regularized reverse step and a forward and a
+    # reverse step on the regularized localized tube (the lens) run once with
     # them patched to raise.
+    lens = regularize(get_function("localized:tube:1.5,0:0.4"), 0.2)
+    lens_boundary = lens.level_project(0.5, np.array([[2.5, 0.1]]))
     steps = []
     monkeypatch.setattr(sweeping, "_catching_up",
                         lambda f, x0, times, levels, step, cfg: steps.append((step, levels[1], x0)))
@@ -447,15 +505,19 @@ def test_one_row_steps_call_no_python_level_numpy_wrappers(monkeypatch, gallery)
         for f in (gallery[name], regularize(gallery[name], 0.25)):
             cfg = SweepingConfig(alpha2=float(f.eval(x0[0])), horizon=0.2, steps=4)
             forward_catching_up_batch(f, x0, cfg)
+    forward_catching_up_batch(lens, [[1.8, 0.1]], SweepingConfig(
+        alpha2=float(lens.eval([1.8, 0.1])), horizon=0.2, steps=4))
     reverse_catching_up(regularize(gallery["tube"], 0.25), cap_point(1.0, 0.7)[None, :], 0.5,
                         SweepingConfig(alpha2=1.5, horizon=0.5, steps=50, map_lipschitz=1.0))
-    assert len(steps) == 7
+    reverse_catching_up(lens, lens_boundary, 0.1,
+                        SweepingConfig(alpha2=0.6, horizon=0.1, steps=10, map_lipschitz=1.0))
+    assert len(steps) == 9
 
     def wrapper(*args, **kwargs):
         raise AssertionError("a Python-level numpy wrapper on the one-row step path")
 
     with monkeypatch.context() as m:
-        for name in ("broadcast_to", "stack", "clip", "full", "any"):
+        for name in ("broadcast_to", "stack", "clip", "full", "any", "flatnonzero"):
             m.setattr(np, name, wrapper)
         m.setattr(np.linalg, "norm", wrapper)
         moved = [step(level, x0) for step, level, x0 in steps]
