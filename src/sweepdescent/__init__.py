@@ -14,8 +14,7 @@ from .errors import (ConfigError, DegenerateDirection, DomainError,
                      SweepDescentError, ThetaGuard)
 from .functions import (GaugeFunction, LevelSet, LocalizedFunction,
                         NormFunction, QuasiconvexFunction, TubeFunction,
-                        aze_corvellec_check, get_function, limiting_slope,
-                        slope_values)
+                        get_function, limiting_slope, slope_values)
 from .geometry import (BoundarySample, DilatedSet, IntersectionSet,
                        TwoBallHullSet, hull_section, outward_normals,
                        sample_boundary)
@@ -25,7 +24,7 @@ from .regularization import (ProxRadiusEstimate, RegularizedFunction,
 from .sweeping import (SweepingConfig, Trajectory, flow_map,
                        forward_catching_up_batch, invert_flow_check,
                        reverse_catching_up, trajectory_to_csv)
-from .verification import (CheckResult, DiagnosticsReport,
+from .verification import (CheckResult, DiagnosticsReport, aze_corvellec_check,
                            hoffmann_localization_check, membership_U_epsilon,
                            probe_steepest_descent, run_verification_suite,
                            verify_H1_H3, verify_moving_map_lipschitz)

@@ -23,8 +23,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (_atleast_2d, _axial_section, _itp, _norms, _ray_block,
-                       _restore, _step_inside, ball_lens_project, hull_normals,
+from .geometry import (_atleast_2d, _axial_section, _circle_crossing, _itp, _norms,
+                       _ray_block, _restore, _step_inside, ball_lens_project, hull_normals,
                        hull_ray_exit, hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
@@ -354,8 +354,8 @@ class LocalizedFunction(QuasiconvexFunction):
         r), inf f) where the level-v set lies within r of x (1e-12 slack for
         rounding); else the base's minimum where the spheres |p - x| = r and
         |p - c| = delta cross: at the two crossing points in the plane, for the
-        norm in d >= 3 at the crossing circle's point nearest the origin. Half
-        chords are products of factors, as in geometry._lens_corners."""
+        norm in d >= 3 at the crossing circle's point nearest the origin. The
+        crossing is geometry._circle_crossing's, as in geometry._lens_corners."""
         x2, single = _atleast_2d(x)
         v = np.maximum(self.base.level_at_distance(x2, r), self.inf_value)
         inside = self.level_signed_distance(self.level_hi, x2) <= r
@@ -366,10 +366,8 @@ class LocalizedFunction(QuasiconvexFunction):
             rel = self.center - x2[cross]
             dist = _norms(rel)
             e = rel / dist[:, None]
-            f1, f2, f3 = (np.maximum(f, 0.0) for f in (
-                r + self.delta - dist, dist + r - self.delta, dist - r + self.delta))
-            h = np.sqrt(f1 * f2 * f3 * (dist + r + self.delta)) / (2.0 * dist)
-            foot = x2[cross] + (r - f1 * f3 / (2.0 * dist))[:, None] * e
+            _, foot, h = _circle_crossing(dist, r, self.delta)
+            foot = x2[cross] + foot[:, None] * e
             if self.dim == 2:
                 u = h[:, None] * np.stack([-e[:, 1], e[:, 0]], axis=1)
                 both = np.reshape(self.base.eval(np.vstack([foot + u, foot - u])), (2, -1))
@@ -534,33 +532,6 @@ def limiting_slope(f: QuasiconvexFunction, x, seed: int = 0):
     envelope[valid] = level_slopes(f, pts[valid.ravel()])
     out[rows] = envelope.min(axis=1)
     return float(out[0]) if single else out
-
-
-def aze_corvellec_check(f: QuasiconvexFunction, region, alpha: float,
-                        slope_floor: float, seed: int = 0):
-    """Sampled error bound: d(x, [f <= alpha]) <= (f(x) - alpha)^+ / floor.
-
-    Checked at 200 seeded points of the region, with slack 1e-3 relative
-    plus 1e-6. The relative slack absorbs the upward bias of the empirical
-    slope floor, a minimum over seeded points: at most 2e-5 on tube~0.25 and
-    norm3 in the benchmark's verify runs at seeds 0, 7 and 41, but 0.6-16% on
-    the gauge at 0.9:1.1. Returns (passed, witness); witness is a violating
-    point or None.
-    """
-    if slope_floor <= 0:
-        raise ValueError("requires a validated positive slope floor")
-    lo, hi = (np.asarray(region[0], dtype=float), np.asarray(region[1], dtype=float))
-    rng = split_rng(seed, "aze", alpha)
-    pts = lo + (hi - lo) * rng.uniform(size=(200, len(lo)))
-    fx = np.asarray(f.eval(pts), dtype=float)
-    keep = np.isfinite(fx)
-    pts, fx = pts[keep], fx[keep]
-    dist = np.asarray(f.sublevel(alpha).distance(pts))
-    bound = np.maximum(fx - alpha, 0.0) / slope_floor * (1.0 + 1e-3) + 1e-6
-    bad = dist > bound
-    if np.any(bad):
-        return False, pts[int(np.argmax(dist - bound))]
-    return True, None
 
 
 GALLERY = {

@@ -64,6 +64,28 @@ def _hull_frame(r1, axis_len, r2):
     return sin, np.sqrt(np.maximum(1.0 - sin**2, 0.0))
 
 
+def _hull_pieces(a, rho, r1, axis_len, r2):
+    """_hull_frame's (sin, cos) and the masks of the rows whose nearest piece
+    of the hull's boundary is the arc of disk 1 or the arc of disk 2."""
+    sin, cos = _hull_frame(r1, axis_len, r2)
+    k = cos * a - sin * rho
+    on1 = k <= 0.0
+    return sin, cos, on1, ~on1 & (k >= cos * axis_len)
+
+
+def _circle_crossing(dist, r, big_r):
+    """Where the circles of radii r and big_r, with centers dist > 0 apart,
+    cross: (slack, foot, half_chord). They meet where slack >= 0; the chord's
+    midpoint lies foot from the center of the r-circle toward the other.
+    Half chords are products of factors, h^2 = (r + R - D)(D + r - R)
+    (D - r + R)(D + r + R) / 4D^2, so thin lenses keep their corners."""
+    f1, f2, f3 = r + big_r - dist, dist + r - big_r, dist - r + big_r
+    slack = np.minimum(np.minimum(f1, f2), f3)
+    f1, f2, f3 = (np.maximum(f, 0.0) for f in (f1, f2, f3))
+    h = np.sqrt(f1 * f2 * f3 * (dist + r + big_r)) / (2.0 * dist)
+    return slack, r - f1 * f3 / (2.0 * dist), h
+
+
 def _axial_section(x2, origin, axis):
     """Axial coordinate, radial distance and radial unit of points about the
     line origin + t * axis. Points on the line get a zero radial unit."""
@@ -87,12 +109,9 @@ def hull_section(a, rho, r1, axis_len, r2):
     the segment. Returns the projection (pa, prho) and the signed boundary
     distance, negative inside.
     """
-    sin, cos = _hull_frame(r1, axis_len, r2)
-    k = cos * a - sin * rho
+    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
     d1 = np.hypot(a, rho)
     d2 = np.hypot(a - axis_len, rho)
-    on1 = k <= 0.0
-    on2 = ~on1 & (k >= cos * axis_len)
     signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
     s1 = r1 / np.maximum(d1, 1e-150)
     s2 = r2 / np.maximum(d2, 1e-150)
@@ -105,11 +124,9 @@ def hull_section(a, rho, r1, axis_len, r2):
 def hull_normals(a, rho, r1, axis_len, r2):
     """Gradient (na, nrho) of hull_section's signed distance, per row: the
     radial unit of disk 1 or disk 2, or the tangent's (sin, cos), on the
-    piece its k test picks; zero at the center of the piece's disk."""
-    sin, cos = _hull_frame(r1, axis_len, r2)
-    k = cos * a - sin * rho
-    on1 = k <= 0.0
-    on2 = ~on1 & (k >= cos * axis_len)
+    piece hull_section's k test (_hull_pieces) picks; zero at the center of
+    the piece's disk."""
+    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
     u = np.where(on1, a, a - axis_len)
     d = np.hypot(u, rho)
     d = np.where(d > 0.0, d, np.inf)
@@ -230,22 +247,18 @@ def _lens_corners(z, c, big_r, r1, axis_len, r2):
     with a tangent line counts only where hull_section's coordinate k puts it
     on the segment. A row facing a corner wedge projects to a corner, the
     nearest of these lens points. Circles that miss by at most 1e-14 of the
-    scale are tangent; a row with no crossing raises EmptySample. Half chords
-    are products of factors, h^2 = (r + R - D)(D + r - R)(D - r + R)(D + r + R)
-    / 4D^2, so thin lenses keep their corners.
+    scale are tangent; a row with no crossing raises EmptySample.
     """
     sin, cos = _hull_frame(r1, axis_len, r2)
     tol = 1e-14 * (r1 + axis_len + big_r + np.abs(c))
     cands, valid = [], []
     for p, r in ((0.0, r1), (axis_len, r2)):
         dist = np.abs(c - p)
-        f1, f2, f3 = r + big_r - dist, dist + r - big_r, dist - r + big_r
-        meets = (np.minimum(np.minimum(f1, f2), f3) >= -tol) & (dist > 0)
-        dist = np.where(dist > 0, dist, 1.0)
-        f1, f2, f3 = (np.maximum(f, 0.0) for f in (f1, f2, f3))
-        h = np.sqrt(f1 * f2 * f3 * (dist + r + big_r)) / (2.0 * dist)
-        e = (c - p) / dist
-        foot = p + (r - f1 * f3 / (2.0 * dist)) * e
+        apart = np.where(dist > 0, dist, 1.0)
+        slack, foot, h = _circle_crossing(apart, r, big_r)
+        meets = (slack >= -tol) & (dist > 0)
+        e = (c - p) / apart
+        foot = p + foot * e
         cands += [foot + 1j * h * e, foot - 1j * h * e]
         valid += [meets, meets]
     for sgn in (1.0, -1.0):  # the upper and the lower tangent line

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
 from .functions import HullFunction, QuasiconvexFunction, slope_values
@@ -188,6 +187,8 @@ def _secant_ratios(pts, normals, dim, resolution):
         # neighbours in the array are neighbours on the boundary.
         blocks = [np.roll(both, -1, axis=0) - both]
     else:
+        # Imported here only: scipy.spatial is most of the package's import time.
+        from scipy.spatial import cKDTree
         pairs = cKDTree(pts, balanced_tree=False).query_pairs(3.0 * resolution,
                                                               output_type="ndarray")
         blocks = (np.take(both, p[:, 1], axis=0) - np.take(both, p[:, 0], axis=0)

@@ -7,14 +7,13 @@ from sweepdescent import functions, geometry, regularization, sweeping, verifica
 from sweepdescent.errors import DomainError, EmptySample
 from sweepdescent.functions import (GaugeFunction, LevelSet, LocalizedFunction,
                                     NormFunction, QuasiconvexFunction,
-                                    SLOPE_RADII, TubeFunction, aze_corvellec_check,
-                                    get_function, level_slopes, limiting_slope,
-                                    slope_values)
+                                    SLOPE_RADII, TubeFunction, get_function,
+                                    level_slopes, limiting_slope, slope_values)
 from sweepdescent.geometry import (DilatedSet, IntersectionSet, TwoBallHullSet,
                                    ball_lens_project, sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng, unit_directions
-from sweepdescent.verification import _annulus_sample
+from sweepdescent.verification import _annulus_sample, aze_corvellec_check
 
 from conftest import dense_boundary_nearest
 
@@ -279,12 +278,11 @@ def test_one_sublevel_constructor_and_one_membership_rule():
 
 
 def test_aze_corvellec_examples(norm, tube):
-    ok, witness = aze_corvellec_check(norm, ([0.5, -2.0], [2.5, 2.0]), 1.0, 1.0)
-    assert ok and witness is None
+    check = aze_corvellec_check(norm, ([0.5, -2.0], [2.5, 2.0]), 1.0, 1.0)
+    assert check.passed and check.witness is None
     # distance at (2, 0) to the unit ball equals the value gap exactly
     assert float(norm.sublevel(1.0).distance([2.0, 0.0])) == pytest.approx(1.0)
-    ok, _ = aze_corvellec_check(tube, ([1.0, -0.6], [2.8, 0.6]), 0.5, 1.0)
-    assert ok
+    assert aze_corvellec_check(tube, ([1.0, -0.6], [2.8, 0.6]), 0.5, 1.0).passed
     assert float(tube.sublevel(0.5).distance([2.0, 0.0])) == pytest.approx(0.5)
 
 

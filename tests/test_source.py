@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -144,8 +146,10 @@ def test_every_module_constant_is_read():
 
 
 def test_the_package_imports_only_the_standard_library_numpy_and_scipy_spatial():
-    # Import time is part of every command; the benchmark preloads numpy and
-    # scipy.spatial before it times set-up, so any other import shows there.
+    # Import time is part of every command. scipy.spatial is imported only in
+    # the one function that uses it (see the next test); the benchmark
+    # preloads numpy and scipy.spatial before it times set-up, so any other
+    # import shows there.
     allowed = {"numpy", "scipy.spatial"}
     foreign = []
     for path in sorted(SRC.glob("*.py")):
@@ -160,6 +164,43 @@ def test_the_package_imports_only_the_standard_library_numpy_and_scipy_spatial()
                         if name not in allowed
                         and name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign, foreign
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, sweepdescent, sweepdescent.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_check_results_are_built_only_by_the_verdict_rule():
+    # Every CheckResult comes from verification._check, which sets the
+    # verdict, the witness and the anchor the same way for every check.
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rule = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_check" and path.name == "verification.py"
+                for n in ast.walk(node)}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in rule
+                  and "CheckResult" in _names(node.func)]
+    assert not stray, stray
+
+
+def test_every_anchor_names_a_check_and_every_check_has_an_anchor():
+    tree = ast.parse((SRC / "verification.py").read_text(encoding="utf-8"))
+    anchors = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["ANCHORS"])
+    calls = [node for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_check"]
+    names = [_literal(c.args[0]) if c.args else _NOT_LITERAL for c in calls]
+    assert _NOT_LITERAL not in names
+    assert set(names) == set(anchors)
 
 
 def test_every_class_is_used_in_the_package_or_traced():

@@ -121,6 +121,23 @@ def test_hoffmann_skipped_outside_regime(norm):
     assert "reason" in check.details
 
 
+def test_distance_bound_fails_with_its_worst_point(norm):
+    # For the norm d(x, [f <= 1]) = f(x) - 1, ten times the bound a floor of
+    # 10 allows; the worst point is the sample farthest from the unit ball.
+    check = verification.aze_corvellec_check(norm, ([0.5, -2.0], [2.5, 2.0]), 1.0, 10.0)
+    assert check.passed is False and check.margin is None
+    assert np.linalg.norm(check.witness) > 2.5
+
+
+def test_distance_bound_skipped_without_samples_in_the_domain():
+    # The box lies outside the tube's domain, so all 200 samples are dropped.
+    check = verification.aze_corvellec_check(get_function("tube"), ([10, 10], [11, 11]),
+                                             0.5, 1.0)
+    assert check.passed is None and check.witness is None
+    assert check.details["n_points"] == 0
+    assert "reason" in check.details
+
+
 def test_report_determinism_and_requires(norm):
     rep1 = run_verification_suite(norm, eps=0.25, window=(0.5, 1.5), seed=3,
                                   n_points=40, probe_starts=5)
