@@ -340,9 +340,10 @@ def cmd_foliate(config: ExperimentConfig) -> int:
     fm = flow_map(f, grid, cfg)
     _prepare_out(config)
     names = [f"trajectory_{i:03d}.csv" for i in range(len(grid))]
+    stamp = config.stamp()
     for i, name in enumerate(names):
         trajectory_to_csv(fm.trajectory(i), f, os.path.join(config.output_dir, name),
-                          comment=config.stamp())
+                          comment=stamp)
     endpoints = fm.endpoint
     gaps = np.linalg.norm(endpoints[None, :, :] - endpoints[:, None, :], axis=2)
     np.fill_diagonal(gaps, np.inf)

@@ -23,9 +23,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (_atleast_2d, _axial_section, _circle_crossing, _itp, _norms,
-                       _ray_block, _restore, _step_inside, ball_lens_project, hull_normals,
-                       hull_ray_exit, hull_section, intersection_signed_distance)
+from .geometry import (_atleast_2d, _axial_section, _circle_crossing, _grown_hull_section,
+                       _itp, _norms, _ray_block, _restore, _step_inside, ball_lens_project,
+                       hull_normals, hull_ray_exit, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -146,7 +146,13 @@ class QuasiconvexFunction:
 
 class HullFunction(QuasiconvexFunction):
     """A function whose alpha-sublevel set is the two-ball hull
-    level_hull(alpha) -> (r1, axis_len, r2) about the origin along hull_axis."""
+    level_hull(alpha) -> (r1, axis_len, r2) about the origin along hull_axis.
+    Its kernel _grown_project(alphas, points, g) -> (points, signed distance)
+    moves each row outside the hull to the boundary of the hull with both
+    radii grown by g >= 0 and keeps the others; level_project is g = 0."""
+
+    def level_project(self, alphas, points):
+        return self._grown_project(alphas, points, 0.0)[0]
 
     def level_normals(self, alphas, points):
         """The hull's normals (geometry.hull_normals): no corners, and zero at
@@ -179,11 +185,12 @@ class NormFunction(HullFunction):
     def level_bbox(self, alpha: float):
         return -alpha * np.ones(self.dim), alpha * np.ones(self.dim)
 
-    def level_project(self, alphas, points):
+    def _grown_project(self, alphas, points, g):
         pts = np.asarray(points, dtype=float)
         norms = _norms(pts)
-        scale = np.where(norms > alphas, alphas / np.where(norms > 0, norms, 1.0), 1.0)
-        return pts * scale[:, None]
+        signed = norms - alphas
+        scale = np.where(signed > 0, np.add(alphas, g) / np.where(norms > 0, norms, 1.0), 1.0)
+        return pts * scale[:, None], signed
 
     def level_signed_distance(self, alphas, points):
         pts = np.asarray(points, dtype=float)
@@ -218,18 +225,15 @@ class TubeFunction(HullFunction):
     def level_bbox(self, alpha: float):
         return np.array([-1.0, -1.0]), np.array([min(alpha, self.level_hi) + 1.0, 1.0])
 
-    def level_project(self, alphas, points):
+    def _grown_project(self, alphas, points, g):
         pts = np.asarray(points, dtype=float)
         anchor = np.zeros(pts.shape)
         anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, self.level_hi))
         delta = pts - anchor
         dist = _norms(delta)
-        out = dist > 1.0
-        res = pts.copy()
-        if np.count_nonzero(out):
-            # Adding the anchor turns a -0.0 ordinate into 0.0.
-            res[out] = anchor[out] + delta[out] / dist[out, None]
-        return res
+        # Adding the anchor turns a -0.0 ordinate into 0.0; rows inside keep theirs.
+        grown = anchor + delta / (np.maximum(dist, 1e-300)[:, None] / (1.0 + g))
+        return np.where((dist > 1.0)[:, None], grown, pts), dist - 1.0
 
     def level_signed_distance(self, alphas, points):
         x, y = np.asarray(points, dtype=float).T
@@ -254,7 +258,7 @@ class GaugeFunction(HullFunction):
     radius max(s - 1, 0) centered at (0, max(2s - 1, 0)): the ball of radius s
     for s <= 1, where the second disk lies inside the first, and a proper
     two-disk hull for s in (1, 2]. Every oracle maps the level to these hull
-    parameters per row (level_hull) and calls geometry.hull_section; eval and
+    parameters per row (level_hull) and calls hull_section's kernel; eval and
     level_at_distance are the generic root-find in s of the signed distance.
     The minimal internal curvature radius of the level boundary is s for
     s <= 1 and s - 1 above.
@@ -273,23 +277,23 @@ class GaugeFunction(HullFunction):
         s = np.minimum(alphas, self.level_hi)
         return s, np.maximum(2.0 * s - 1.0, 0.0), np.maximum(s - 1.0, 0.0)
 
-    def _section(self, alphas, pts):
-        return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas))
+    def _section(self, alphas, pts, g):
+        return _grown_hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas), g)
 
     def level_bbox(self, alpha: float):
         s = min(alpha, self.level_hi)
         top = max(s, 3.0 * s - 2.0)
         return np.array([-s, -s]), np.array([s, top])
 
-    def level_project(self, alphas, points):
+    def _grown_project(self, alphas, points, g):
         pts = np.asarray(points, dtype=float)
-        pa, prho, _ = self._section(alphas, pts)
+        pa, prho, signed = self._section(alphas, pts, g)
         res = np.empty(pts.shape)
         res[:, 0], res[:, 1] = np.copysign(prho, pts[:, 0]), pa
-        return res
+        return res, signed
 
     def level_signed_distance(self, alphas, points):
-        return self._section(alphas, np.asarray(points, dtype=float))[2]
+        return self._section(alphas, np.asarray(points, dtype=float), 0.0)[2]
 
 
 class LocalizedFunction(QuasiconvexFunction):

@@ -7,12 +7,12 @@ set the library builds. Dilations and hulls of two balls are exact in
 closed form; the hull math is one per-row kernel, hull_section
 (its gradient is hull_normals), which the gallery functions also call with
 per-row parameters, and the dilation's push-out is one function,
-dilated_projection, which regularized functions also call. A plane hull cut
-by a ball (IntersectionSet, whose interior point the caller gives, and every
-localized sublevel set) is exact through ball_lens_project, which takes the
-ball as a center and a radius and its corners in closed form from the hull
-parameters. The signed distance of an
-intersection is exact on both sides of its boundary. sample_boundary keeps
+dilated_projection, which regularizations of localized functions also call.
+A plane hull cut by a ball (IntersectionSet, whose interior point the caller
+gives, and every localized sublevel set) is exact through ball_lens_project,
+which takes the ball as a center and a radius and its corners in closed form
+from the hull parameters. The signed distance of an intersection is exact on
+both sides of its boundary. sample_boundary keeps
 the exit of every ray it shoots from the interior point, one ray per
 resolution of arc length in the plane: a LevelSet's from its function's
 level_ray_exits, which takes a two-ball hull's exits in closed form
@@ -109,15 +109,21 @@ def hull_section(a, rho, r1, axis_len, r2):
     the segment. Returns the projection (pa, prho) and the signed boundary
     distance, negative inside.
     """
+    return _grown_hull_section(a, rho, r1, axis_len, r2, 0.0)
+
+
+def _grown_hull_section(a, rho, r1, axis_len, r2, g):
+    """hull_section, outside rows sent to the hull of the disks grown by g >= 0
+    (the hull dilated by g: its pieces are the base's k test's)."""
     sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
     d1 = np.hypot(a, rho)
     d2 = np.hypot(a - axis_len, rho)
     signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
-    s1 = r1 / np.maximum(d1, 1e-150)
-    s2 = r2 / np.maximum(d2, 1e-150)
-    out = signed > 0
-    pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - signed * sin))
-    prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - signed * cos))
+    s1 = (r1 + g) / np.maximum(d1, 1e-150)
+    s2 = (r2 + g) / np.maximum(d2, 1e-150)
+    out, push = signed > 0, signed - g
+    pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - push * sin))
+    prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - push * cos))
     return np.where(out, pa, a), np.where(out, prho, rho), signed
 
 

@@ -4,7 +4,8 @@ The eps-regularization of f is the unique function whose alpha-sublevel set
 is the alpha-sublevel set of f dilated by the closed eps-ball; pointwise it
 equals the infimum of f over the eps-ball around the query point, which is
 the base function's level search level_at_distance(x, eps). The base point
-z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x).
+z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x). A hull base
+projects in one call of its kernel with radii grown by eps (_grown_project).
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ class RegularizedFunction(QuasiconvexFunction):
         self.inf_value = base.inf_value
         self.level_hi = base.level_hi
         self.default_window = getattr(base, "default_window", (0.5, 1.5))
+        self._hull_base = isinstance(base, HullFunction)
 
     # level_at_distance stays the generic search on the dilated sublevels.
     # Composing radii (base.level_at_distance(x, eps + r)) would make the
@@ -53,7 +55,10 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        return dilated_projection(pts, self.base.level_project(alphas, pts), self.eps)
+        if not self._hull_base:
+            return dilated_projection(pts, self.base.level_project(alphas, pts), self.eps)
+        grown, signed = self.base._grown_project(alphas, pts, self.eps)
+        return np.where((signed > self.eps)[:, None], grown, pts)
 
     def level_signed_distance(self, alphas, points):
         return self.base.level_signed_distance(alphas, points) - self.eps
@@ -62,7 +67,7 @@ class RegularizedFunction(QuasiconvexFunction):
         """A two-ball hull dilated by eps is the hull of the two balls
         dilated by eps, so a hull base takes the closed form with both radii
         grown by eps; other bases (a localization's lens) keep the default."""
-        if not isinstance(self.base, HullFunction):
+        if not self._hull_base:
             return super().level_ray_exits(alpha, origin, dirs)
         r1, axis_len, r2 = self.base.level_hull(alpha)
         t = hull_ray_exit(origin, dirs, self.base.hull_axis, r1 + self.eps, axis_len,
@@ -111,13 +116,19 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     """Nearest point of the closed complement of int [f_eps <= alpha].
 
     For x strictly between the base sublevel set and the dilated boundary the
-    projection is the base projection pushed out radially to distance eps;
-    points already outside the open dilated set are their own projection.
+    projection is the base projection pushed out radially to distance eps, on
+    a hull base the grown-radius kernel's; points already outside the open
+    dilated set are their own projection.
     """
     x2, single = _atleast_2d(x)
-    z = freg.base.level_project(alpha, x2)
-    delta = x2 - z
-    dist = _norms(delta)
+    if freg._hull_base:
+        pushed, dist = freg.base._grown_project(alpha, x2, freg.eps)
+    else:
+        z = freg.base.level_project(alpha, x2)
+        delta = x2 - z
+        dist = _norms(delta)
+        # Rows within 1e-12 raise below; the floor only keeps them finite.
+        pushed = z + delta * (freg.eps / np.maximum(dist, 1e-300))[:, None]
     if np.count_nonzero(dist <= 1e-12):
         bad = int(np.argmin(dist))
         if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
@@ -125,8 +136,7 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
                 "point lies in the base sublevel set, beyond the prox-regular reach"
             )
         raise DegenerateDirection("projection direction collapsed")
-    res = np.where((dist >= freg.eps)[:, None], x2,
-                   z + delta * (freg.eps / dist)[:, None])
+    res = np.where((dist >= freg.eps)[:, None], x2, pushed)
     return res[0] if single else res
 
 

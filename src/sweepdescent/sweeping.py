@@ -8,9 +8,11 @@ the dilated sublevel interiors, which is only well posed within the
 prox-regular reach and under the step-size guard theta = K * dt / r < 1.
 
 Forward and reverse runs share one catching-up loop over a batch of starts
-(n, d). A regularized function's reverse step is complement_projection; a
-plain function with a validated prox radius takes the closed-form inward
-step x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
+(n, d). A regularized function's steps, forward and reverse
+(complement_projection), are one call of a hull base's kernel with radii grown
+by eps, and on the lens its projection pushed out by eps. A plain function
+with a validated prox radius takes the closed-form inward step
+x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
 inside a convex set, with the gradient of the signed distance s read exactly
 from the function's level_normals, and raises DegenerateDirection where that
 gradient vanishes.
@@ -136,10 +138,13 @@ def forward_catching_up_batch(f: QuasiconvexFunction, starts, cfg: SweepingConfi
     k = cfg.steps if cfg.horizon > 0 else 0
     times = (np.arange(k + 1) * cfg.horizon) / max(k, 1)
     f_x0 = np.asarray(f.eval(x0), dtype=float)
+    lowest = f_x0.min(initial=np.inf)
 
     def step(level, x):
-        # A start waits where it is until the moving level reaches its value.
-        return np.where((level >= f_x0)[:, None], x0, f.level_project(level, x))
+        # A start waits where it is until the moving level reaches its value;
+        # levels only fall, so below the lowest start value none waits.
+        moved = f.level_project(level, x)
+        return moved if level < lowest else np.where((level >= f_x0)[:, None], x0, moved)
 
     traj = _catching_up(f, x0, times, cfg.alpha2 - times, step, cfg)
     return traj.trajectory(0) if single else traj

@@ -353,7 +353,8 @@ def aze_corvellec_check(f: QuasiconvexFunction, region, alpha: float,
     dist = np.asarray(f.sublevel(alpha).distance(pts))
     bound = np.maximum(fx - alpha, 0.0) / slope_floor * (1.0 + 1e-3) + 1e-6
     return _check("distance-level-bound", not np.any(dist > bound),
-                  witness=pts[int(np.argmax(dist - bound))].tolist(), alpha=alpha)
+                  witness=pts[int(np.argmax(dist - bound))].tolist(), alpha=alpha,
+                  n_points=len(pts))
 
 
 def grid_min_regularized(freg: RegularizedFunction, points, n: int = 41):

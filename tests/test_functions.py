@@ -280,6 +280,11 @@ def test_one_sublevel_constructor_and_one_membership_rule():
 def test_aze_corvellec_examples(norm, tube):
     check = aze_corvellec_check(norm, ([0.5, -2.0], [2.5, 2.0]), 1.0, 1.0)
     assert check.passed and check.witness is None
+    # The norm's domain is the whole plane: every seeded point counts.
+    assert check.details["n_points"] == 200
+    # The box reaches past the tube's domain (x <= 4): only the points inside count.
+    assert 0 < aze_corvellec_check(tube, ([2.0, -1.0], [5.0, 1.0]), 0.5, 1.0).details[
+        "n_points"] < 200
     # distance at (2, 0) to the unit ball equals the value gap exactly
     assert float(norm.sublevel(1.0).distance([2.0, 0.0])) == pytest.approx(1.0)
     assert aze_corvellec_check(tube, ([1.0, -0.6], [2.8, 0.6]), 0.5, 1.0).passed

@@ -3,8 +3,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sweepdescent.errors import DegenerateDirection, OutOfReach
-from sweepdescent.functions import LocalizedFunction, get_function, slope_values
-from sweepdescent.geometry import BLOCK_ROWS, outward_normals, sample_boundary
+from sweepdescent.functions import (GaugeFunction, LocalizedFunction, NormFunction,
+                                    TubeFunction, get_function, slope_values)
+from sweepdescent.geometry import (BLOCK_ROWS, _hull_pieces, _norms, dilated_projection,
+                                   outward_normals, sample_boundary)
 from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_gaps, slope_deficits)
@@ -289,3 +291,147 @@ def test_regularized_slope_at_cap_angle(tube):
     angle = np.pi / 6
     x = np.array([1.5 + 1.25 * np.cos(angle), 1.25 * np.sin(angle)])
     assert slope_values(freg, x) == pytest.approx(1.0 / np.cos(angle), rel=1e-3)
+
+
+# The projections as they were written before the hull functions shared one
+# grown-radius kernel: plain level_project must match them bit for bit, and
+# the regularized steps must match their two-step forms to a few ulps.
+def _old_hull_section(a, rho, r1, axis_len, r2):
+    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
+    d1 = np.hypot(a, rho)
+    d2 = np.hypot(a - axis_len, rho)
+    signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
+    s1 = r1 / np.maximum(d1, 1e-150)
+    s2 = r2 / np.maximum(d2, 1e-150)
+    out = signed > 0
+    pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - signed * sin))
+    prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - signed * cos))
+    return np.where(out, pa, a), np.where(out, prho, rho), signed
+
+
+def _old_level_project(f, alphas, pts):
+    if isinstance(f, NormFunction):
+        norms = _norms(pts)
+        scale = np.where(norms > alphas, alphas / np.where(norms > 0, norms, 1.0), 1.0)
+        return pts * scale[:, None]
+    if isinstance(f, TubeFunction):
+        anchor = np.zeros(pts.shape)
+        anchor[:, 0] = np.minimum(np.maximum(pts[:, 0], 0.0), np.minimum(alphas, f.level_hi))
+        delta = pts - anchor
+        dist = _norms(delta)
+        out = dist > 1.0
+        res = pts.copy()
+        if np.count_nonzero(out):
+            res[out] = anchor[out] + delta[out] / dist[out, None]
+        return res
+    pa, prho, _ = _old_hull_section(pts[:, 1], np.abs(pts[:, 0]), *f.level_hull(alphas))
+    res = np.empty(pts.shape)
+    res[:, 0], res[:, 1] = np.copysign(prho, pts[:, 0]), pa
+    return res
+
+
+def _two_step_complement(freg, alpha, x2):
+    z = freg.base.level_project(alpha, x2)
+    delta = x2 - z
+    dist = _norms(delta)
+    if np.count_nonzero(dist <= 1e-12):
+        bad = int(np.argmin(dist))
+        if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):
+            raise OutOfReach("point lies in the base sublevel set, beyond the prox-regular reach")
+        raise DegenerateDirection("projection direction collapsed")
+    return np.where((dist >= freg.eps)[:, None], x2, z + delta * (freg.eps / dist)[:, None])
+
+
+def _kernel_cases(name):
+    """(base, levels, points): seeded rows around the level sets, levels above
+    level_hi, on-axis rows with a -0.0 ordinate, and for the gauge the levels
+    1 +- 1e-12 where its hull turns from nested to proper."""
+    rng = split_rng(11, "kernel", name)
+    if name.startswith("norm"):
+        dim = int(name[4:] or 2)
+        f = NormFunction(dim)
+        pts = rng.uniform(-2.0, 2.0, size=(400, dim))
+        axis = np.zeros((2, dim))
+        axis[:, 0] = (1.4, -0.3)
+        axis[:, 1:] = -0.0
+        levels = rng.uniform(0.2, 1.6, size=402)
+    elif name == "tube":
+        f = TubeFunction()
+        pts = rng.uniform((-1.6, -1.6), (4.6, 1.6), size=(400, 2))
+        axis = np.array([[2.6, -0.0], [-1.2, -0.0]])
+        levels = rng.uniform(0.2, 3.6, size=402)
+    else:
+        f = GaugeFunction()
+        pts = rng.uniform((-2.4, -1.5), (2.4, 4.2), size=(400, 2))
+        axis = np.array([[-0.0, 2.6], [-0.0, -1.2]])
+        levels = np.concatenate([rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12], size=200),
+                                 rng.uniform(0.6, 2.4, size=202)])
+    return f, levels, np.vstack([pts, axis])
+
+
+KERNEL_BASES = ["norm", "norm3", "tube", "gauge"]
+
+
+def _assert_ulps(new, old, ulps=4, gain=1.0):
+    """new within ulps of old at unit scale, times the gain by which old's
+    rounding was amplified."""
+    tol = ulps * np.spacing(np.maximum(np.abs(old), 1.0)) * np.maximum(gain, 1.0)
+    assert np.all(np.abs(new - old) <= tol)
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES)
+def test_plain_level_project_is_bitwise_the_old_projection(name):
+    f, levels, pts = _kernel_cases(name)
+    for alphas in (levels, 1.0):
+        new, old = f.level_project(alphas, pts), _old_level_project(f, alphas, pts)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES)
+def test_grown_kernel_matches_the_dilated_base_projection(name):
+    f, levels, pts = _kernel_cases(name)
+    freg = regularize(f, 0.25)
+    # Rows exactly eps out, pushed from their base projection along its normal.
+    z = f.level_project(levels, pts)
+    normals, _ = f.level_normals(levels, z)
+    at_eps = np.where((_norms(pts - z) > 0)[:, None], z + 0.25 * normals, pts)
+    for x in (pts, at_eps):
+        for alphas in (levels, 1.0):
+            _assert_ulps(freg.level_project(alphas, x),
+                         dilated_projection(x, f.level_project(alphas, x), 0.25))
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES)
+def test_complement_kernel_matches_the_two_step_push(name):
+    f, levels, pts = _kernel_cases(name)
+    freg = regularize(f, 0.25)
+    z = f.level_project(levels, pts)
+    normals, _ = f.level_normals(levels, z)
+    signed = f.level_signed_distance(levels, pts)
+    outside = signed > 1e-9
+    at_eps = z[outside] + 0.25 * normals[outside]
+    a = levels[outside]
+    for x, s in ((pts[outside], signed[outside]), (at_eps, np.full(len(at_eps), 0.25))):
+        new = np.array([complement_projection(freg, a[i], x[i]) for i in range(len(x))])
+        old = np.vstack([_two_step_complement(freg, a[i], x[i:i + 1]) for i in range(len(x))])
+        # The two-step push scales the rounding of x - z by eps / |x - z|.
+        _assert_ulps(new, old, gain=(0.25 / s)[:, None])
+        pushed = s < 0.25
+        assert np.all(np.abs(freg.level_signed_distance(a[pushed], new[pushed])) <= 1e-14)
+        assert len(x) > 100
+
+
+@pytest.mark.parametrize("name", KERNEL_BASES + ["localized:tube:1.5,0:0.4"])
+def test_complement_projection_raises_as_the_two_step_form(name):
+    f = get_function(name, dim=3 if name == "norm3" else 2)
+    freg = regularize(f, 0.2 if name.startswith("localized") else 0.25)
+    level = 0.5 if name.startswith("localized") else 1.3
+    inside = f.level_interior_point(level)
+    far = inside + 3.0
+    on_edge = f.level_project(level, far[None, :])[0]
+    for rows in ([inside], [on_edge], [far, inside]):
+        rows = np.array(rows)
+        with pytest.raises(OutOfReach) as old:
+            _two_step_complement(freg, level, rows)
+        with pytest.raises(OutOfReach, match=str(old.value)):
+            complement_projection(freg, level, rows)

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sweepdescent import sweeping
+from sweepdescent import geometry, regularization, sweeping
 from sweepdescent.errors import (DegenerateDirection, DomainError,
                                  LevelUnderflow, MissingConstants,
                                  ReverseRefused, ThetaGuard)
@@ -549,3 +550,54 @@ def test_reverse_rejects_a_negative_horizon(norm):
     cfg = SweepingConfig(alpha2=1.5, horizon=1.0, steps=4, map_lipschitz=1.0, prox_radius=0.5)
     with pytest.raises(ValueError, match="tbar"):
         reverse_catching_up(regularize(norm, 0.5), [2.5, 0.0], -0.5, cfg)
+
+
+def test_regularized_hull_steps_take_one_kernel_call(monkeypatch):
+    # A regularized two-ball hull steps through its base's grown-radius
+    # kernel alone, forward and reverse: neither the base's level_project nor
+    # the dilation's push-out runs. The regularized lens still takes both.
+    steps = []
+    monkeypatch.setattr(sweeping, "_catching_up",
+                        lambda f, x0, times, levels, step, cfg: steps.append((f, step, levels[1], x0)))
+    for name, dim, eps, x0, alpha2 in (
+            ("norm", 2, 0.25, [1.2, 0.5], 1.6), ("norm", 3, 0.25, [1.2, 0.5, 0.3], 1.6),
+            ("tube", 2, 0.25, [1.5, 0.6], 1.6), ("gauge", 2, 0.25, [0.3, 1.5], 1.6),
+            ("localized:tube:1.5,0:0.4", 2, 0.2, [1.8, 0.1], 0.6)):
+        f = regularize(get_function(name, dim=dim), eps)
+        forward_catching_up_batch(f, [x0], SweepingConfig(
+            alpha2=float(f.eval(x0)), horizon=0.1, steps=4))
+        start = f.level_project(alpha2 - 0.1, np.asarray([x0]) + 1.0)
+        reverse_catching_up(f, start, 0.1, SweepingConfig(
+            alpha2=alpha2, horizon=0.1, steps=10, map_lipschitz=1.0))
+    assert len(steps) == 10
+
+    calls = []
+
+    def record(m, owner, name, lens):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            assert lens, f"{name} on a regularized hull step"
+            calls.append(name)
+            return inner(*args, **kwargs)
+        m.setattr(owner, name, wrapper)
+
+    for f, step, level, x0 in steps:
+        lens = not f._hull_base
+        calls.clear()
+        with monkeypatch.context() as m:
+            record(m, f.base, "level_project", lens)
+            record(m, regularization, "dilated_projection", lens)
+            record(m, geometry, "dilated_projection", lens)
+            assert not np.array_equal(step(level, x0), x0)
+        forward = not isinstance(step, partial)
+        if lens:
+            assert calls == ["level_project"] + ["dilated_projection"] * forward
+        else:
+            assert calls == []
+
+
+def test_forward_batch_of_no_starts_is_an_empty_run(tube):
+    traj = forward_catching_up_batch(regularize(tube, 0.25), np.zeros((0, 2)),
+                                     SweepingConfig(alpha2=1.5, horizon=0.5, steps=4))
+    assert traj.points.shape == (5, 0, 2) and traj.values.shape == (5, 0)
