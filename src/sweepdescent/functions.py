@@ -9,9 +9,14 @@ Pointwise evaluation (+inf outside the domain) is its case r = 0, and the
 eps-regularization its case r = eps. sublevel(alpha) is a LevelSet, a view
 that forwards to those oracles at the fixed level alpha; no function builds
 its sublevel sets a second time, and membership and distance live on
-LevelSet. The gallery carries three entries: the Euclidean norm in any
-dimension, a tube-shaped function whose sublevel sets are capsules, and a
-two-disk gauge whose level sets degenerate in curvature near the level 1.
+LevelSet. Every function also answers its sublevel sets grown by g >= 0, the
+sets of its g-regularization: _grown_project(alphas, points, g) -> (points, d),
+d positive exactly on the rows outside the set, where points holds the grown
+set's projection (callers take the other rows from their input), and
+_grown_ray_exits(alpha, origin, dirs, g), whose case g = 0 is level_ray_exits.
+The gallery carries three entries: the Euclidean norm in any dimension, a
+tube-shaped function whose sublevel sets are capsules, and a two-disk gauge
+whose level sets degenerate in curvature near the level 1.
 Each is a HullFunction: it maps its levels to two-ball hulls,
 level_hull(alphas) -> (r1, axis_len, r2) about the origin along hull_axis,
 which a localization cuts with its ball through geometry.ball_lens_project,
@@ -23,9 +28,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DomainError, EmptySample
-from .geometry import (_atleast_2d, _axial_section, _circle_crossing, _grown_hull_section,
-                       _itp, _norms, _ray_block, _restore, _step_inside, ball_lens_project,
-                       hull_normals, hull_ray_exit, intersection_signed_distance)
+from .geometry import (_atleast_2d, _axial_section, _circle_crossing, _itp, _norms, _ray_block,
+                       _restore, _step_inside, ball_lens_project, dilated_projection,
+                       hull_normals, hull_ray_exit, hull_section, intersection_signed_distance)
 from .rng import ball_points, split_rng, unit_directions
 
 SLOPE_RADII = (1e-4, 1e-5)
@@ -111,9 +116,17 @@ class QuasiconvexFunction:
     def level_ray_exits(self, alpha: float, origin, dirs):
         """Where the rays origin + t * dirs[i], t >= 0, leave the
         alpha-sublevel set, from an interior point origin, each a point of
-        the set. This default is doubling, then ITP on level_signed_distance
-        (geometry._ray_block)."""
-        return _ray_block(partial(self.level_signed_distance, alpha), origin, dirs)
+        the set."""
+        return self._grown_ray_exits(alpha, origin, dirs, 0.0)
+
+    def _grown_project(self, alphas, points, g):
+        """level_project's point z pushed out by g along x - z, with d = |x - z|."""
+        pts = np.asarray(points, dtype=float)
+        return dilated_projection(pts, self.level_project(alphas, pts), g)
+
+    def _grown_ray_exits(self, alpha: float, origin, dirs, g):
+        """Doubling, then ITP on level_signed_distance - g (geometry._ray_block)."""
+        return _ray_block(lambda p: self.level_signed_distance(alpha, p) - g, origin, dirs)
 
     def level_at_distance(self, x, r):
         """Smallest level a with level_signed_distance(a, x) <= r, batched.
@@ -147,9 +160,8 @@ class QuasiconvexFunction:
 class HullFunction(QuasiconvexFunction):
     """A function whose alpha-sublevel set is the two-ball hull
     level_hull(alpha) -> (r1, axis_len, r2) about the origin along hull_axis.
-    Its kernel _grown_project(alphas, points, g) -> (points, signed distance)
-    moves each row outside the hull to the boundary of the hull with both
-    radii grown by g >= 0 and keeps the others; level_project is g = 0."""
+    Grown by g it is the hull of its balls grown by g: _grown_project is one
+    kernel call, d the signed distance, and level_project its case g = 0."""
 
     def level_project(self, alphas, points):
         return self._grown_project(alphas, points, 0.0)[0]
@@ -162,10 +174,11 @@ class HullFunction(QuasiconvexFunction):
         na, nrho = hull_normals(a, rho, *self.level_hull(alphas))
         return na[:, None] * self.hull_axis + nrho[:, None] * w, np.zeros(len(pts), dtype=bool)
 
-    def level_ray_exits(self, alpha: float, origin, dirs):
-        """The hull's exits in closed form (geometry.hull_ray_exit)."""
-        t = hull_ray_exit(origin, dirs, self.hull_axis, *self.level_hull(alpha))
-        return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
+    def _grown_ray_exits(self, alpha: float, origin, dirs, g):
+        """In closed form, both radii grown by g (geometry.hull_ray_exit)."""
+        r1, axis_len, r2 = self.level_hull(alpha)
+        t = hull_ray_exit(origin, dirs, self.hull_axis, r1 + g, axis_len, r2 + g)
+        return _step_inside(lambda p: self.level_signed_distance(alpha, p) - g, origin, dirs, t)
 
 
 class NormFunction(HullFunction):
@@ -278,7 +291,7 @@ class GaugeFunction(HullFunction):
         return s, np.maximum(2.0 * s - 1.0, 0.0), np.maximum(s - 1.0, 0.0)
 
     def _section(self, alphas, pts, g):
-        return _grown_hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas), g)
+        return hull_section(pts[:, 1], np.abs(pts[:, 0]), *self.level_hull(alphas), g)
 
     def level_bbox(self, alpha: float):
         s = min(alpha, self.level_hi)
@@ -408,10 +421,12 @@ class LocalizedFunction(QuasiconvexFunction):
         normals[out[dist > 0]] = delta[dist > 0] / dist[dist > 0, None]
         return normals, np.maximum(np.abs(sa), np.abs(sb)) <= 1e-12
 
-    def level_ray_exits(self, alpha: float, origin, dirs):
+    def _grown_ray_exits(self, alpha: float, origin, dirs, g):
         """The nearer of the base sublevel's exit at min(alpha, level_hi) and
-        the ball's, both in closed form (geometry.hull_ray_exit): exact from
-        an interior point of the intersection."""
+        the ball's, both in closed form (geometry.hull_ray_exit), exact from an
+        interior point; a lens grown by g > 0 has round corners: the default."""
+        if g > 0:
+            return super()._grown_ray_exits(alpha, origin, dirs, g)
         axis = self.base.hull_axis
         t = np.minimum(
             hull_ray_exit(origin, dirs, axis, *self.base.level_hull(min(alpha, self.level_hi))),

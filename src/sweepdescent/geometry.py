@@ -7,7 +7,8 @@ set the library builds. Dilations and hulls of two balls are exact in
 closed form; the hull math is one per-row kernel, hull_section
 (its gradient is hull_normals), which the gallery functions also call with
 per-row parameters, and the dilation's push-out is one function,
-dilated_projection, which regularizations of localized functions also call.
+dilated_projection, which every function's default growth of its sublevel
+sets (functions.QuasiconvexFunction._grown_project) also calls.
 A plane hull cut by a ball (IntersectionSet, whose interior point the caller
 gives, and every localized sublevel set) is exact through ball_lens_project,
 which takes the ball as a center and a radius and its corners in closed form
@@ -65,12 +66,15 @@ def _hull_frame(r1, axis_len, r2):
 
 
 def _hull_pieces(a, rho, r1, axis_len, r2):
-    """_hull_frame's (sin, cos) and the masks of the rows whose nearest piece
-    of the hull's boundary is the arc of disk 1 or the arc of disk 2."""
+    """_hull_frame's (sin, cos), the masks of the rows whose nearest boundary
+    piece is an arc and is disk 2's, and per row u, the axial offset from
+    that arc's center, d = hypot(u, rho) and the arc's radius."""
     sin, cos = _hull_frame(r1, axis_len, r2)
     k = cos * a - sin * rho
     on1 = k <= 0.0
-    return sin, cos, on1, ~on1 & (k >= cos * axis_len)
+    on2 = ~on1 & (k >= cos * axis_len)
+    u = np.where(on2, a - axis_len, a)
+    return sin, cos, on1 | on2, on2, u, np.hypot(u, rho), np.where(on2, r2, r1)
 
 
 def _circle_crossing(dist, r, big_r):
@@ -96,7 +100,7 @@ def _axial_section(x2, origin, axis):
     return a, rho, radial_vec / np.where(rho > 0, rho, 1.0)[:, None]
 
 
-def hull_section(a, rho, r1, axis_len, r2):
+def hull_section(a, rho, r1, axis_len, r2, g=0.0):
     """Exact oracle of the hull of two disks in section coordinates, per row.
 
     Disk 1 has center (0, 0) and radius r1, disk 2 center (axis_len, 0) and
@@ -107,23 +111,16 @@ def hull_section(a, rho, r1, axis_len, r2):
     k along it splits the plane into the points whose nearest boundary piece
     is the arc of disk 1 (k <= 0), the arc of disk 2 (k >= cos * axis_len) or
     the segment. Returns the projection (pa, prho) and the signed boundary
-    distance, negative inside.
+    distance, negative inside; outside rows go to the hull grown by g >= 0,
+    whose pieces are the same k test's.
     """
-    return _grown_hull_section(a, rho, r1, axis_len, r2, 0.0)
-
-
-def _grown_hull_section(a, rho, r1, axis_len, r2, g):
-    """hull_section, outside rows sent to the hull of the disks grown by g >= 0
-    (the hull dilated by g: its pieces are the base's k test's)."""
-    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
-    d1 = np.hypot(a, rho)
-    d2 = np.hypot(a - axis_len, rho)
-    signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
-    s1 = (r1 + g) / np.maximum(d1, 1e-150)
-    s2 = (r2 + g) / np.maximum(d2, 1e-150)
+    sin, cos, arc, on2, u, d, r = _hull_pieces(a, rho, r1, axis_len, r2)
+    signed = np.where(arc, d - r, sin * a + cos * rho - r1)
+    s = (r + g) / np.maximum(d, 1e-150)
     out, push = signed > 0, signed - g
-    pa = np.where(on1, a * s1, np.where(on2, axis_len + (a - axis_len) * s2, a - push * sin))
-    prho = np.where(on1, rho * s1, np.where(on2, rho * s2, rho - push * cos))
+    # Disk 1's rows take u * s alone, so that a -0.0 keeps its sign.
+    pa = np.where(on2, axis_len + u * s, np.where(arc, u * s, a - push * sin))
+    prho = np.where(arc, rho * s, rho - push * cos)
     return np.where(out, pa, a), np.where(out, prho, rho), signed
 
 
@@ -132,11 +129,8 @@ def hull_normals(a, rho, r1, axis_len, r2):
     radial unit of disk 1 or disk 2, or the tangent's (sin, cos), on the
     piece hull_section's k test (_hull_pieces) picks; zero at the center of
     the piece's disk."""
-    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
-    u = np.where(on1, a, a - axis_len)
-    d = np.hypot(u, rho)
+    sin, cos, arc, _, u, d, _ = _hull_pieces(a, rho, r1, axis_len, r2)
     d = np.where(d > 0.0, d, np.inf)
-    arc = on1 | on2
     return np.where(arc, u / d, sin), np.where(arc, rho / d, cos)
 
 
@@ -181,7 +175,7 @@ class DilatedSet:
     """Minkowski sum base + eps * unit ball; a test reference no library path builds."""
 
     def __init__(self, base, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("dilation radius must be positive")
         self.base = base
         self.eps = float(eps)
@@ -190,24 +184,21 @@ class DilatedSet:
 
     def project(self, x):
         x2, single = _atleast_2d(x)
-        return _restore(dilated_projection(x2, self.base.project(x2), self.eps), single)
+        pushed, dist = dilated_projection(x2, self.base.project(x2), self.eps)
+        return _restore(np.where((dist > self.eps)[:, None], pushed, x2), single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)
         return _restore(self.base.signed_boundary_distance(x2) - self.eps, single)
 
 
-def dilated_projection(x2, z, eps):
-    """Projection onto a set dilated by eps, from the projections z of the
-    rows x2 onto the set: rows farther than eps from z move to distance eps
-    along x2 - z, the others stay put."""
+def dilated_projection(x2, z, g):
+    """The rows x2 pushed out to distance g from their projections z onto a
+    set, where those farther than g project onto the set grown by g, and
+    |x2 - z|. Rows at z stay there; the floor only keeps them finite."""
     delta = x2 - z
     dist = _norms(delta)
-    out = dist > eps
-    res = x2.copy()
-    if np.count_nonzero(out):
-        res[out] = z[out] + delta[out] * (eps / dist[out])[:, None]
-    return res
+    return z + delta * (g / np.maximum(dist, 1e-300))[:, None], dist
 
 
 def ball_lens_project(x2: np.ndarray, center, radius, axis, r1, axis_len, r2):

@@ -4,26 +4,24 @@ The eps-regularization of f is the unique function whose alpha-sublevel set
 is the alpha-sublevel set of f dilated by the closed eps-ball; pointwise it
 equals the infimum of f over the eps-ball around the query point, which is
 the base function's level search level_at_distance(x, eps). The base point
-z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x). A hull base
-projects in one call of its kernel with radii grown by eps (_grown_project).
+z = proj(x; [f <= f_eps(x)]) carries that value: f(z) = f_eps(x). Its sets
+grown by g are the base's grown by eps + g, whatever the base's shape.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDirection, EmptySample, OutOfReach
-from .functions import HullFunction, QuasiconvexFunction, slope_values
-from .geometry import (BLOCK_ROWS, _atleast_2d, _norms, _step_inside, dilated_projection,
-                       hull_ray_exit, outward_normals, sample_boundary)
+from .functions import QuasiconvexFunction, slope_values
+from .geometry import BLOCK_ROWS, _atleast_2d, outward_normals, sample_boundary
 
 
 class RegularizedFunction(QuasiconvexFunction):
     """Quasiconvex function with every sublevel set dilated by eps."""
 
     def __init__(self, base: QuasiconvexFunction, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("regularization radius must be positive")
         self.base = base
         self.eps = float(eps)
@@ -32,7 +30,6 @@ class RegularizedFunction(QuasiconvexFunction):
         self.inf_value = base.inf_value
         self.level_hi = base.level_hi
         self.default_window = getattr(base, "default_window", (0.5, 1.5))
-        self._hull_base = isinstance(base, HullFunction)
 
     # level_at_distance stays the generic search on the dilated sublevels.
     # Composing radii (base.level_at_distance(x, eps + r)) would make the
@@ -55,24 +52,18 @@ class RegularizedFunction(QuasiconvexFunction):
 
     def level_project(self, alphas, points):
         pts = np.asarray(points, dtype=float)
-        if not self._hull_base:
-            return dilated_projection(pts, self.base.level_project(alphas, pts), self.eps)
-        grown, signed = self.base._grown_project(alphas, pts, self.eps)
-        return np.where((signed > self.eps)[:, None], grown, pts)
+        grown, d = self.base._grown_project(alphas, pts, self.eps)
+        return np.where((d > self.eps)[:, None], grown, pts)
+
+    def _grown_project(self, alphas, points, g):
+        grown, d = self.base._grown_project(alphas, points, self.eps + g)
+        return grown, d - self.eps
+
+    def _grown_ray_exits(self, alpha: float, origin, dirs, g):
+        return self.base._grown_ray_exits(alpha, origin, dirs, self.eps + g)
 
     def level_signed_distance(self, alphas, points):
         return self.base.level_signed_distance(alphas, points) - self.eps
-
-    def level_ray_exits(self, alpha: float, origin, dirs):
-        """A two-ball hull dilated by eps is the hull of the two balls
-        dilated by eps, so a hull base takes the closed form with both radii
-        grown by eps; other bases (a localization's lens) keep the default."""
-        if not self._hull_base:
-            return super().level_ray_exits(alpha, origin, dirs)
-        r1, axis_len, r2 = self.base.level_hull(alpha)
-        t = hull_ray_exit(origin, dirs, self.base.hull_axis, r1 + self.eps, axis_len,
-                          r2 + self.eps)
-        return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
 
     def level_normals(self, alphas, points):
         """The base's normals, which every base takes at its clamped level.
@@ -116,19 +107,12 @@ def complement_projection(freg: RegularizedFunction, alpha: float, x):
     """Nearest point of the closed complement of int [f_eps <= alpha].
 
     For x strictly between the base sublevel set and the dilated boundary the
-    projection is the base projection pushed out radially to distance eps, on
-    a hull base the grown-radius kernel's; points already outside the open
-    dilated set are their own projection.
+    projection is the base's projection onto its set grown by eps
+    (_grown_project), whose d is there the distance to the base set; points
+    already outside the open dilated set are their own projection.
     """
     x2, single = _atleast_2d(x)
-    if freg._hull_base:
-        pushed, dist = freg.base._grown_project(alpha, x2, freg.eps)
-    else:
-        z = freg.base.level_project(alpha, x2)
-        delta = x2 - z
-        dist = _norms(delta)
-        # Rows within 1e-12 raise below; the floor only keeps them finite.
-        pushed = z + delta * (freg.eps / np.maximum(dist, 1e-300))[:, None]
+    pushed, dist = freg.base._grown_project(alpha, x2, freg.eps)
     if np.count_nonzero(dist <= 1e-12):
         bad = int(np.argmin(dist))
         if bool(freg.base.sublevel(alpha).membership(x2[bad], tol=1e-12)):

@@ -9,8 +9,8 @@ prox-regular reach and under the step-size guard theta = K * dt / r < 1.
 
 Forward and reverse runs share one catching-up loop over a batch of starts
 (n, d). A regularized function's steps, forward and reverse
-(complement_projection), are one call of a hull base's kernel with radii grown
-by eps, and on the lens its projection pushed out by eps. A plain function
+(complement_projection), are one call of its base's projection onto the base
+set grown by eps (_grown_project). A plain function
 with a validated prox radius takes the closed-form inward step
 x - s(x) grad s / |grad s| to the nearest sublevel boundary point, exact
 inside a convex set, with the gradient of the signed distance s read exactly

@@ -359,12 +359,12 @@ CLOSED_FORM_SETS = list(_closed_form_sets())
 
 
 def _assert_matches_itp(f, level, origin, dirs):
-    """The closed-form exits against the default ITP routine as a reference:
+    """The closed-form exits against the default ITP routine at growth 0 as a reference:
     within 1e-14 relative, and every exit a point of the set. The reference
     rays move 16 times slower, so that ITP's stop at 1e-15 of the doubled
     ray length (at least 1) is relative on sets down to 1/16 across."""
     got = f.level_ray_exits(level, origin, dirs)
-    want = QuasiconvexFunction.level_ray_exits(f, level, origin, dirs / 16.0)
+    want = QuasiconvexFunction._grown_ray_exits(f, level, origin, dirs / 16.0, 0.0)
     t = np.linalg.norm(want - origin, axis=1)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * t)
     assert np.all(f.sublevel(level).signed_boundary_distance(got) <= 0.0)

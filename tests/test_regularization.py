@@ -5,12 +5,12 @@ from scipy.spatial import cKDTree
 from sweepdescent.errors import DegenerateDirection, OutOfReach
 from sweepdescent.functions import (GaugeFunction, LocalizedFunction, NormFunction,
                                     TubeFunction, get_function, slope_values)
-from sweepdescent.geometry import (BLOCK_ROWS, _hull_pieces, _norms, dilated_projection,
-                                   outward_normals, sample_boundary)
+from sweepdescent.geometry import (BLOCK_ROWS, DilatedSet, _hull_frame, _norms,
+                                   dilated_projection, outward_normals, sample_boundary)
 from sweepdescent.regularization import (_secant_ratios, complement_projection,
                                          prox_radius_estimate, regularize,
                                          semigroup_gaps, slope_deficits)
-from sweepdescent.rng import split_rng
+from sweepdescent.rng import split_rng, unit_directions
 
 
 def test_regularize_norm_values(norm):
@@ -297,7 +297,10 @@ def test_regularized_slope_at_cap_angle(tube):
 # grown-radius kernel: plain level_project must match them bit for bit, and
 # the regularized steps must match their two-step forms to a few ulps.
 def _old_hull_section(a, rho, r1, axis_len, r2):
-    sin, cos, on1, on2 = _hull_pieces(a, rho, r1, axis_len, r2)
+    sin, cos = _hull_frame(r1, axis_len, r2)
+    k = cos * a - sin * rho
+    on1 = k <= 0.0
+    on2 = ~on1 & (k >= cos * axis_len)
     d1 = np.hypot(a, rho)
     d2 = np.hypot(a - axis_len, rho)
     signed = np.where(on1, d1 - r1, np.where(on2, d2 - r2, sin * a + cos * rho - r1))
@@ -345,7 +348,8 @@ def _two_step_complement(freg, alpha, x2):
 def _kernel_cases(name):
     """(base, levels, points): seeded rows around the level sets, levels above
     level_hi, on-axis rows with a -0.0 ordinate, and for the gauge the levels
-    1 +- 1e-12 where its hull turns from nested to proper."""
+    1 +- 1e-12 where its hull turns from nested to proper and rows with a
+    -0.0 axial coordinate."""
     rng = split_rng(11, "kernel", name)
     if name.startswith("norm"):
         dim = int(name[4:] or 2)
@@ -363,9 +367,9 @@ def _kernel_cases(name):
     else:
         f = GaugeFunction()
         pts = rng.uniform((-2.4, -1.5), (2.4, 4.2), size=(400, 2))
-        axis = np.array([[-0.0, 2.6], [-0.0, -1.2]])
+        axis = np.array([[-0.0, 2.6], [-0.0, -1.2], [2.6, -0.0], [-1.2, -0.0]])
         levels = np.concatenate([rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12], size=200),
-                                 rng.uniform(0.6, 2.4, size=202)])
+                                 rng.uniform(0.6, 2.4, size=204)])
     return f, levels, np.vstack([pts, axis])
 
 
@@ -397,8 +401,9 @@ def test_grown_kernel_matches_the_dilated_base_projection(name):
     at_eps = np.where((_norms(pts - z) > 0)[:, None], z + 0.25 * normals, pts)
     for x in (pts, at_eps):
         for alphas in (levels, 1.0):
+            pushed, dist = dilated_projection(x, f.level_project(alphas, x), 0.25)
             _assert_ulps(freg.level_project(alphas, x),
-                         dilated_projection(x, f.level_project(alphas, x), 0.25))
+                         np.where((dist > 0.25)[:, None], pushed, x))
 
 
 @pytest.mark.parametrize("name", KERNEL_BASES)
@@ -435,3 +440,53 @@ def test_complement_projection_raises_as_the_two_step_form(name):
             _two_step_complement(freg, level, rows)
         with pytest.raises(OutOfReach, match=str(old.value)):
             complement_projection(freg, level, rows)
+
+
+NESTED_BASES = ["norm", "norm3", "tube", "gauge", "localized:tube:1.5,0:0.4"]
+
+
+@pytest.mark.parametrize("name", NESTED_BASES)
+def test_nested_regularization_grows_by_the_sum(name, monkeypatch):
+    # Regularizing by e1 and then e2 grows the base's sets by e1 + e2, so
+    # the nested steps and exits reach the base with the whole growth and
+    # match regularize(f, e1 + e2) bit for bit. The seeded rows keep clear of
+    # the grown boundaries by far more than the rounding of d - e1 - e2.
+    f = get_function(name, dim=3 if name == "norm3" else 2)
+    lens = name.startswith("localized")
+    e1, e2 = (0.05, 0.15) if lens else (0.1, 0.15)
+    level, level_range = (0.5, (0.45, 0.7)) if lens else (1.3, (0.5, 1.6))
+    inner = regularize(f, e1)
+    nested, whole = regularize(inner, e2), regularize(f, e1 + e2)
+    lo, hi = f.level_bbox(level)
+    rng = split_rng(12, "nested", name)
+    pts = rng.uniform(lo - 0.6, hi + 0.6, size=(400, f.dim))
+    levels = rng.uniform(*level_range, size=400)
+    for alphas in (level, levels):
+        assert np.array_equal(nested.level_project(alphas, pts).view(np.uint64),
+                              whole.level_project(alphas, pts).view(np.uint64))
+    # The nested complement is defined from outside its base, the inner set.
+    out = pts[inner.level_signed_distance(level, pts) > 1e-9]
+    assert len(out) > 100
+    assert np.array_equal(complement_projection(nested, level, out).view(np.uint64),
+                          complement_projection(whole, level, out).view(np.uint64))
+    origin = whole.level_interior_point(level)
+    dirs = unit_directions(split_rng(12, "nested-rays", name), 500, f.dim)
+    assert np.array_equal(nested.level_ray_exits(level, origin, dirs).view(np.uint64),
+                          whole.level_ray_exits(level, origin, dirs).view(np.uint64))
+    # eval stays the generic search, on the inner regularization's sets.
+    radii = []
+    search = inner.level_at_distance
+    monkeypatch.setattr(inner, "level_at_distance",
+                        lambda x, r: radii.append(r) or search(x, r))
+    np.testing.assert_allclose(nested.eval(pts[:40]), whole.eval(pts[:40]),
+                               rtol=0, atol=1e-6)
+    assert radii == [e2]
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.25, np.nan])
+def test_a_radius_that_is_not_positive_is_refused(eps):
+    # A NaN radius fails every comparison, so only not eps > 0 refuses it.
+    with pytest.raises(ValueError, match="regularization radius must be positive"):
+        regularize(get_function("tube"), eps)
+    with pytest.raises(ValueError, match="dilation radius must be positive"):
+        DilatedSet(NormFunction(2).sublevel(1.0), eps)

@@ -236,3 +236,19 @@ def test_floats_become_text_only_through_format_rows():
                        or (isinstance(node, ast.Attribute) and node.attr == "__repr__")
                        or (isinstance(node, ast.FormattedValue) and node.conversion == ord("r")))]
     assert not stray, stray
+
+
+def test_the_regularization_does_not_know_its_base_shape():
+    # A regularization grows its base's sets through the base's own growth
+    # (_grown_project, _grown_ray_exits), so it tests no base's type and
+    # imports no hull or lens geometry.
+    tree = ast.parse((SRC / "regularization.py").read_text(encoding="utf-8"))
+    tests = [f"{node.func.id}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("isinstance", "hasattr") and node.args
+             and any(name.endswith("base") for name in _names(node.args[0]))]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not tests, tests
+    assert "_hull_base" not in _names(tree)
+    assert not imported & {"HullFunction", "hull_ray_exit", "_step_inside", "dilated_projection"}

@@ -1,14 +1,13 @@
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
-from sweepdescent import geometry, regularization, sweeping
+from sweepdescent import sweeping
 from sweepdescent.errors import (DegenerateDirection, DomainError,
                                  LevelUnderflow, MissingConstants,
                                  ReverseRefused, ThetaGuard)
-from sweepdescent.functions import get_function, slope_values
+from sweepdescent.functions import HullFunction, get_function, slope_values
 from sweepdescent.geometry import _ray_boundary_points, sample_boundary
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
@@ -552,10 +551,11 @@ def test_reverse_rejects_a_negative_horizon(norm):
         reverse_catching_up(regularize(norm, 0.5), [2.5, 0.0], -0.5, cfg)
 
 
-def test_regularized_hull_steps_take_one_kernel_call(monkeypatch):
-    # A regularized two-ball hull steps through its base's grown-radius
-    # kernel alone, forward and reverse: neither the base's level_project nor
-    # the dilation's push-out runs. The regularized lens still takes both.
+def test_regularized_steps_take_one_growth_call(monkeypatch):
+    # A regularized step, forward and reverse, on a two-ball hull or on the
+    # lens, is one call of its base's projection onto the set grown by eps
+    # (_grown_project). A hull's is its kernel alone: its level_project does
+    # not run.
     steps = []
     monkeypatch.setattr(sweeping, "_catching_up",
                         lambda f, x0, times, levels, step, cfg: steps.append((f, step, levels[1], x0)))
@@ -571,30 +571,17 @@ def test_regularized_hull_steps_take_one_kernel_call(monkeypatch):
             alpha2=alpha2, horizon=0.1, steps=10, map_lipschitz=1.0))
     assert len(steps) == 10
 
-    calls = []
-
-    def record(m, owner, name, lens):
-        inner = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            assert lens, f"{name} on a regularized hull step"
-            calls.append(name)
-            return inner(*args, **kwargs)
-        m.setattr(owner, name, wrapper)
-
     for f, step, level, x0 in steps:
-        lens = not f._hull_base
-        calls.clear()
+        calls = []
+
         with monkeypatch.context() as m:
-            record(m, f.base, "level_project", lens)
-            record(m, regularization, "dilated_projection", lens)
-            record(m, geometry, "dilated_projection", lens)
+            for name in ("_grown_project", "level_project"):
+                inner = getattr(f.base, name)
+                m.setattr(f.base, name, lambda *args, name=name, inner=inner:
+                          calls.append((name, args[2:])) or inner(*args))
             assert not np.array_equal(step(level, x0), x0)
-        forward = not isinstance(step, partial)
-        if lens:
-            assert calls == ["level_project"] + ["dilated_projection"] * forward
-        else:
-            assert calls == []
+        lens = [] if isinstance(f.base, HullFunction) else [("level_project", ())]
+        assert calls == [("_grown_project", (f.eps,))] + lens
 
 
 def test_forward_batch_of_no_starts_is_an_empty_run(tube):
