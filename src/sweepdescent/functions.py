@@ -19,8 +19,9 @@ tube-shaped function whose sublevel sets are capsules, and a two-disk gauge
 whose level sets degenerate in curvature near the level 1.
 Each is a HullFunction: it maps its levels to two-ball hulls,
 level_hull(alphas) -> (r1, axis_len, r2) about the origin along hull_axis,
-which a localization cuts with its ball through geometry.ball_lens_project,
-and takes its normals and ray exits from them in closed form.
+and takes its normals and ray exits from them in closed form. A localization
+cuts them with its ball: it projects with its base's kernel first and sends
+only the rows that leave the ball on to geometry.ball_lens_project.
 """
 
 from functools import cached_property, partial
@@ -332,6 +333,8 @@ class LocalizedFunction(QuasiconvexFunction):
         self.base = base
         self.center = center
         self.delta = float(delta)
+        gap = float(np.linalg.norm(center))
+        self.lens_axis = base.hull_axis if base.dim == 2 or gap == 0 else center / gap
         coords = ",".join(f"{c:g}" for c in center)
         self.name = f"localized:{base.name}:{coords}:{delta:g}"
         self.dim = base.dim
@@ -434,21 +437,21 @@ class LocalizedFunction(QuasiconvexFunction):
         return _step_inside(partial(self.level_signed_distance, alpha), origin, dirs, t)
 
     def level_project(self, alphas, points):
-        """Projection onto per-row base sublevels cut by the indicator ball."""
+        """Projection onto per-row base sublevels cut by the indicator ball:
+        the base's own projection (_grown_project at g = 0) where it lies in
+        the ball, else geometry.ball_lens_project on those rows alone; a NaN
+        row stays NaN. In d >= 3 the base is the norm, whose balls make the
+        set symmetric about the line through the center: the lens axis."""
         pts = np.asarray(points, dtype=float)
-        hull = self.base.level_hull(np.minimum(np.asarray(alphas, dtype=float), self.level_hi))
-        if self.dim == 2:
-            return ball_lens_project(pts, self.center, self.delta, self.base.hull_axis, *hull)
-        # In d >= 3 the base is the norm: its balls about the origin make the
-        # set symmetric about the line through the center, so each point is
-        # projected in its (axial, radial) half-plane. Members stay put.
-        gap = float(np.linalg.norm(self.center))
-        axis = self.center / gap if gap > 0 else self.base.hull_axis
-        a, rho, w = _axial_section(pts, 0.0, axis)
-        sec = np.stack([a, rho], axis=1)
-        proj = ball_lens_project(sec, (gap, 0.0), self.delta, (1.0, 0.0), *hull)
-        return np.where(np.all(proj == sec, axis=1)[:, None], pts,
-                        proj[:, :1] * axis + proj[:, 1:] * w)
+        levels = np.minimum(np.asarray(alphas, dtype=float), self.level_hi)
+        proj = self.base._grown_project(levels, pts, 0.0)[0]
+        rest = (_norms(proj - self.center) > self.delta).nonzero()[0]
+        if len(rest):
+            lv = levels[rest] if np.ndim(levels) else levels
+            proj[rest] = ball_lens_project(
+                pts[rest], self.center, self.delta, self.lens_axis,
+                partial(self.base.level_signed_distance, lv), *self.base.level_hull(lv))
+        return proj
 
 
 def slope_values(f: QuasiconvexFunction, points, seed: int = 0):

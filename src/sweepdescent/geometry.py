@@ -9,10 +9,11 @@ closed form; the hull math is one per-row kernel, hull_section
 per-row parameters, and the dilation's push-out is one function,
 dilated_projection, which every function's default growth of its sublevel
 sets (functions.QuasiconvexFunction._grown_project) also calls.
-A plane hull cut by a ball (IntersectionSet, whose interior point the caller
-gives, and every localized sublevel set) is exact through ball_lens_project,
-which takes the ball as a center and a radius and its corners in closed form
-from the hull parameters. The signed distance of an intersection is exact on
+A hull cut by a ball (IntersectionSet in the plane, whose interior point the
+caller gives, and every localized sublevel set) is exact: a row whose hull
+projection lies in the ball keeps it, and only the others go through
+ball_lens_project, to the ball's projection or a corner in closed form from
+the hull parameters. The signed distance of an intersection is exact on
 both sides of its boundary. sample_boundary keeps
 the exit of every ray it shoots from the interior point, one ray per
 resolution of arc length in the plane: a LevelSet's from its function's
@@ -201,39 +202,35 @@ def dilated_projection(x2, z, g):
     return z + delta * (g / np.maximum(dist, 1e-300))[:, None], dist
 
 
-def ball_lens_project(x2: np.ndarray, center, radius, axis, r1, axis_len, r2):
-    """Exact 2d projection onto (two-ball hull) intersect B(center, radius), batched.
+def ball_lens_project(x2, center, radius, axis, signed_distance, r1, axis_len, r2):
+    """Projection onto (two-ball hull) intersect B(center, radius) of the rows
+    x2 whose projection onto the hull leaves the ball, batched; callers take
+    the other rows' projection from the hull's own.
 
-    Row i's hull is hull_section's (r1, axis_len, r2)[i], broadcast over the
-    rows, about the origin along the unit vector axis; no oracle of the
-    hull's function is called. The projection is x itself, the hull's
-    projection of x (if inside the ball), the ball's projection (if inside the
-    hull), or else a corner of the lens (_lens_corners). Only rows whose hull
-    projection leaves the ball take the ball's projection and the corners.
+    Row i's hull is (r1, axis_len, r2)[i], scalars broadcast, about the origin
+    along the unit vector axis, with signed distance signed_distance(points).
+    Such a row projects onto the ball's sphere: to the ball's projection where
+    the hull's signed distance there is <= 0, else to a corner of the lens
+    (_lens_corners), found in hull_section's frame: the plane turned to the
+    axis in 2-d, in d >= 3 the row's axial half-plane, whose axis must pass
+    through the center.
     """
-    # Complex coordinates in hull_section's frame, where the axis is real.
-    turn = complex(*axis).conjugate()
-    z = (x2[:, 0] + 1j * x2[:, 1]) * turn
-    c, big_r = complex(*center) * turn, radius
-
-    # When one set's own projection is feasible for the other it is already
-    # the metric projection of the intersection; only the remaining rows
-    # (facing a corner wedge) need the corners.
-    pa, prho, signed = hull_section(z.real, np.abs(z.imag), r1, axis_len, r2)
-    best = pa + 1j * np.copysign(prho, z.imag)
-    va = np.abs(best - c) <= big_r
-    rest = (~va).nonzero()[0]
-    if len(rest):
-        hull = [np.broadcast_to(p, z.shape)[rest] for p in (r1, axis_len, r2)]
-        zr = z[rest]
-        gap = np.abs(zr - c)
-        pb = c + (zr - c) * np.where(gap > big_r, big_r / np.maximum(gap, 1e-300), 1.0)
-        vb = hull_section(pb.real, np.abs(pb.imag), *hull)[2] <= 0.0
-        best[rest[vb]] = pb[vb]
-        if not np.all(vb):
-            best[rest[~vb]] = _lens_corners(zr[~vb], c, big_r, *(p[~vb] for p in hull))
-    best = best * turn.conjugate()
-    return np.where(((signed <= 0.0) & va)[:, None], x2, best.view(float).reshape(-1, 2))
+    rel = x2 - center
+    gap = _norms(rel)
+    pb = center + rel * np.where(gap > radius, radius / np.maximum(gap, 1e-300), 1.0)[:, None]
+    wedge = (signed_distance(pb) > 0.0).nonzero()[0]
+    if len(wedge):
+        xw, hull = x2[wedge], [p[wedge] if np.ndim(p) else p for p in (r1, axis_len, r2)]
+        if len(axis) == 2:
+            turn = complex(*axis).conjugate()
+            z = _lens_corners((xw[:, 0] + 1j * xw[:, 1]) * turn, complex(*center) * turn,
+                              radius, *hull) * turn.conjugate()
+            pb[wedge] = z.view(float).reshape(-1, 2)
+        else:
+            a, rho, w = _axial_section(xw, 0.0, axis)
+            z = _lens_corners(a + 1j * rho, center @ axis, radius, *hull)
+            pb[wedge] = z.real[:, None] * axis + z.imag[:, None] * w
+    return pb
 
 
 def _lens_corners(z, c, big_r, r1, axis_len, r2):
@@ -244,8 +241,10 @@ def _lens_corners(z, c, big_r, r1, axis_len, r2):
     with a tangent line counts only where hull_section's coordinate k puts it
     on the segment. A row facing a corner wedge projects to a corner, the
     nearest of these lens points. Circles that miss by at most 1e-14 of the
-    scale are tangent; a row with no crossing raises EmptySample.
+    scale are tangent; a row with no crossing raises EmptySample. Scalar
+    hull parameters broadcast over the rows.
     """
+    r1, axis_len, r2, _ = np.broadcast_arrays(r1, axis_len, r2, z.real)
     sin, cos = _hull_frame(r1, axis_len, r2)
     tol = 1e-14 * (r1 + axis_len + big_r + np.abs(c))
     cands, valid = [], []
@@ -294,8 +293,9 @@ def intersection_signed_distance(x2, sa, sb, project):
 
 class IntersectionSet:
     """A plane two-ball hull cut by the plane ball B(center, radius), projected
-    by ball_lens_project on the first set's hull = (origin, axis, r1,
-    axis_len, r2), which TwoBallHullSet carries."""
+    as a localization is: by the first set's projection where it lies in the
+    ball, else by ball_lens_project on the first set's hull = (origin, axis,
+    r1, axis_len, r2), which TwoBallHullSet carries."""
 
     def __init__(self, first, center, radius: float, interior_point):
         center = np.asarray(center, dtype=float)
@@ -311,9 +311,13 @@ class IntersectionSet:
     def project(self, x):
         x2, single = _atleast_2d(x)
         origin, axis, r1, axis_len, r2 = self.first.hull
-        rel = x2 - origin
-        p = ball_lens_project(rel, self.center - origin, self.radius, axis, r1, axis_len, r2)
-        return _restore(np.where(np.all(p == rel, axis=1)[:, None], x2, origin + p), single)
+        proj = self.first.project(x2)
+        rest = (_norms(proj - self.center) > self.radius).nonzero()[0]
+        if len(rest):
+            proj[rest] = origin + ball_lens_project(
+                x2[rest] - origin, self.center - origin, self.radius, axis,
+                lambda q: self.first.signed_boundary_distance(q + origin), r1, axis_len, r2)
+        return _restore(proj, single)
 
     def signed_boundary_distance(self, x):
         x2, single = _atleast_2d(x)

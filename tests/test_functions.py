@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from sweepdescent import functions, geometry, regularization, sweeping, verification
 from sweepdescent.errors import DomainError, EmptySample
@@ -10,7 +11,8 @@ from sweepdescent.functions import (GaugeFunction, LevelSet, LocalizedFunction,
                                     SLOPE_RADII, TubeFunction, get_function,
                                     level_slopes, limiting_slope, slope_values)
 from sweepdescent.geometry import (DilatedSet, IntersectionSet, TwoBallHullSet,
-                                   ball_lens_project, sample_boundary)
+                                   _axial_section, _lens_corners, hull_section,
+                                   sample_boundary)
 from sweepdescent.regularization import RegularizedFunction, regularize
 from sweepdescent.rng import split_rng, unit_directions
 from sweepdescent.verification import _annulus_sample, aze_corvellec_check
@@ -665,15 +667,16 @@ def test_level_at_distance_closed_forms_match_the_generic_search(name, dim, r):
 
 @pytest.mark.parametrize("r", [0.0, 1e-5, 1e-4, 0.05, 0.2, 0.4])
 def test_localized_level_search_makes_at_most_two_lens_calls(monkeypatch, r):
-    # The generic search makes one lens call per ITP pass; the closed form
-    # makes two for all 400 rows, its domain test and its level-v test.
+    # The generic search makes one lens projection per ITP pass; the closed
+    # form makes two for all 400 rows, its domain test and its level-v test.
     calls = []
+    project = LocalizedFunction.level_project
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        return ball_lens_project(*args)
+    def counting(self, alphas, points):
+        calls.append(len(points))
+        return project(self, alphas, points)
 
-    monkeypatch.setattr(functions, "ball_lens_project", counting)
+    monkeypatch.setattr(LocalizedFunction, "level_project", counting)
     f = get_function("localized:tube:1.5,0:0.4")
     pts = f.center + split_rng(0, "lens-calls").uniform(-0.6, 0.6, size=(400, 2))
     f.level_at_distance(pts, r)
@@ -681,3 +684,200 @@ def test_localized_level_search_makes_at_most_two_lens_calls(monkeypatch, r):
     calls.clear()
     QuasiconvexFunction.level_at_distance(f, pts, r)
     assert len(calls) > 10
+
+
+def _pre_change_lens_kernel(x2, center, radius, axis, r1, axis_len, r2):
+    """The plane lens kernel as it was before localizations asked their base
+    first: one hull_section pass on every row, in the complex frame turned
+    to the axis; rows whose hull projection leaves the ball go on to the
+    ball's projection and the corners."""
+    turn = complex(*axis).conjugate()
+    z = (x2[:, 0] + 1j * x2[:, 1]) * turn
+    c = complex(*center) * turn
+    pa, prho, signed = hull_section(z.real, np.abs(z.imag), r1, axis_len, r2)
+    best = pa + 1j * np.copysign(prho, z.imag)
+    va = np.abs(best - c) <= radius
+    rest = (~va).nonzero()[0]
+    if len(rest):
+        hull = [np.broadcast_to(p, z.shape)[rest] for p in (r1, axis_len, r2)]
+        zr = z[rest]
+        gap = np.abs(zr - c)
+        pb = c + (zr - c) * np.where(gap > radius, radius / np.maximum(gap, 1e-300), 1.0)
+        vb = hull_section(pb.real, np.abs(pb.imag), *hull)[2] <= 0.0
+        best[rest[vb]] = pb[vb]
+        if not np.all(vb):
+            best[rest[~vb]] = _lens_corners(zr[~vb], c, radius, *(p[~vb] for p in hull))
+    best = best * turn.conjugate()
+    return np.where(((signed <= 0.0) & va)[:, None], x2, best.view(float).reshape(-1, 2))
+
+
+def _pre_change_lens_project(f, alphas, pts):
+    """LocalizedFunction.level_project through _pre_change_lens_kernel; in
+    d >= 3 in each row's (axial, radial) half-plane about the center's line."""
+    hull = f.base.level_hull(np.minimum(np.asarray(alphas, dtype=float), f.level_hi))
+    if f.dim == 2:
+        return _pre_change_lens_kernel(pts, f.center, f.delta, f.base.hull_axis, *hull)
+    gap = float(np.linalg.norm(f.center))
+    a, rho, w = _axial_section(pts, 0.0, f.center / gap)
+    sec = np.stack([a, rho], axis=1)
+    proj = _pre_change_lens_kernel(sec, (gap, 0.0), f.delta, (1.0, 0.0), *hull)
+    return np.where(np.all(proj == sec, axis=1)[:, None], pts,
+                    proj[:, :1] * (f.center / gap) + proj[:, 1:] * w)
+
+
+# Lenses of tube and gauge bases in the plane and of the norm in 3-d; in
+# "localized:tube:1.5,0.6:0.4" the ball touches the capsule's top line
+# y = 1 from inside at every level from 1.5 up.
+LENS_FUNCTIONS = [("localized:tube:1.5,0:0.4", 2), ("localized:tube:1.5,0.6:0.4", 2),
+                  ("localized:gauge:0.3,2.3:0.35", 2), ("localized:gauge:0.4,0.2:0.3", 2),
+                  ("localized:norm:1,0.5,0:0.6", 3)]
+# Fractions of the level span above inf f: the bottom level (one point), thin
+# lenses, two inside, the top level (the ball tangent to the base's sublevel
+# set from inside) and one above it, which clamps.
+LENS_FRACTIONS = (0.0, 1e-9, 1e-6, 0.3, 0.7, 1.0, 1.5)
+
+
+def _lens_rows(f, key):
+    """Seeded rows around the ball, rows on its sphere, and rows on the lens
+    axis (the hull's axis in the plane, the center's line in 3-d), whose zero
+    coordinates are -0.0."""
+    rng = split_rng(0, "lens-rows", key)
+    sphere = f.center + f.delta * unit_directions(rng, 100, f.dim)
+    axis_rows = np.outer(np.linspace(-0.5, 3.0, 36), f.lens_axis)
+    if f.dim == 2:
+        axis_rows = np.vstack([axis_rows, (f.center @ f.lens_axis) * f.lens_axis])
+    axis_rows[axis_rows == 0.0] = -0.0
+    return np.vstack([f.center + rng.uniform(-1.5, 1.5, size=(600, f.dim)), sphere, axis_rows])
+
+
+@pytest.mark.parametrize("name,dim", LENS_FUNCTIONS)
+def test_lens_projection_matches_the_pre_change_kernel(name, dim):
+    # The base-first path against the kernel it replaced, at scalar and per-row
+    # levels: the rows agree to rounding, the same rows stay (bit for bit,
+    # signed zeros included) except those within rounding of the ball's
+    # sphere, which either kernel may move by an ulp, and the caller's points
+    # are never written.
+    f = get_function(name, dim=dim)
+    pts = _lens_rows(f, name)
+    saved = pts.copy()
+    firm = np.abs(np.linalg.norm(pts - f.center, axis=1) - f.delta) > 1e-15
+    span = f.level_hi - f.inf_value
+    for frac in LENS_FRACTIONS:
+        level = f.inf_value + frac * span
+        got = f.level_project(level, pts)
+        assert got.tobytes() == f.level_project(np.full(len(pts), level), pts).tobytes()
+        want = _pre_change_lens_project(f, level, pts)
+        assert np.max(np.abs(got - want)) <= 4e-15, frac
+        stay = np.all(got == pts, axis=1)
+        assert np.array_equal(stay[firm], np.all(want == pts, axis=1)[firm])
+        assert got[stay].tobytes() == pts[stay].tobytes()
+        assert pts.tobytes() == saved.tobytes()
+    # One call on a level per row, mixing every fraction.
+    levels = f.inf_value + span * np.resize(LENS_FRACTIONS, len(pts))
+    got = f.level_project(levels, pts)
+    assert np.max(np.abs(got - _pre_change_lens_project(f, levels, pts))) <= 4e-15
+    assert pts.tobytes() == saved.tobytes()
+
+
+@pytest.mark.parametrize("name,dim", LENS_FUNCTIONS)
+def test_lens_projection_rows_cover_every_kind(name, dim):
+    # At a level inside the span the rows of _lens_rows reach every branch:
+    # members, rows inside the hull but outside the ball, rows whose base
+    # projection lies in the ball, rows on the ball's sphere and corner rows.
+    f = get_function(name, dim=dim)
+    pts = _lens_rows(f, name)
+    level = f.inf_value + 0.5 * (f.level_hi - f.inf_value)
+    p = f.level_project(level, pts)
+    base_gap = f.base.level_signed_distance(level, p)
+    ball_gap = np.linalg.norm(p - f.center, axis=1) - f.delta
+    member = np.all(p == pts, axis=1)
+    hull_only = f.base.level_signed_distance(level, pts) < 0.0
+    hull_only &= np.linalg.norm(pts - f.center, axis=1) > f.delta
+    corner = (np.abs(base_gap) <= 1e-12) & (np.abs(ball_gap) <= 1e-12)
+    on_ball = ~member & (np.abs(ball_gap) <= 1e-12) & ~corner
+    on_base = ~member & (np.abs(base_gap) <= 1e-12) & ~corner
+    assert all(np.sum(k) >= 10 for k in (member, hull_only, corner, on_ball, on_base))
+
+
+@pytest.mark.parametrize("name,dim", LENS_FUNCTIONS)
+def test_lens_projection_matches_a_dense_boundary_sample(name, dim):
+    # The projections of rows outside the lens against the nearest point of a
+    # dense sample of its boundary, in the plane of the hull or in 3-d in the
+    # rows' (axial, radial) half-planes about the center's line: the ball's
+    # circle inside the base sublevel set, and the base's boundary inside the
+    # ball, 2e-5 apart. No sampled point may be nearer than the projection,
+    # and the nearest one lies within one spacing of its distance.
+    f = get_function(name, dim=dim)
+    spacing = 2e-5
+    for frac in (1e-3, 0.5):
+        level = f.inf_value + frac * (f.level_hi - f.inf_value)
+        pts = _lens_rows(f, name)
+        p = f.level_project(level, pts)
+        out = ~np.all(p == pts, axis=1)
+        assert np.max(f.base.level_signed_distance(level, p)) <= 1e-12
+        assert np.max(np.linalg.norm(p - f.center, axis=1) - f.delta) <= 1e-12
+        t = np.arange(0.0, 2.0 * np.pi, spacing / f.delta)
+        circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+        if dim == 2:
+            ball = f.center + f.delta * circle
+            rim = sample_boundary(f.base.sublevel(level), spacing).points
+            sample = np.vstack([ball[f.base.level_signed_distance(level, ball) <= 0.0],
+                                rim[np.linalg.norm(rim - f.center, axis=1) <= f.delta]])
+            x, q = pts[out], p[out]
+        else:
+            # The norm's ball of radius level about the origin, and the
+            # center at (|c|, 0) of the half-plane.
+            gap = np.linalg.norm(f.center)
+            ball = [gap, 0.0] + f.delta * circle
+            rim = level * np.stack([np.cos(t * f.delta / level),
+                                    np.sin(t * f.delta / level)], axis=1)
+            sample = np.vstack([ball[np.linalg.norm(ball, axis=1) <= level],
+                                rim[np.linalg.norm(rim - [gap, 0.0], axis=1) <= f.delta]])
+            x, q = (np.stack(_axial_section(v[out], 0.0, f.center / gap)[:2], axis=1)
+                    for v in (pts, p))
+        near, _ = cKDTree(sample).query(x)
+        reach = np.linalg.norm(x - q, axis=1)
+        assert np.all(reach <= near + 1e-12)
+        assert np.all(near <= reach + spacing)
+
+
+@pytest.mark.parametrize("name,dim", LENS_FUNCTIONS)
+def test_lens_projection_keeps_non_finite_rows(name, dim):
+    # A NaN row projects to NaN, as on the hull functions, and leaves the
+    # other rows alone; it once raised EmptySample ("the lens is empty").
+    f = get_function(name, dim=dim)
+    pts = np.vstack([np.full(dim, np.nan), f.center + 0.9 * f.delta * f.lens_axis,
+                     f.center + 2.0 * f.delta * f.lens_axis])
+    pts[2:, -1] += 0.1
+    level = f.inf_value + 0.5 * (f.level_hi - f.inf_value)
+    p = f.level_project(level, pts)
+    assert np.all(np.isnan(p[0]))
+    assert np.array_equal(p[1:], f.level_project(level, pts[1:]))
+    assert np.isnan(f.level_signed_distance(level, pts)[0])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_one_row_lens_step_asks_the_base_once(monkeypatch, reverse):
+    # A one-row regularized lens step (forward: level_project; reverse:
+    # complement_projection) whose base projection lies in the ball makes one
+    # call of the base's projection kernel and none of the corners'.
+    lens = regularize(get_function("localized:tube:1.5,0:0.4"), 0.2)
+    kernel, calls = TubeFunction._grown_project, []
+
+    def counting(self, alphas, points, g):
+        calls.append(len(points))
+        return kernel(self, alphas, points, g)
+
+    def corners(*args):
+        raise AssertionError("a lens corner on a row whose base projection is in the ball")
+
+    monkeypatch.setattr(TubeFunction, "_grown_project", counting)
+    monkeypatch.setattr(geometry, "_lens_corners", corners)
+    x = np.array([[1.8, 0.1]])
+    saved = x.copy()
+    if reverse:
+        p = regularization.complement_projection(lens, 0.5, x - [0.2, 0.0])
+    else:
+        p = lens.level_project(0.5, x)
+    assert calls == [1]
+    assert not np.array_equal(p, x) and x.tobytes() == saved.tobytes()

@@ -14,7 +14,8 @@ from sweepdescent.geometry import (BLOCK_ROWS, DilatedSet,
                                    IntersectionSet, TwoBallHullSet,
                                    _fibonacci_directions, _itp, _norms, _ray_block,
                                    _ray_boundary_points, _step_inside, ball_lens_project,
-                                   hull_ray_exit, outward_normals, sample_boundary)
+                                   hull_ray_exit, hull_section, outward_normals,
+                                   sample_boundary)
 from sweepdescent.regularization import regularize
 from sweepdescent.rng import split_rng, unit_directions
 
@@ -715,9 +716,10 @@ def test_lens_kernel_batch_equals_one_row_calls():
     # cut by B((1.5, 0), 0.5): a disk of radius 1.5 (corners on its arc), a
     # capsule of radius 0.3 (corners on its tangent segments), a thin lens
     # (disk radius 1 + 2^-20) and a tangency (the unit disk, whose lens is
-    # the one point (1, 0)). The batch must equal the one-row calls bit for
-    # bit, and mix rows that stay with hull-projected, ball-projected and
-    # corner rows.
+    # the one point (1, 0)). The kernel gets the rows whose hull projection
+    # (hull_section's) leaves the ball, the others keep that projection. The
+    # batch must equal the one-row calls bit for bit, and mix rows that stay
+    # with hull-projected, ball-projected and corner rows.
     center, radius = np.array([1.5, 0.0]), 0.5
     hulls = [(1.5, 0.0, 1.5), (0.3, 1.5, 0.3), (1.0 + 2.0**-20, 0.0, 1.0 + 2.0**-20),
              (1.0, 0.0, 1.0)]
@@ -725,9 +727,20 @@ def test_lens_kernel_batch_equals_one_row_calls():
     x = center + rng.uniform(-1.5, 1.5, size=(len(hulls) * 300, 2))
     params = np.repeat(np.array(hulls), 300, axis=0).T
     axis = np.array([1.0, 0.0])
-    p = ball_lens_project(x, center, radius, axis, *params)
-    one = np.vstack([ball_lens_project(x[i:i + 1], center, radius, axis, *params[:, i])
-                     for i in range(len(x))])
+
+    def lens(rows):
+        hull = params[:, rows]
+        pa, prho, _ = hull_section(x[rows, 0], np.abs(x[rows, 1]), *hull)
+        proj = np.stack([pa, np.copysign(prho, x[rows, 1])], axis=1)
+        rest = np.linalg.norm(proj - center, axis=1) > radius
+        proj[rest] = ball_lens_project(
+            x[rows][rest], center, radius, axis,
+            lambda q: hull_section(q[:, 0], np.abs(q[:, 1]), *hull[:, rest])[2],
+            *hull[:, rest])
+        return proj
+
+    p = lens(np.arange(len(x)))
+    one = np.vstack([lens(np.arange(i, i + 1)) for i in range(len(x))])
     assert np.array_equal(p, one)
     on_ball = np.abs(np.linalg.norm(p - center, axis=1) - radius) <= 1e-12
     c2 = np.stack([params[1], np.zeros(len(x))], axis=1)
