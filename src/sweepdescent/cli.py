@@ -242,9 +242,13 @@ def _resolve_function(config: ExperimentConfig):
     return f
 
 
-def _check_dim(f, points, what: str) -> None:
+def _check_points(f, points, what: str) -> None:
     if any(len(p) != f.dim for p in points):
         raise ConfigError(f"{what} must have {f.dim} coordinates for {f.name}")
+    # The library's norms go through squares, finite up to sqrt(float max).
+    if any(math.isinf(sum(c * c for c in p)) for p in points):
+        raise ConfigError(f"{what} must have a norm below {math.sqrt(sys.float_info.max):.3g}, "
+                          "where its square overflows")
 
 
 def cmd_descend(config: ExperimentConfig) -> int:
@@ -253,7 +257,7 @@ def cmd_descend(config: ExperimentConfig) -> int:
     f = _resolve_function(config)
     if config.reverse:
         require_reverse_evidence(f, config.prox_radius)
-    _check_dim(f, [config.x0], "x0")
+    _check_points(f, [config.x0], "x0")
     x0 = np.asarray(config.x0, dtype=float)
     alpha2 = config.alpha2 if config.alpha2 is not None else float(f.eval(x0))
     if not np.isfinite(alpha2):
@@ -379,7 +383,7 @@ def cmd_regularize(config: ExperimentConfig) -> int:
         raise ConfigError("regularize needs --points, e.g. '2,0;3,1'")
     base = get_function(config.function, dim=config.dim)
     freg = regularize(base, config.epsilon)
-    _check_dim(base, config.points, "points")
+    _check_points(base, config.points, "points")
     pts = np.asarray(config.points, dtype=float)
     vals_base = np.asarray(base.eval(pts), dtype=float)
     vals = np.asarray(freg.eval(pts), dtype=float)

@@ -79,10 +79,15 @@ class QuasiconvexFunction:
         return self.level_at_distance(x, 0.0)
 
     def sublevel(self, alpha: float) -> LevelSet:
+        self.check_levels(alpha)
+        return LevelSet(self, alpha)
+
+    def check_levels(self, alphas) -> None:
+        """Refuse levels below inf f, whose sublevel sets are empty."""
+        alpha = float(np.min(alphas))
         if alpha < self.inf_value:
             raise ValueError(f"the level-{alpha!r} sublevel set of {self.name} is empty: "
                              f"inf f = {self.inf_value!r}")
-        return LevelSet(self, alpha)
 
     def level_interior_point(self, alpha: float) -> np.ndarray:
         """Interior point of the alpha-sublevel set: the origin, which lies

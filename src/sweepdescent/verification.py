@@ -32,7 +32,7 @@ from .geometry import BLOCK_ROWS, _atleast_2d, _norms, sample_boundary
 from .regularization import (RegularizedFunction, prox_radius_estimate,
                              regularize, semigroup_gaps, slope_deficits)
 from .rng import split_rng
-from .sweeping import SweepingConfig
+from .sweeping import SweepingConfig, forward_catching_up_batch
 
 CRITICALITY_TOL = 1e-2
 PROBE_STEP_TOL = 5e-2
@@ -271,7 +271,8 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
     """Empirical speed-slope product test along seeded descent trajectories.
 
     Starts are sampled from the window annulus, filtered to non-lower
-    critical points, and each runs a forward sweep from its own value level.
+    critical points, and each runs a forward sweep from its own value level:
+    one forward batch, whose config takes one start level per row.
     A start passes when the discrete speed times the local slope stays within
     PROBE_STEP_TOL of one on at least PROBE_STEP_FRACTION of its steps. The
     reported fraction of passing starts is an empirical probe of the
@@ -287,23 +288,19 @@ def probe_steepest_descent(freg: RegularizedFunction, n_starts: int,
 
     alpha2s = np.asarray(freg.eval(starts), dtype=float)
     horizon = min(cfg.horizon, 0.8 * float(np.min(alpha2s) - freg.inf_value))
-    k = cfg.steps
-    times = (np.arange(k + 1) * horizon) / k
-    pts = np.empty((k + 1, len(starts), freg.dim))
-    pts[0] = starts
-    for j in range(1, k + 1):
-        pts[j] = freg.level_project(alpha2s - times[j], pts[j - 1])
-    speeds = np.linalg.norm(np.diff(pts, axis=0), axis=2) / (horizon / k)
-    slopes = slope_values(freg, pts[1:].reshape(-1, freg.dim), seed=seed)
-    products = speeds * slopes.reshape(k, len(starts))
-    step_ok = np.abs(products - 1.0) <= PROBE_STEP_TOL
-    per_start = step_ok.mean(axis=0)
-    passing = per_start >= PROBE_STEP_FRACTION
-    fraction = float(np.mean(passing))
+    if not horizon > 0:
+        return _check("steepest-descent-probe", None, reason="the horizon is 0: no step",
+                      n_starts=int(n_starts), horizon=horizon, n_steps=0)
+    traj = forward_catching_up_batch(freg, starts, SweepingConfig(alpha2s, horizon, cfg.steps))
+    speeds = traj.speeds[1:]
+    slopes = slope_values(freg, traj.points[1:].reshape(-1, freg.dim), seed=seed)
+    per_start = np.mean(np.abs(speeds * slopes.reshape(speeds.shape) - 1.0) <= PROBE_STEP_TOL,
+                        axis=0)
+    fraction = float(np.mean(per_start >= PROBE_STEP_FRACTION))
     # Thresholds belong to the caller; the fraction is the result.
     return _check("steepest-descent-probe", None, fraction, fraction=fraction,
                   n_starts=int(n_starts), step_tol=PROBE_STEP_TOL,
-                  step_fraction=PROBE_STEP_FRACTION, horizon=horizon, steps=int(k),
+                  step_fraction=PROBE_STEP_FRACTION, horizon=horizon, steps=cfg.steps,
                   per_start_rate=per_start.tolist())
 
 
@@ -551,14 +548,12 @@ def run_verification_suite(f: QuasiconvexFunction, eps: float | None = None,
         checks.append(_check_lipschitz_transfer(target, window, n_points, seed))
         checks.append(_check_prox_lower_bound(target, h3))
         if probe_starts > 0 and h2.passed and h3.passed:
-            probe_cfg = SweepingConfig(alpha2=window[1], horizon=0.4, steps=80)
-            probe = probe_steepest_descent(target, probe_starts, probe_cfg,
-                                           window=window, seed=seed)
-            probe.passed = probe.details["fraction"] >= 0.9
+            probe = probe_steepest_descent(target, probe_starts, SweepingConfig(
+                window[1], 0.4, 80), window=window, seed=seed)
+            probe.passed = None if probe.margin is None else probe.margin >= 0.9
             checks.append(probe)
         else:
-            reason = ("disabled" if probe_starts <= 0
-                      else "prerequisite checks failed")
+            reason = "disabled" if probe_starts <= 0 else "prerequisite checks failed"
             checks.append(_check("steepest-descent-probe", None, reason=reason))
 
     if isinstance(f, LocalizedFunction):

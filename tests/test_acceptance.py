@@ -255,15 +255,13 @@ def test_criterion_11_bilipschitz_flow():
     rng = split_rng(4, "acceptance-bilip")
     angles = rng.uniform(-1.2, 1.2, size=(200, 2))
     times = rng.uniform(0.0, 0.5, size=(200, 2))
-    failures = 0
-    worst_ratio = 0.0
-    for (a1, a2), (t1, t2) in zip(angles, times):
-        rec = invert_flow_check(freg, cap_point(1.5, a1), cap_point(1.5, a2),
-                                t1, t2, cfg, func_lipschitz=lip)
-        if not (rec["bilipschitz_ok"] and rec["nonexpansive_ok"]):
-            failures += 1
-        if rec["dist_out"] > 0:
-            worst_ratio = max(worst_ratio, rec["D_in"] / rec["dist_out"])
+    # All 200 pairs in one call, which runs their 400 starts as one batch.
+    rec = invert_flow_check(freg, np.stack([cap_point(1.5, a) for a in angles[:, 0]]),
+                            np.stack([cap_point(1.5, a) for a in angles[:, 1]]),
+                            times[:, 0], times[:, 1], cfg, func_lipschitz=lip)
+    failures = int(np.count_nonzero(~(rec["bilipschitz_ok"] & rec["nonexpansive_ok"])))
+    moved = rec["dist_out"] > 0
+    worst_ratio = float(np.max(rec["D_in"][moved] / rec["dist_out"][moved], initial=0.0))
     bound = lip + np.exp(cfg.map_lipschitz * cfg.horizon / cfg.prox_radius)
     report(11, failures == 0,
            f"200 pairs, worst D/dist = {worst_ratio:.2f} vs bound "

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,25 @@ def test_localized_center_must_match_dimension(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("args,what", [
+    (["descend", "--function", "norm", "--x0", "1e308,0", "--T", "0.5", "--k", "10"], "x0"),
+    (["descend", "--function", "norm", "--x0", "1e154,1e154", "--T", "0.5", "--k", "10"], "x0"),
+    (["regularize", "--function", "norm", "--epsilon", "0.1", "--points", "1,0;1e308,0"],
+     "points"),
+])
+def test_points_whose_squared_norm_overflows_are_config_errors(tmp_path, capsys, args, what):
+    # The library's norms go through squares, which overflow from a norm of
+    # sqrt(float max) on; such a point is refused before any computation.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(tmp_path, *args)
+    err = capsys.readouterr().err
+    assert code == 2 and not caught
+    assert err == (f"config error: {what} must have a norm below 1.34e+154, "
+                   "where its square overflows\n")
+    assert "Warning" not in err and not any(tmp_path.iterdir())
 
 
 LOCALIZED = "localized:tube:1.5,0:0.4"

@@ -252,3 +252,22 @@ def test_the_regularization_does_not_know_its_base_shape():
     assert not tests, tests
     assert "_hull_base" not in _names(tree)
     assert not imported & {"HullFunction", "hull_ray_exit", "_step_inside", "dilated_projection"}
+
+
+def test_only_the_catching_up_loop_steps_in_a_loop():
+    # sweeping._catching_up is the package's one catching-up loop: no other
+    # loop or comprehension calls a step oracle (level_project or
+    # complement_projection), so every sweep runs through it.
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    steps = {"level_project", "complement_projection"}
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loop = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_catching_up" and path.name == "sweeping.py"
+                for n in ast.walk(node)}
+        stray += [f"{path.name}:{call.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, loops) and id(node) not in loop
+                  for call in ast.walk(node) if isinstance(call, ast.Call)
+                  and (_names(call.func) or [None])[0] in steps]
+    assert not stray, stray

@@ -42,6 +42,30 @@ def test_forward_waiting_phase(norm):
     assert np.max(np.abs(traj.values[riding] - traj.levels[riding])) <= 1e-9
 
 
+@pytest.mark.parametrize("name,dim,eps", [("norm", 3, None), ("tube", 2, 0.25),
+                                          ("gauge", 2, 0.25),
+                                          ("localized:tube:1.5,0:0.4", 2, 0.2)])
+def test_forward_batch_with_start_levels_per_row_equals_one_start_runs(name, dim, eps):
+    # One start level per row: each run of the batch carries the bits of the
+    # one-start run at its level. Rows 0-3 start on their level boundary; row
+    # 4 starts 0.03 inside and waits for the first two steps.
+    f = get_function(name, dim=dim)
+    f = f if eps is None else regularize(f, eps)
+    lo, hi = f.default_window
+    alpha2 = np.linspace(lo, hi, 5)
+    far = f.level_interior_point(hi) + 5.0 * unit_directions(split_rng(0, "per-row", name), 5, dim)
+    x0 = f.level_project(alpha2 - [0.0, 0.0, 0.0, 0.0, 0.03], far)
+    batch = forward_catching_up_batch(f, x0, SweepingConfig(alpha2=alpha2, horizon=0.1, steps=8))
+    assert batch.levels.shape == (9, 5) and batch.points.shape == (9, 5, dim)
+    for i in range(5):
+        one = forward_catching_up_batch(f, x0[i], SweepingConfig(
+            alpha2=float(alpha2[i]), horizon=0.1, steps=8))
+        run = batch.trajectory(i)
+        for key in ("times", "levels", "points", "values"):
+            assert getattr(run, key).tobytes() == getattr(one, key).tobytes(), (i, key)
+    assert np.all(batch.points[:3, 4] == x0[4]) and np.all(batch.points[3:, 4] != x0[4])
+
+
 def test_forward_tube_regularized_axis(tube):
     freg = regularize(tube, 0.25)
     cfg = SweepingConfig(alpha2=2.0, horizon=1.0, steps=1000)
@@ -373,6 +397,32 @@ def test_invert_flow_radial_pair(norm):
     assert rec["dist_out"] == pytest.approx(1.5 * np.sqrt(2), abs=1e-9)
 
 
+def test_invert_flow_check_batch_equals_single_pairs(norm):
+    # All 2n starts of a batch run in one forward batch; each pair's record
+    # equals its own call bit for bit, with one time per pair or one for all.
+    freg = regularize(norm, 0.5)
+    cfg = SweepingConfig(alpha2=1.5, horizon=1.0, steps=40,
+                         map_lipschitz=1.0, prox_radius=1.0)
+    rng = split_rng(0, "flow-check-batch")
+    a1, a2 = rng.uniform(0.0, 2.0 * np.pi, size=(2, 6))
+    radii = np.array([2.0, 2.0, 1.8, 2.0, 2.0, 2.0])
+    m1 = np.stack([np.cos(a1), np.sin(a1)], axis=1) * radii[:, None]
+    m2 = np.stack([np.cos(a2), np.sin(a2)], axis=1) * 2.0
+    m2[3] = m1[3]
+    t1 = np.array([0.0, 0.3, 0.5, 0.5, 1.0, 0.7])
+    t2 = np.array([0.2, 0.3, 0.9, 0.5, 1.0, 0.0])
+    for times in ((t1, t2), (0.5, 0.25)):
+        rec = invert_flow_check(freg, m1, m2, *times, cfg, func_lipschitz=1.0)
+        assert set(rec) == {"D_in", "dist_out", "bound", "bilipschitz_ok", "nonexpansive_ok"}
+        for i in range(6):
+            one = invert_flow_check(freg, m1[i], m2[i], *[np.broadcast_to(t, 6)[i] for t in times],
+                                    cfg, func_lipschitz=1.0)
+            for key, value in one.items():
+                assert type(value) in (float, bool), key
+                assert np.asarray(value).tobytes() == rec[key][i].tobytes(), (i, key)
+    assert rec["D_in"][3] == 0.25
+
+
 def test_invert_flow_needs_constants(norm):
     freg = regularize(norm, 0.5)
     cfg = SweepingConfig(alpha2=1.5, horizon=1.0, steps=100)
@@ -429,11 +479,10 @@ def test_trajectory_csv_bytes_match_the_per_row_formatter(tmp_path):
     levels = np.resize(specials[2:], len(times))
     points = np.resize(specials, (len(times), 3, 2))
     points[:, 1] = np.roll(points[:, 0], 3, axis=0)
-    cfg = SweepingConfig(alpha2=1.0, horizon=1.5, steps=7)
     batch = Trajectory(times=times, levels=levels, points=points,
-                       values=np.resize(specials[1:], (len(times), 3)), config=cfg)
+                       values=np.resize(specials[1:], (len(times), 3)))
     single = Trajectory(times=times, levels=levels, points=np.roll(points[:, 0], 1, axis=0),
-                        values=np.resize(specials[4:], len(times)), config=cfg)
+                        values=np.resize(specials[4:], len(times)))
     for traj in (single, batch.trajectory(1)):
         path = tmp_path / "traj.csv"
         with np.errstate(invalid="ignore"):
@@ -500,7 +549,7 @@ def test_one_row_steps_call_no_python_level_numpy_wrappers(monkeypatch, gallery)
     lens_boundary = lens.level_project(0.5, np.array([[2.5, 0.1]]))
     steps = []
     monkeypatch.setattr(sweeping, "_catching_up",
-                        lambda f, x0, times, levels, step, cfg: steps.append((step, levels[1], x0)))
+                        lambda f, x0, times, levels, step, hold=None: steps.append((step, levels[1], x0)))
     for name, x0 in (("norm", [[1.2, 0.5]]), ("tube", [[1.5, 0.6]]), ("gauge", [[0.3, 1.5]])):
         for f in (gallery[name], regularize(gallery[name], 0.25)):
             cfg = SweepingConfig(alpha2=float(f.eval(x0[0])), horizon=0.2, steps=4)
@@ -558,7 +607,7 @@ def test_regularized_steps_take_one_growth_call(monkeypatch):
     # not run.
     steps = []
     monkeypatch.setattr(sweeping, "_catching_up",
-                        lambda f, x0, times, levels, step, cfg: steps.append((f, step, levels[1], x0)))
+                        lambda f, x0, times, levels, step, hold=None: steps.append((f, step, levels[1], x0)))
     for name, dim, eps, x0, alpha2 in (
             ("norm", 2, 0.25, [1.2, 0.5], 1.6), ("norm", 3, 0.25, [1.2, 0.5, 0.3], 1.6),
             ("tube", 2, 0.25, [1.5, 0.6], 1.6), ("gauge", 2, 0.25, [0.3, 1.5], 1.6),

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,27 @@ def test_probe_steepest_descent_norm(norm):
     cfg = SweepingConfig(alpha2=1.5, horizon=0.4, steps=80)
     probe = probe_steepest_descent(freg, 20, cfg, window=(0.8, 1.5), seed=0)
     assert probe.details["fraction"] >= 0.95
+
+
+def test_probe_without_steps_is_skipped(monkeypatch, norm, tube):
+    # A zero horizon gives no step, hence no speed: the probe is skipped with
+    # its reason, silently, and the suite keeps it skipped.
+    cfg = SweepingConfig(alpha2=1.7, horizon=0.0, steps=10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        probe = probe_steepest_descent(regularize(tube, 0.25), 5, cfg, window=(0.3, 1.7))
+    assert not caught
+    assert probe.passed is None and probe.margin is None and probe.witness is None
+    assert probe.details["n_steps"] == 0 and "reason" in probe.details
+    assert "fraction" not in probe.details
+
+    real = verification.probe_steepest_descent
+    monkeypatch.setattr(verification, "probe_steepest_descent", lambda f, n, cfg, **kwargs:
+                        real(f, n, replace(cfg, horizon=0.0), **kwargs))
+    report = run_verification_suite(norm, eps=0.25, n_points=10, resolution=0.05,
+                                    probe_starts=5)
+    skipped = report.get("steepest-descent-probe")
+    assert skipped.passed is None and skipped.details["n_steps"] == 0
 
 
 def test_hoffmann_norm_example(norm):
